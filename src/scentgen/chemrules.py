@@ -184,27 +184,27 @@ def _lone_pair_donors(graph: MoleculeGraph) -> set[int]:
     return donors
 
 
-def _aromatic_bond_order(graph: MoleculeGraph, donors: set[int]) -> dict[int, float]:
-    """Per-atom heavy bond-order sums with aromatic bonds weighted per role.
+def _order_sums(graph: MoleculeGraph) -> dict[int, int]:
+    """Per-atom heavy bond-order sums, with aromatic bonds at their Kekule equivalent.
 
-    An aromatic bond counts 1.5 toward a pi-bond participant and 1.0 toward a
-    lone-pair donor, matching the kekule equivalents of each role.
+    Every aromatic bond counts 1 toward both ends.  A pi-bond participant (an
+    atom with an aromatic bond that is not a lone-pair donor) holds exactly one
+    double bond in a Kekule form, so it counts 1 more; a donor holds none.
     """
-    sums = {i: 0.0 for i in range(graph.n_atoms)}
+    donors = _lone_pair_donors(graph)
+    sums = {i: 0 for i in range(graph.n_atoms)}
+    pi_atoms: set[int] = set()
     for i, j, t in graph.bonds:
         for end in (i, j):
             if t is BondType.AROMATIC:
-                sums[end] += 1.0 if end in donors else 1.5
+                sums[end] += 1
+                if end not in donors:
+                    pi_atoms.add(end)
             else:
-                sums[end] += t.order
+                sums[end] += int(t.order)
+    for end in pi_atoms:
+        sums[end] += 1
     return sums
-
-
-def _rounded_order_sums(graph: MoleculeGraph) -> dict[int, int]:
-    """Heavy bond-order sum per atom, rounded half-up after aromatic weighting."""
-    donors = _lone_pair_donors(graph)
-    raw = _aromatic_bond_order(graph, donors)
-    return {i: int(math.floor(s + 0.5)) for i, s in raw.items()}
 
 
 @dataclass(frozen=True)
@@ -233,7 +233,7 @@ def valence_check(graph: MoleculeGraph, table: ValenceTable | None = None) -> Va
     Raises UnknownElement for atoms missing from the table.
     """
     table = table or ValenceTable.default()
-    sums = _rounded_order_sums(graph)
+    sums = _order_sums(graph)
     details = []
     for idx, atom in enumerate(graph.atoms):
         z = atom.atomic_number
@@ -308,7 +308,7 @@ def formal_charges(graph: MoleculeGraph, table: ValenceTable | None = None) -> l
     whose bond sum exceeds every allowed valence.
     """
     table = table or ValenceTable.default()
-    sums = _rounded_order_sums(graph)
+    sums = _order_sums(graph)
     charges: list[int | None] = []
     for idx, atom in enumerate(graph.atoms):
         z = atom.atomic_number

@@ -4,6 +4,10 @@ Supported: organic-subset atoms (B, C, N, O, P, S, F, Cl, Br, I), aromatic
 lowercase forms, bracket atoms for every other element, bond symbols - = # :,
 branches, ring closures (1-9 and %nn), and dot-separated fragments.  Not
 supported: stereo descriptors, isotopes, charges, and explicit H counts.
+
+Canonical strings come from invariant refinement followed by an exact
+tie-break search that prunes branches related by automorphisms of the graph,
+so every graph gets its canonical string, however symmetric.
 """
 
 from __future__ import annotations
@@ -368,14 +372,13 @@ def _dense(keys: list) -> list[int]:
     return [order[k] for k in keys]
 
 
-def _refine(graph: MoleculeGraph, ranks: list[int]) -> list[int]:
+def _refine(adj: list[list[tuple[int, int]]], ranks: list[int]) -> list[int]:
     """Iteratively sharpen ranks with neighbor (bond, rank) multisets until stable."""
-    adj = graph.adjacency()
     current = list(ranks)
-    for _ in range(graph.n_atoms + 1):
+    for _ in range(len(adj) + 1):
         signatures = [
-            (current[i], tuple(sorted((_BOND_RANK[t], current[j]) for j, t in adj[i])))
-            for i in range(graph.n_atoms)
+            (current[i], tuple(sorted((bond, current[j]) for bond, j in adj[i])))
+            for i in range(len(adj))
         ]
         refined = _dense(signatures)
         if refined == current:
@@ -384,42 +387,89 @@ def _refine(graph: MoleculeGraph, ranks: list[int]) -> list[int]:
     return current
 
 
-def _initial_ranks(graph: MoleculeGraph) -> list[int]:
-    adj = graph.adjacency()
-    invariants = []
-    for i, atom in enumerate(graph.atoms):
-        orders = sorted(_BOND_RANK[t] for _, t in adj[i])
-        invariants.append((atom.atomic_number, len(orders), tuple(orders)))
+def _initial_ranks(adj: list[list[tuple[int, int]]], numbers: list[int]) -> list[int]:
+    invariants = [
+        (z, len(adj[i]), tuple(sorted(bond for bond, _ in adj[i]))) for i, z in enumerate(numbers)
+    ]
     return _dense(invariants)
 
 
-_CANONICAL_BUDGET = 10000
+def _orbits(automorphisms: list[list[int]], fixed: list[int]) -> list[int]:
+    """Orbit representative per atom under the found automorphisms that fix `fixed` pointwise."""
+    root = list(range(len(automorphisms[0])))
+
+    def find(a: int) -> int:
+        while root[a] != a:
+            root[a] = root[root[a]]
+            a = root[a]
+        return a
+
+    for gamma in automorphisms:
+        if all(gamma[v] == v for v in fixed):
+            for a, b in enumerate(gamma):
+                root[find(a)] = find(b)
+    return [find(a) for a in range(len(root))]
 
 
 def _canonical_component(graph: MoleculeGraph) -> str:
-    best: list[str] = []
-    leaves = [0]
+    """Smallest `write` over all leaves of the individualization-refinement tree.
 
-    def search(ranks: list[int]) -> None:
-        if leaves[0] > _CANONICAL_BUDGET:
-            raise RuntimeError("canonical ordering search budget exceeded")
+    Leaves are discrete rankings.  A leaf's certificate is the graph relabelled
+    by its ranks; equal certificates write equal strings, so only new ones are
+    written.  A leaf whose certificate equals the first leaf's yields an
+    automorphism; the search then backjumps to where its path left the first
+    path, and at every node skips picks in the orbit of an explored pick under
+    the automorphisms that fix the path (McKay & Piperno, arXiv:1301.1493).
+    Each skipped subtree is an automorphic image of a searched one, so the
+    result equals that of the exhaustive search.
+    """
+    numbers = [atom.atomic_number for atom in graph.atoms]
+    adj: list[list[tuple[int, int]]] = [[] for _ in numbers]
+    for i, j, t in graph.bonds:
+        adj[i].append((_BOND_RANK[t], j))
+        adj[j].append((_BOND_RANK[t], i))
+    edges = [(i, j, _BOND_RANK[t]) for i, j, t in graph.bonds]
+    first: list = []  # path, certificate and atom-per-rank of the first leaf
+    automorphisms: list[list[int]] = []
+    written: dict[tuple, str] = {}  # certificate -> its string
+
+    def search(ranks: list[int], path: list[int]) -> int:
+        """Explore below `path`; return the depth at which the search resumes."""
         groups: dict[int, list[int]] = {}
         for idx, r in enumerate(ranks):
             groups.setdefault(r, []).append(idx)
-        tied = sorted(r for r, members in groups.items() if len(members) > 1)
+        tied = [r for r, members in groups.items() if len(members) > 1]
         if not tied:
-            leaves[0] += 1
-            candidate = write(graph, _ranks=ranks)
-            if not best or candidate < best[0]:
-                best[:] = [candidate]
-            return
-        members = groups[tied[0]]
-        for pick in members:
-            keys = [(r, 0 if (r != tied[0] or idx == pick) else 1) for idx, r in enumerate(ranks)]
-            search(_refine(graph, _dense(keys)))
+            at_rank = [groups[r][0] for r in range(len(ranks))]
+            certificate = (
+                tuple(numbers[i] for i in at_rank),
+                tuple(sorted((min(ranks[i], ranks[j]), max(ranks[i], ranks[j]), b) for i, j, b in edges)),
+            )
+            if not first:
+                first.extend((path, certificate, at_rank))
+            elif certificate == first[1]:
+                first_path, _, first_at_rank = first
+                automorphisms.append([first_at_rank[r] for r in ranks])
+                return next(k for k, (a, b) in enumerate(zip(path, first_path)) if a != b)
+            if certificate not in written:
+                written[certificate] = write(graph, _ranks=ranks)
+            return len(path)
+        target = min(tied)
+        explored: list[int] = []
+        for pick in groups[target]:
+            if explored and automorphisms:
+                orbit = _orbits(automorphisms, path)
+                if any(orbit[pick] == orbit[done] for done in explored):
+                    continue
+            explored.append(pick)
+            keys = [(r, 0 if (r != target or idx == pick) else 1) for idx, r in enumerate(ranks)]
+            depth = search(_refine(adj, _dense(keys)), path + [pick])
+            if depth < len(path):
+                return depth
+        return len(path)
 
-    search(_refine(graph, _initial_ranks(graph)))
-    return best[0]
+    search(_refine(adj, _initial_ranks(adj, numbers)), [])
+    return min(written.values())
 
 
 def _subgraph(graph: MoleculeGraph, indices: list[int]) -> MoleculeGraph:
@@ -439,8 +489,11 @@ def canonicalize(graph: MoleculeGraph) -> str:
     """Atom-order-independent SMILES: same molecule, same string, byte for byte.
 
     Ranks come from iterative invariant refinement; remaining ties are broken
-    by exploring each individualization and keeping the smallest string.
+    by an individualization search that skips branches which are automorphic
+    images of searched ones, keeping the smallest string over all orderings.
     Fragments are canonicalized independently and joined in sorted order.
+    The search has no budget: the only exception raised is `UnwritableGraph`,
+    for atoms outside the writable element range.
     """
     if graph.n_atoms == 0:
         return ""

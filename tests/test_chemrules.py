@@ -312,3 +312,45 @@ def test_valence_table_rejects_bad_entries():
         ValenceTable({6: ()})
     with pytest.raises(ValueError):
         ValenceTable({6: (0,)})
+
+
+# Each ring-fusion carbon has three aromatic bonds and one double bond in any
+# Kekule form, so it takes no hydrogen.
+FUSED_AROMATICS = (
+    ("c1ccc2ccccc2c1", "C10H8"),  # naphthalene
+    ("c1ccc2cc3ccccc3cc2c1", "C14H10"),  # anthracene
+    ("Cc1ccc2ccccc2c1", "C11H10"),  # 2-methylnaphthalene
+    ("c1ccccc1", "C6H6"),
+    ("c1ccncc1", "C5H5N"),
+    ("c1ccoc1", "C4H4O"),
+)
+
+
+def hill_formula(graph) -> str:
+    hydrogens = sum(d.implicit_hydrogens for d in valence_check(graph).per_atom)
+    counts = {"H": hydrogens}
+    for atom in graph.atoms:
+        counts[atom.symbol] = counts.get(atom.symbol, 0) + 1
+    order = ["C", "H"] + sorted(s for s in counts if s not in ("C", "H"))
+    return "".join(f"{s}{counts[s] if counts[s] > 1 else ''}" for s in order if counts.get(s))
+
+
+@pytest.mark.parametrize("text, formula", FUSED_AROMATICS)
+def test_fused_and_single_ring_aromatics_sanitize(text, formula):
+    result = sanitize(smiles.parse(text))
+    assert result.report.final_verdict, result.report.to_dict()
+    assert hill_formula(result.graph) == formula
+
+
+def test_naphthalene_matches_its_kekule_form():
+    aromatic = valence_check(smiles.parse("c1ccc2ccccc2c1"))
+    kekule = valence_check(smiles.parse("C1=CC=C2C=CC=CC2=C1"))
+    assert sorted(d.implicit_hydrogens for d in aromatic.per_atom) == sorted(
+        d.implicit_hydrogens for d in kekule.per_atom
+    )
+
+
+@pytest.mark.parametrize("text", ["c1cccc1", "c1ccccccc1", "cc"])
+def test_non_huckel_aromatics_fail_at_aromaticity(text):
+    report = sanitize(smiles.parse(text)).report
+    assert next(s.name for s in report.stages if not s.passed) == "aromaticity_charge"

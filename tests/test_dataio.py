@@ -75,6 +75,13 @@ def test_corpus_loader(fixture_corpus):
     assert smiles.canonicalize(smiles.parse("CCO")) in fixture_corpus
 
 
+def test_corpus_loader_canonicalizes_crowded_symmetric_row(tmp_path):
+    crowded = "CC(C)(C)C(C(C)(C)C)(C(C)(C)C)C(C)(C)C"  # tetra-tert-butylmethane
+    path = write_csv(tmp_path, ["CCO,fruity", f"{crowded},camphor"])
+    corpus = load_corpus(path)
+    assert corpus == {smiles.canonicalize(smiles.parse("CCO")), smiles.canonicalize(smiles.parse(crowded))}
+
+
 # ---------------------------------------------------------------- multi-hot
 
 

@@ -3,6 +3,8 @@ import itertools
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from scentgen import chemrules, smiles
 from scentgen.molgraph import (
@@ -246,3 +248,59 @@ def test_corpus_canonical_reparse(fixture_dataset):
         g = parse(mol.smiles)
         again = parse(canonicalize(g))
         assert isomorphic(g, again)
+
+
+# Tetra-tert-butylmethane and hexa-tert-butylethane once exceeded the budget of
+# an unpruned tie-break search and raised instead of returning.
+CROWDED = (
+    "CC(C)(C)C(C(C)(C)C)(C(C)(C)C)C(C)(C)C",
+    "CC(C)(C)C(C(C)(C)C)(C(C)(C)C)C(C(C)(C)C)(C(C)(C)C)C(C)(C)C",
+)
+
+
+@pytest.mark.parametrize("text", CROWDED)
+def test_canonical_crowded_symmetric_molecules(text, rng):
+    g = parse(text)
+    canonical = canonicalize(g)
+    for _ in range(5):
+        assert canonicalize(permuted(g, list(rng.permutation(g.n_atoms)))) == canonical
+    again = parse(canonical)
+    assert isomorphic(g, again)
+    assert canonicalize(again) == canonical
+
+
+@st.composite
+def sanitized_graphs(draw):
+    """Random trees with a few extra ring bonds, kept within each atom's valence."""
+    n = draw(st.integers(1, 14))
+    numbers = draw(st.lists(st.sampled_from((6, 6, 6, 6, 7, 8, 16)), min_size=n, max_size=n))
+    room = [max(chemrules.DEFAULT_VALENCES[z]) for z in numbers]
+    bonds: dict[tuple[int, int], BondType] = {}
+
+    def bond(i: int, j: int, order: int) -> None:
+        order = min(order, room[i], room[j])
+        if i != j and order > 0 and (min(i, j), max(i, j)) not in bonds:
+            bonds[min(i, j), max(i, j)] = (BondType.SINGLE, BondType.DOUBLE, BondType.TRIPLE)[order - 1]
+            room[i] -= order
+            room[j] -= order
+
+    for v in range(1, n):
+        bond(draw(st.integers(0, v - 1)), v, draw(st.sampled_from((1, 1, 1, 2, 3))))
+    for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3)):
+        bond(i, j, 1)
+    graph = MoleculeGraph(
+        atoms=tuple(Atom(z) for z in numbers),
+        bonds=tuple(sorted((i, j, t) for (i, j), t in bonds.items())),
+    )
+    result = chemrules.sanitize(graph)
+    assume(result.report.final_verdict)
+    return result.graph, draw(st.permutations(range(n)))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(sanitized_graphs())
+def test_canonical_property_permutation_invariant_and_round_trips(case):
+    g, perm = case
+    canonical = canonicalize(g)
+    assert canonicalize(permuted(g, list(perm))) == canonical
+    assert isomorphic(parse(canonical), g)
