@@ -18,16 +18,12 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import chemrules, smiles
-from .diffusion import BOND_CLASS_INDEX, TrainingExample
+from .diffusion import BOND_CLASS_INDEX, EmptyDataset, TrainingExample
 from .molgraph import Atom, MoleculeGraph, UnknownElement
 
 logger = logging.getLogger(__name__)
 
 BUNDLED_DATASET = "mini_scents.csv"
-
-
-class EmptyDataset(ValueError):
-    """The file contained no usable molecule rows."""
 
 
 class TooFewSamples(ValueError):

@@ -34,7 +34,7 @@ class NonPositiveTemperature(ValueError):
 
 
 class EmptyDataset(ValueError):
-    """Training requires at least one example."""
+    """No usable examples: an empty training set, or a dataset file without valid molecules."""
 
 
 class DivergedLoss(RuntimeError):
@@ -54,9 +54,6 @@ class NoiseSchedule:
 
     steps: int
     beta_max: float = 1.0
-
-    def beta(self, t: int) -> float:
-        return beta_at(self, t)
 
 
 def beta_at(schedule: NoiseSchedule, t: int) -> float:
@@ -114,7 +111,8 @@ def denoiser_forward(
 
     Every node sees [noisy feature, time embedding, conditioning vector];
     bond logits are read from the final node embeddings over `bond_edges`.
-    Outputs are passed through nan_to_num in place.
+    Outputs that hold a non-finite value are passed through nan_to_num in
+    place; the caller's `x_noisy` and `coords` are never written or aliased.
     """
     x_noisy = np.asarray(x_noisy, dtype=np.float64).reshape(-1, 1)
     coords = np.asarray(coords, dtype=np.float64).reshape(-1, 3)
@@ -145,7 +143,8 @@ def denoiser_forward(
     # Bounded nan_to_num: unchecked infinities would otherwise compound across
     # sampling steps through the coordinate pathway.
     for tensor in (eps_hat, bond_logits, state.features, state.coords):
-        np.nan_to_num(tensor.data, copy=False, posinf=1e6, neginf=-1e6)
+        if not np.isfinite(tensor.data).all():
+            np.nan_to_num(tensor.data, copy=False, posinf=1e6, neginf=-1e6)
     return DenoiserOutput(eps_hat, bond_logits, state.features, state.coords)
 
 

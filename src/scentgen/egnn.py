@@ -2,7 +2,10 @@
 
 Geometry enters only through pairwise distances, so node features are
 invariant under rigid transforms while coordinate updates move with them.
-Message edges are fully connected within each molecule fragment.
+Message edges are fully connected within each molecule fragment.  Each layer
+(Satorras et al., arXiv:2102.09844) computes the relative positions and
+distances of its edges once, in `edge_geometry`, and both `compute_messages`
+and `update_coordinates` read them.
 """
 
 from __future__ import annotations
@@ -32,28 +35,28 @@ class NodeState:
 def fully_connected_edges(fragment_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """All ordered intra-fragment pairs (i, j), i != j, in lexicographic order."""
     frag = np.asarray(fragment_ids, dtype=np.int64)
-    n = frag.shape[0]
-    receivers = []
-    senders = []
-    for i in range(n):
-        for j in range(n):
-            if i != j and frag[i] == frag[j]:
-                receivers.append(i)
-                senders.append(j)
-    return np.asarray(receivers, dtype=np.int64), np.asarray(senders, dtype=np.int64)
+    same = frag[:, None] == frag[None, :]
+    np.fill_diagonal(same, False)
+    receivers, senders = np.nonzero(same)
+    return receivers, senders
 
 
-def _check_edges(n: int, receivers: np.ndarray, senders: np.ndarray) -> None:
-    for arr in (receivers, senders):
-        arr = np.asarray(arr)
-        if arr.size and (arr.min() < 0 or arr.max() >= n):
-            raise IndexError(f"edge index outside [0, {n})")
+def fragment_edge_scale(receivers: np.ndarray) -> np.ndarray:
+    """Per-edge weight 1 / (fragment size - 1), shape [E, 1], for fully connected edges.
+
+    A node receives one edge from every other atom of its fragment, so its
+    in-degree is its fragment size - 1.
+    """
+    return (1.0 / np.bincount(receivers)[receivers]).reshape(-1, 1)
 
 
-def edge_distances(coords: Tensor, receivers: np.ndarray, senders: np.ndarray) -> Tensor:
-    """Euclidean distance per directed edge, shape [E, 1]."""
+def edge_geometry(coords: Tensor, receivers: np.ndarray, senders: np.ndarray) -> tuple[Tensor, Tensor]:
+    """Relative positions r_i - r_j [E, 3] and distances |r_i - r_j| [E, 1] per edge.
+
+    Indices outside the node range raise IndexError.
+    """
     rel = numcore.sub(numcore.gather(coords, receivers), numcore.gather(coords, senders))
-    return numcore.sqrt(numcore.sum_(numcore.mul(rel, rel), axis=1, keepdims=True))
+    return rel, numcore.sqrt(numcore.sum_(numcore.mul(rel, rel), axis=1, keepdims=True))
 
 
 def compute_messages(
@@ -62,15 +65,11 @@ def compute_messages(
     layer: str,
     receivers: np.ndarray,
     senders: np.ndarray,
+    dist: Tensor,
 ) -> Tensor:
     """Per-edge messages from [x_i, x_j, |r_i - r_j|], shape [E, d]."""
-    _check_edges(state.n_nodes, receivers, senders)
-    if len(receivers) == 0:
-        width = params[f"{layer}.node_mlp.w2"].data.shape[1]
-        return Tensor(np.zeros((0, width)))
     x_i = numcore.gather(state.features, receivers)
     x_j = numcore.gather(state.features, senders)
-    dist = edge_distances(state.coords, receivers, senders)
     return numcore.mlp_forward(params, f"{layer}.node_mlp", numcore.concat([x_i, x_j, dist], axis=1))
 
 
@@ -79,22 +78,19 @@ def update_coordinates(
     params: ParamStore,
     layer: str,
     receivers: np.ndarray,
-    senders: np.ndarray,
+    rel: Tensor,
+    dist: Tensor,
     edge_scale: np.ndarray | None = None,
 ) -> Tensor:
     """New coordinates r_i + sum_j phi(|r_i - r_j|) (r_i - r_j), shape [n, 3].
 
-    `edge_scale` rescales each edge's contribution; the forward pass uses
-    1 / (fragment size - 1) to keep fully connected sums bounded.
+    `rel` and `dist` come from `edge_geometry`.  `edge_scale` [E, 1] rescales
+    each edge's contribution; the forward pass uses 1 / (fragment size - 1)
+    to keep fully connected sums bounded.
     """
-    _check_edges(state.n_nodes, receivers, senders)
-    if len(receivers) == 0:
-        return state.coords
-    rel = numcore.sub(numcore.gather(state.coords, receivers), numcore.gather(state.coords, senders))
-    dist = numcore.sqrt(numcore.sum_(numcore.mul(rel, rel), axis=1, keepdims=True))
     weight = numcore.mlp_forward(params, f"{layer}.coord_mlp", dist)
     if edge_scale is not None:
-        weight = numcore.mul(weight, np.asarray(edge_scale, dtype=np.float64).reshape(-1, 1))
+        weight = numcore.mul(weight, edge_scale)
     delta = numcore.segment_sum(numcore.mul(weight, rel), receivers, state.n_nodes)
     return numcore.add(state.coords, delta)
 
@@ -105,25 +101,25 @@ def egnn_forward(
     layers: tuple[str, ...] = DEFAULT_LAYERS,
     fragment_ids: np.ndarray | None = None,
 ) -> NodeState:
-    """Run the configured layers with residual feature sums and coordinate shifts."""
+    """Run the configured layers with residual feature sums and coordinate shifts.
+
+    Each layer computes the edge geometry once and feeds it to both the
+    messages and the coordinate update.  A graph without edges (every
+    fragment a single atom) passes through every layer unchanged.
+    """
     n = state.n_nodes
     frag = np.zeros(n, dtype=np.int64) if fragment_ids is None else np.asarray(fragment_ids, dtype=np.int64)
     receivers, senders = fully_connected_edges(frag)
-    _, frag_sizes = np.unique(frag, return_counts=True)
-    size_of = {int(f): int(c) for f, c in zip(np.unique(frag), frag_sizes)}
-    edge_scale = np.array(
-        [1.0 / max(size_of[int(frag[i])] - 1, 1) for i in receivers], dtype=np.float64
-    )
+    if len(receivers) == 0:
+        return state
+    edge_scale = fragment_edge_scale(receivers)
 
     current = state
     for layer in layers:
-        messages = compute_messages(current, params, layer, receivers, senders)
-        if len(receivers):
-            aggregated = numcore.segment_sum(messages, receivers, n)
-            features = numcore.add(current.features, aggregated)
-        else:
-            features = current.features
-        coords = update_coordinates(current, params, layer, receivers, senders, edge_scale)
+        rel, dist = edge_geometry(current.coords, receivers, senders)
+        messages = compute_messages(current, params, layer, receivers, senders, dist)
+        features = numcore.add(current.features, numcore.segment_sum(messages, receivers, n))
+        coords = update_coordinates(current, params, layer, receivers, rel, dist, edge_scale)
         current = NodeState(features=features, coords=coords)
     return current
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import chemrules, diffusion, numcore, smiles
 from .chemrules import ValidationReport
-from .diffusion import BOND_CLASSES, NoiseSchedule
+from .diffusion import BOND_CLASSES, NoiseSchedule, beta_at
 from .molgraph import (
     MAX_ATOMIC_NUMBER,
     Atom,
@@ -150,26 +150,21 @@ def _rescale_coords(coords: np.ndarray) -> np.ndarray:
     return coords
 
 
-def decode_atoms(x: Sequence[float], config: GenerationConfig) -> list[int]:
-    """nan_to_num, round, range filter, then the allowlist in constrained mode."""
-    values = np.nan_to_num(np.asarray(x, dtype=np.float64).reshape(-1))
-    decoded = chemrules.check_atomic_range(values.tolist())
-    if config.mode is Mode.CONSTRAINED:
-        decoded = [z for z in decoded if z in config.allowlist]
-    return decoded
+def decode_atoms(x: Sequence[float], config: GenerationConfig) -> tuple[list[int], list[int]]:
+    """Kept node indices and their atomic numbers.
 
-
-def _decode_keep_indices(x: np.ndarray, config: GenerationConfig) -> list[int]:
-    values = np.nan_to_num(np.asarray(x, dtype=np.float64).reshape(-1))
-    keep = []
-    for idx, v in enumerate(values):
-        z = round(float(v))
-        if not 1 <= z <= MAX_ATOMIC_NUMBER:
-            continue
-        if config.mode is Mode.CONSTRAINED and z not in config.allowlist:
-            continue
-        keep.append(idx)
-    return keep
+    Each value is rounded and range-filtered by `chemrules.check_atomic_range`
+    (non-finite values are dropped), then filtered by the allowlist in
+    constrained mode.
+    """
+    keep: list[int] = []
+    atoms: list[int] = []
+    for idx, v in enumerate(np.asarray(x, dtype=np.float64).reshape(-1)):
+        z = chemrules.check_atomic_range([v])
+        if z and (config.mode is Mode.UNCONSTRAINED or z[0] in config.allowlist):
+            keep.append(idx)
+            atoms.append(z[0])
+    return keep, atoms
 
 
 def propose_edges(coords: np.ndarray, decoded_atoms: Sequence[int], cutoff: float = EDGE_CUTOFF) -> list[tuple[int, int]]:
@@ -261,18 +256,17 @@ def sample(
     with numcore.no_grad():
         for t in range(config.steps, 0, -1):
             out = diffusion.denoiser_forward(x, coords, (), t, schedule, y, params)
-            sqrt_bt = math.sqrt(schedule.beta(t))
-            sqrt_bt_prev = math.sqrt(schedule.beta(t - 1)) if t > 1 else 0.0
+            sqrt_bt = math.sqrt(beta_at(schedule, t))
+            sqrt_bt_prev = math.sqrt(beta_at(schedule, t - 1)) if t > 1 else 0.0
             x = np.clip(x - (sqrt_bt - sqrt_bt_prev) * out.eps_hat.data, -1e4, 1e4)
             coords = _rescale_coords(out.coords.data)
             embeddings = out.node_embeddings.data
             steps_executed += 1
 
     raw = [float(v) for v in x.reshape(-1)]
-    keep = _decode_keep_indices(x, config)
-    decoded = [int(round(float(np.nan_to_num(x[k, 0])))) for k in keep]
-    kept_coords = coords[keep] if keep else np.zeros((0, 3))
-    kept_embeddings = embeddings[keep] if keep else np.zeros((0, diffusion.HIDDEN_DIM))
+    keep, decoded = decode_atoms(x, config)
+    kept_coords = coords[keep]
+    kept_embeddings = embeddings[keep]
 
     edges = propose_edges(kept_coords, decoded, config.edge_cutoff)
     typed = assign_bond_types(edges, kept_embeddings, decoded, params, config.tau, config.bond_source)

@@ -48,12 +48,20 @@ def no_grad():
 
 
 class Tensor:
-    """A float64 array plus an optional link into the recorded computation."""
+    """A float64 array plus an optional link into the recorded computation.
+
+    `Tensor(x)` copies `x`, so a tensor never aliases its caller's array.
+    Only `_make` passes `_owned=True`: an op's freshly computed result has no
+    other owner and is wrapped as it is.
+    """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
 
-    def __init__(self, data, requires_grad: bool = False):
-        self.data = np.array(data, dtype=np.float64, copy=True)
+    def __init__(self, data, requires_grad: bool = False, *, _owned: bool = False):
+        if _owned:
+            self.data = np.asarray(data, dtype=np.float64)
+        else:
+            self.data = np.array(data, dtype=np.float64, copy=True)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._parents: tuple["Tensor", ...] = ()
@@ -109,7 +117,14 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
 
 
 def _make(data: np.ndarray, parents: Sequence[Tensor], backward_fn) -> Tensor:
-    out = Tensor(data)
+    """Wrap an op's result without copying it; every op computes a new array.
+
+    The result still goes through `Tensor.__init__`, so anything that counts
+    tensors by their construction sees every op result.  `exp` and `sqrt`
+    read their own output in backward, so the output of a tracked op must
+    not be written in place before `backward` has run.
+    """
+    out = Tensor(data, _owned=True)
     if _grad_enabled and any(p._tracked() for p in parents):
         out._parents = tuple(parents)
         out._backward_fn = backward_fn
@@ -374,17 +389,6 @@ class ParamStore:
     @property
     def gradients(self) -> dict[str, np.ndarray | None]:
         return {name: self._params[name].grad for name in self.names()}
-
-    def flatten(self) -> np.ndarray:
-        return np.concatenate([self._params[n].data.reshape(-1) for n in self.names()])
-
-    def assign_flat(self, values: np.ndarray) -> None:
-        offset = 0
-        for name in self.names():
-            t = self._params[name]
-            size = t.data.size
-            t.data = values[offset : offset + size].reshape(t.data.shape).astype(np.float64)
-            offset += size
 
 
 def linear(params: ParamStore, name: str, x: Tensor) -> Tensor:

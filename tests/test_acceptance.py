@@ -365,7 +365,7 @@ def test_c07_constrained_mode_closure(acceptance_model, rng):
     survivors = 0
     for _ in range(1000):
         raw = rng.uniform(-10.0, 130.0, size=int(rng.integers(1, 12)))
-        decoded = generator.decode_atoms(raw, config)
+        _, decoded = generator.decode_atoms(raw, config)
         assert all(z in allowlist for z in decoded)
         survivors += len(decoded)
     assert survivors > 0

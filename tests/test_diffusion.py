@@ -194,6 +194,25 @@ def test_denoiser_bond_logit_shapes(rng):
     assert out.eps_hat.data.shape == (4, 1)
 
 
+@pytest.mark.parametrize("n", [1, 4])
+def test_denoiser_never_writes_or_aliases_caller_arrays(n):
+    """Outputs that need nan_to_num are cleaned in arrays the caller does not own."""
+    params = init_params(vocab_size=4, seed=0)
+    x = np.full((n, 1), 1e308)
+    # a single atom's output coordinates are its input coordinates
+    coords = np.full((1, 3), np.inf) if n == 1 else np.arange(3.0 * n).reshape(n, 3)
+    bond_edges = () if n == 1 else ((0, 1), (2, 3))
+    x_before, coords_before = x.copy(), coords.copy()
+    with np.errstate(all="ignore"):
+        out = denoiser_forward(x, coords, bond_edges, 5, NoiseSchedule(50), np.ones(4), params)
+    outputs = [out.eps_hat.data, out.bond_logits.data, out.node_embeddings.data, out.coords.data]
+    assert all(np.isfinite(a).all() for a in outputs)
+    assert any((np.abs(a) == 1e6).any() for a in outputs), "no output needed nan_to_num"
+    assert np.array_equal(x, x_before) and np.array_equal(coords, coords_before)
+    for a in outputs:
+        assert not np.shares_memory(a, x) and not np.shares_memory(a, coords)
+
+
 # -------------------------------------------------------------- bond probs
 
 

@@ -7,8 +7,9 @@ from scentgen import egnn, numcore
 from scentgen.egnn import (
     NodeState,
     compute_messages,
-    edge_distances,
+    edge_geometry,
     egnn_forward,
+    fragment_edge_scale,
     fully_connected_edges,
     init_egnn_layer,
     update_coordinates,
@@ -37,6 +38,36 @@ def state_of(features, coords):
     return NodeState(Tensor(features), Tensor(coords))
 
 
+def messages_of(state, params, recv, send):
+    _, dist = edge_geometry(state.coords, recv, send)
+    return compute_messages(state, params, "egnn.0", recv, send, dist)
+
+
+def coords_after(state, params, recv, send):
+    rel, dist = edge_geometry(state.coords, recv, send)
+    return update_coordinates(state, params, "egnn.0", recv, rel, dist)
+
+
+def reference_edges(frag):
+    """The double-loop edge build that the vectorised one replaced."""
+    n = len(frag)
+    receivers = []
+    senders = []
+    for i in range(n):
+        for j in range(n):
+            if i != j and frag[i] == frag[j]:
+                receivers.append(i)
+                senders.append(j)
+    return np.asarray(receivers, dtype=np.int64), np.asarray(senders, dtype=np.int64)
+
+
+def reference_edge_scale(frag, receivers):
+    """The per-edge 1 / max(fragment size - 1, 1) built from a size dict."""
+    _, frag_sizes = np.unique(frag, return_counts=True)
+    size_of = {int(f): int(c) for f, c in zip(np.unique(frag), frag_sizes)}
+    return np.array([1.0 / max(size_of[int(frag[i])] - 1, 1) for i in receivers], dtype=np.float64)
+
+
 def test_fully_connected_edges_single_fragment():
     recv, send = fully_connected_edges(np.zeros(3, dtype=int))
     assert sorted(zip(recv.tolist(), send.tolist())) == [
@@ -51,6 +82,33 @@ def test_fully_connected_edges_respects_fragments():
     assert (0, 1) in pairs and (2, 3) in pairs
 
 
+def edge_layouts():
+    """Seeded random fragment layouts plus the edge cases of the edge build."""
+    rng = np.random.default_rng(4)
+    layouts = [
+        np.array([0]),                      # n = 1
+        np.array([3, 1, 2]),                # only single-atom fragments
+        np.array([4, 9, 4, 2, 9, 9]),       # unsorted, non-contiguous, one singleton
+        np.array([-3, 7, -3, 7, 0]),        # negative ids
+    ]
+    for _ in range(40):
+        n = int(rng.integers(1, 16))
+        ids = rng.choice(np.array([-5, 0, 2, 3, 11, 40]), size=int(rng.integers(1, 5)), replace=False)
+        layouts.append(rng.choice(ids, size=n))
+    return layouts
+
+
+@pytest.mark.parametrize("frag", edge_layouts(), ids=lambda f: ",".join(map(str, f)))
+def test_edges_and_scale_match_double_loop(frag):
+    recv, send = fully_connected_edges(frag)
+    ref_recv, ref_send = reference_edges(frag)
+    assert recv.dtype == np.int64 and send.dtype == np.int64
+    assert np.array_equal(recv, ref_recv) and np.array_equal(send, ref_send)
+    scale = fragment_edge_scale(recv)
+    assert scale.shape == (len(ref_recv), 1)
+    assert np.array_equal(scale[:, 0], reference_edge_scale(frag, ref_recv))
+
+
 def test_messages_zero_distance_twins(rng):
     params = make_params()
     feats = rng.normal(size=(2, D))
@@ -58,9 +116,9 @@ def test_messages_zero_distance_twins(rng):
     coords = np.ones((2, 3))
     state = state_of(feats, coords)
     recv, send = fully_connected_edges(np.zeros(2, dtype=int))
-    dist = edge_distances(state.coords, recv, send)
-    assert np.abs(dist.data).max() == 0.0
-    messages = compute_messages(state, params, "egnn.0", recv, send)
+    rel, dist = edge_geometry(state.coords, recv, send)
+    assert np.abs(dist.data).max() == 0.0 and np.abs(rel.data).max() == 0.0
+    messages = compute_messages(state, params, "egnn.0", recv, send, dist)
     # twin nodes with identical features produce identical messages both ways
     assert np.abs(messages.data[0] - messages.data[1]).max() < 1e-12
 
@@ -70,8 +128,8 @@ def test_messages_rotation_invariant(rng):
     feats = rng.normal(size=(4, D))
     coords = rng.normal(size=(4, 3))
     recv, send = fully_connected_edges(np.zeros(4, dtype=int))
-    base = compute_messages(state_of(feats, coords), params, "egnn.0", recv, send)
-    rot = compute_messages(state_of(feats, coords @ random_rotation(rng).T), params, "egnn.0", recv, send)
+    base = messages_of(state_of(feats, coords), params, recv, send)
+    rot = messages_of(state_of(feats, coords @ random_rotation(rng).T), params, recv, send)
     assert np.abs(base.data - rot.data).max() < 1e-12
 
 
@@ -84,22 +142,25 @@ def test_messages_zero_weights(rng):
     feats = rng.normal(size=(3, D))
     coords = rng.normal(size=(3, 3))
     recv, send = fully_connected_edges(np.zeros(3, dtype=int))
-    messages = compute_messages(state_of(feats, coords), params, "egnn.0", recv, send)
+    messages = messages_of(state_of(feats, coords), params, recv, send)
     assert np.abs(messages.data).max() == 0.0
 
 
 def test_messages_index_out_of_range(rng):
     params = make_params()
     state = state_of(rng.normal(size=(2, D)), rng.normal(size=(2, 3)))
+    recv, send = np.array([0]), np.array([5])
     with pytest.raises(IndexError):
-        compute_messages(state, params, "egnn.0", np.array([0]), np.array([5]))
+        edge_geometry(state.coords, recv, send)
+    with pytest.raises(IndexError):
+        compute_messages(state, params, "egnn.0", recv, send, Tensor(np.zeros((1, 1))))
 
 
 def test_update_coordinates_no_neighbors(rng):
     params = make_params()
     coords = rng.normal(size=(1, 3))
     state = state_of(rng.normal(size=(1, D)), coords)
-    out = update_coordinates(state, params, "egnn.0", np.array([], dtype=int), np.array([], dtype=int))
+    out = coords_after(state, params, np.array([], dtype=int), np.array([], dtype=int))
     assert np.array_equal(out.data, coords)
 
 
@@ -108,7 +169,7 @@ def test_update_coordinates_antisymmetric_pair(rng):
     coords = np.array([[1.0, 0.5, -0.25], [-1.0, -0.5, 0.25]])
     feats = rng.normal(size=(2, D))
     recv, send = fully_connected_edges(np.zeros(2, dtype=int))
-    out = update_coordinates(state_of(feats, coords), params, "egnn.0", recv, send)
+    out = coords_after(state_of(feats, coords), params, recv, send)
     delta = out.data - coords
     assert np.abs(delta[0] + delta[1]).max() < 1e-12
 
@@ -119,10 +180,10 @@ def test_update_coordinates_rotation_equivariant(rng):
     feats = rng.normal(size=(5, D))
     coords = rng.normal(size=(5, 3))
     recv, send = fully_connected_edges(np.zeros(5, dtype=int))
-    base = update_coordinates(state_of(feats, coords), params, "egnn.0", recv, send).data
+    base = coords_after(state_of(feats, coords), params, recv, send).data
     for _ in range(100):
         q = random_rotation(rng)
-        rotated = update_coordinates(state_of(feats, coords @ q.T), params, "egnn.0", recv, send).data
+        rotated = coords_after(state_of(feats, coords @ q.T), params, recv, send).data
         assert np.abs(rotated - base @ q.T).max() < 1e-6
 
 

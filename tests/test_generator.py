@@ -45,22 +45,22 @@ def test_config_validation():
 
 def test_decode_rounding_constrained():
     cfg = constrained(allowlist=frozenset({6}))
-    assert decode_atoms([5.8, 6.4], cfg) == [6, 6]
+    assert decode_atoms([5.8, 6.4], cfg) == ([0, 1], [6, 6])
 
 
 def test_decode_nan_dropped():
     cfg = GenerationConfig(steps=10)
-    assert decode_atoms([float("nan")], cfg) == []
+    assert decode_atoms([float("nan")], cfg) == ([], [])
 
 
 def test_decode_allowlist_filter():
     cfg = constrained(allowlist=frozenset({6, 7, 8}))
-    assert decode_atoms([9.2], cfg) == []
+    assert decode_atoms([9.2], cfg) == ([], [])
 
 
 def test_decode_unconstrained_keeps_range():
     cfg = GenerationConfig(mode=Mode.UNCONSTRAINED, steps=10)
-    assert decode_atoms([9.2, 200.0, -5.0, 1.2], cfg) == [9, 1]
+    assert decode_atoms([9.2, 200.0, -5.0, 1.2], cfg) == ([0, 3], [9, 1])
 
 
 # ------------------------------------------------------------------- edges

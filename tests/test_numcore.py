@@ -291,6 +291,16 @@ def test_checkpoint_version_guard(tmp_path):
         load_checkpoint(str(path))
 
 
+def test_tensor_and_paramstore_copy_caller_arrays():
+    x = np.arange(3.0)
+    t = Tensor(x)
+    w = ParamStore().add("w", x)
+    x[:] = -1.0
+    for held in (t.data, w.data):
+        assert np.array_equal(held, [0.0, 1.0, 2.0])
+        assert not np.shares_memory(held, x)
+
+
 def test_paramstore_gradients_view(rng):
     params = ParamStore()
     w = params.add("w", np.ones(3))
