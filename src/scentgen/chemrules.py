@@ -8,14 +8,12 @@ stages correct the graph; the remaining stages only record pass/fail verdicts.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .molgraph import (
     MAX_ATOMIC_NUMBER,
-    SYMBOL_TO_NUMBER,
     BondType,
     MoleculeGraph,
     UnknownElement,
@@ -49,49 +47,6 @@ VALENCE_ELECTRONS: dict[int, int] = {
 AROMATIC_CAPABLE = frozenset({6, 7, 8, 16})
 
 CASCADE_STAGES = ("atomic_range", "edge_dedup", "valence", "aromaticity_charge", "kekulization")
-
-
-@dataclass(frozen=True)
-class ValenceTable:
-    """Map from atomic number to the allowed total bond orders."""
-
-    allowed: dict[int, tuple[int, ...]]
-
-    def __post_init__(self) -> None:
-        for z, orders in self.allowed.items():
-            if not orders:
-                raise ValueError(f"element {z} has an empty valence list")
-            if any(int(v) != v or v <= 0 for v in orders):
-                raise ValueError(f"element {z} has non-positive or fractional orders {orders}")
-
-    @classmethod
-    def default(cls) -> "ValenceTable":
-        return cls({z: tuple(v) for z, v in DEFAULT_VALENCES.items()})
-
-    @classmethod
-    def from_json(cls, path: str) -> "ValenceTable":
-        """Load a table from JSON keyed by element symbol, e.g. {"C": [4]}."""
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        allowed: dict[int, tuple[int, ...]] = {}
-        for symbol, orders in raw.items():
-            z = SYMBOL_TO_NUMBER.get(symbol)
-            if z is None:
-                raise UnknownElement(f"unknown element symbol {symbol!r} in valence table")
-            allowed[z] = tuple(int(v) for v in orders)
-        return cls(allowed)
-
-    def max_valence(self, z: int) -> int:
-        if z not in self.allowed:
-            raise UnknownElement(f"no valence entry for atomic number {z}")
-        return max(self.allowed[z])
-
-    def smallest_fitting(self, z: int, order_sum: int) -> int | None:
-        """Smallest allowed valence >= order_sum, or None if the sum exceeds all."""
-        if z not in self.allowed:
-            raise UnknownElement(f"no valence entry for atomic number {z}")
-        fitting = [v for v in self.allowed[z] if v >= order_sum]
-        return min(fitting) if fitting else None
 
 
 @dataclass(frozen=True)
@@ -226,22 +181,23 @@ class ValenceCheckResult:
         return [d for d in self.per_atom if not d.ok]
 
 
-def valence_check(graph: MoleculeGraph, table: ValenceTable | None = None) -> ValenceCheckResult:
+def valence_check(graph: MoleculeGraph) -> ValenceCheckResult:
     """Verify every atom's heavy bond-order sum fits an allowed valence.
 
     Implicit hydrogens fill the gap up to the smallest allowed valence.
-    Raises UnknownElement for atoms missing from the table.
+    Raises UnknownElement for atoms missing from DEFAULT_VALENCES.
     """
-    table = table or ValenceTable.default()
     sums = _order_sums(graph)
     details = []
     for idx, atom in enumerate(graph.atoms):
         z = atom.atomic_number
-        limit = table.max_valence(z)
+        allowed = DEFAULT_VALENCES.get(z)
+        if allowed is None:
+            raise UnknownElement(f"no valence entry for atomic number {z}")
+        limit = max(allowed)
         s = sums[idx]
-        fitting = table.smallest_fitting(z, s)
         ok = s <= limit
-        implicit_h = (fitting - s) if fitting is not None else 0
+        implicit_h = min(v for v in allowed if v >= s) - s if ok else 0
         details.append(AtomValenceDetail(idx, z, s, limit, implicit_h, ok))
     return ValenceCheckResult(all(d.ok for d in details), tuple(details))
 
@@ -299,29 +255,25 @@ def valid_aromatic_bonds(graph: MoleculeGraph) -> set[tuple[int, int]]:
     return good
 
 
-def formal_charges(graph: MoleculeGraph, table: ValenceTable | None = None) -> list[int | None]:
-    """Per-atom formal charge, or None when it cannot be inferred.
+def formal_charges(graph: MoleculeGraph) -> list[int | None]:
+    """Per-atom formal charge: 0, or None when it cannot be inferred.
 
-    Charge = outer electrons - nonbonded electrons - total bond order, with the
-    nonbonded count inferred from the smallest allowed valence that fits the
-    bond-order sum.  Inference fails (None) for atoms outside the tables or
-    whose bond sum exceeds every allowed valence.
+    Charge = outer electrons - nonbonded electrons - total bond order.  Taking
+    the bond order as an allowed valence v that fits the bond-order sum and the
+    nonbonded count as electrons - v, the charge is 0 whenever such a v no
+    larger than the outer-electron count exists, and None otherwise (atoms
+    outside the tables, or a bond sum above every allowed valence).  Atoms
+    carry no charge and `smiles.parse` admits no charged bracket atom, so the
+    charge check cannot flag a charged atom, only one whose charge cannot be
+    inferred.
     """
-    table = table or ValenceTable.default()
     sums = _order_sums(graph)
     charges: list[int | None] = []
     for idx, atom in enumerate(graph.atoms):
         z = atom.atomic_number
-        electrons = VALENCE_ELECTRONS.get(z)
-        if electrons is None or z not in table.allowed:
-            charges.append(None)
-            continue
-        target = table.smallest_fitting(z, sums[idx])
-        if target is None or electrons < target:
-            charges.append(None)
-            continue
-        nonbonded = electrons - target
-        charges.append(electrons - nonbonded - target)
+        electrons = VALENCE_ELECTRONS.get(z, 0)
+        fits = any(sums[idx] <= v <= electrons for v in DEFAULT_VALENCES.get(z, ()))
+        charges.append(0 if fits else None)
     return charges
 
 
@@ -333,16 +285,14 @@ class AromaticityCheckResult:
     charges: tuple[int | None, ...]
 
 
-def aromaticity_and_charge_check(
-    graph: MoleculeGraph, table: ValenceTable | None = None
-) -> AromaticityCheckResult:
+def aromaticity_and_charge_check(graph: MoleculeGraph) -> AromaticityCheckResult:
     """Require every aromatic bond on a Huckel-valid ring and all charges zero."""
     good = valid_aromatic_bonds(graph)
     bad = tuple(
         (i, j) for i, j, t in graph.bonds if t is BondType.AROMATIC and (i, j) not in good
     )
-    charges = tuple(formal_charges(graph, table))
-    charge_bad = [i for i, c in enumerate(charges) if c is None or c != 0]
+    charges = tuple(formal_charges(graph))
+    charge_bad = [i for i, c in enumerate(charges) if c != 0]
     problems = []
     if bad:
         problems.append(f"{len(bad)} aromatic bond(s) outside valid rings")
@@ -419,13 +369,12 @@ class SanitizeResult:
     report: ValidationReport
 
 
-def sanitize(graph: MoleculeGraph, table: ValenceTable | None = None) -> SanitizeResult:
+def sanitize(graph: MoleculeGraph) -> SanitizeResult:
     """Run the full cascade, returning the corrected graph and per-stage verdicts.
 
     All failures are recorded in the report; nothing raises.  The operation is
     idempotent: sanitizing its own output changes nothing.
     """
-    table = table or ValenceTable.default()
     report = ValidationReport()
 
     # Stage 1: atomic range. Out-of-range atoms are dropped along with their bonds.
@@ -450,7 +399,7 @@ def sanitize(graph: MoleculeGraph, table: ValenceTable | None = None) -> Sanitiz
 
     # Stage 3: valence.
     try:
-        vres = valence_check(corrected, table)
+        vres = valence_check(corrected)
         if vres.passed:
             report.stages.append(StageResult("valence", True, "all atoms within allowed valence"))
         else:
@@ -463,7 +412,7 @@ def sanitize(graph: MoleculeGraph, table: ValenceTable | None = None) -> Sanitiz
         report.stages.append(StageResult("valence", False, str(exc)))
 
     # Stage 4: aromaticity and formal charge.
-    ares = aromaticity_and_charge_check(corrected, table)
+    ares = aromaticity_and_charge_check(corrected)
     report.stages.append(
         StageResult("aromaticity_charge", ares.passed, ares.detail or "aromatic rings balanced, charges zero")
     )

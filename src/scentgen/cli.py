@@ -134,7 +134,7 @@ def cmd_train(args) -> int:
         "vocabulary": list(vocab.terms),
         "steps": config.steps,
         "tau": config.tau,
-        "hidden_dim": config.hidden_dim,
+        "hidden_dim": diffusion.HIDDEN_DIM,
         "mode": mode.value,
         "allowlist": sorted(allowlist),
         "atom_count_pool": sorted(m.graph.n_atoms for m in split.train),
@@ -207,11 +207,7 @@ def cmd_generate(args) -> int:
             report = generator.sample(y, config, params, corpus=corpus, seed=seed + k)
             reports.append(report)
             fh.write(json.dumps(report.to_dict(), sort_keys=True) + "\n")
-    summary = (
-        generator.summarize(reports, mode, seed)
-        if reports
-        else {"samples": 0, "valid": 0, "validity_rate": None, "mode": mode.value, "seed": seed}
-    )
+    summary = generator.summarize(reports, mode, seed)
     summary["dropped_descriptors"] = dropped
     summary["descriptors_used"] = sorted(known)
     print(json.dumps(summary, sort_keys=True))

@@ -46,20 +46,21 @@ BOND_CLASSES = (BondType.SINGLE, BondType.DOUBLE, BondType.TRIPLE, BondType.AROM
 BOND_CLASS_INDEX = {t: k for k, t in enumerate(BOND_CLASSES)}
 
 HIDDEN_DIM = 8  # shared width of embeddings and message-passing features
+BETA_MAX = 1.0  # variance of the forward process at t = T
+DIVERGENCE_FACTOR = 1e3  # batch loss above this times the first batch's aborts training
 
 
 @dataclass(frozen=True)
 class NoiseSchedule:
-    """Linear variance schedule beta_t = beta_max * t / T over t in [1, T]."""
+    """Linear variance schedule beta_t = BETA_MAX * t / T over t in [1, T]."""
 
     steps: int
-    beta_max: float = 1.0
 
 
 def beta_at(schedule: NoiseSchedule, t: int) -> float:
     if not 1 <= t <= schedule.steps:
         raise StepOutOfRange(f"t={t} outside [1, {schedule.steps}]")
-    return schedule.beta_max * t / schedule.steps
+    return BETA_MAX * t / schedule.steps
 
 
 def forward_noise(
@@ -127,18 +128,9 @@ def denoiser_forward(
     temb_rows = numcore.repeat_rows(time_embed(t, schedule.steps, params), n)
     node_input = numcore.concat([Tensor(x_noisy), temb_rows, cond_rows], axis=1)
     hidden = numcore.linear(params, "input_proj", node_input)
-    state = egnn.egnn_forward(NodeState(hidden, Tensor(coords)), params, DEFAULT_LAYERS, fragment_ids)
+    state = egnn.egnn_forward(NodeState(hidden, Tensor(coords)), params, fragment_ids)
     eps_hat = numcore.linear(params, "head", state.features)
-
-    if bond_edges:
-        idx_i = np.asarray([e[0] for e in bond_edges], dtype=np.int64)
-        idx_j = np.asarray([e[1] for e in bond_edges], dtype=np.int64)
-        pair_features = numcore.concat(
-            [numcore.gather(state.features, idx_i), numcore.gather(state.features, idx_j)], axis=1
-        )
-        bond_logits = numcore.linear(params, "bond", pair_features)
-    else:
-        bond_logits = Tensor(np.zeros((0, len(BOND_CLASSES))))
+    bond_logits = bond_head(state.features, bond_edges, params)
 
     # Bounded nan_to_num: unchecked infinities would otherwise compound across
     # sampling steps through the coordinate pathway.
@@ -146,6 +138,18 @@ def denoiser_forward(
         if not np.isfinite(tensor.data).all():
             np.nan_to_num(tensor.data, copy=False, posinf=1e6, neginf=-1e6)
     return DenoiserOutput(eps_hat, bond_logits, state.features, state.coords)
+
+
+def bond_head(node_features: Tensor, bond_edges: Sequence[tuple[int, int]], params: ParamStore) -> Tensor:
+    """Four-way bond-type logits [E, 4] from the concatenated end-node features of each edge."""
+    if not bond_edges:
+        return Tensor(np.zeros((0, len(BOND_CLASSES))))
+    idx_i = np.asarray([e[0] for e in bond_edges], dtype=np.int64)
+    idx_j = np.asarray([e[1] for e in bond_edges], dtype=np.int64)
+    pair_features = numcore.concat(
+        [numcore.gather(node_features, idx_i), numcore.gather(node_features, idx_j)], axis=1
+    )
+    return numcore.linear(params, "bond", pair_features)
 
 
 def bond_probabilities(logits: Tensor | np.ndarray, tau: float) -> Tensor:
@@ -215,10 +219,7 @@ class TrainConfig:
     batch_size: int = 32
     tau: float = 1.0
     learning_rate: float = 1e-3
-    beta_max: float = 1.0
-    hidden_dim: int = HIDDEN_DIM
     seed: int = 0
-    divergence_factor: float = 1e3
 
 
 @dataclass
@@ -273,9 +274,9 @@ def train(
         raise EmptyDataset("no training examples")
     vocab_size = examples[0].condition.shape[0]
     if params is None:
-        params = init_params(vocab_size, config.hidden_dim, config.seed)
+        params = init_params(vocab_size, HIDDEN_DIM, config.seed)
     rng = np.random.default_rng(config.seed)
-    schedule = NoiseSchedule(config.steps, config.beta_max)
+    schedule = NoiseSchedule(config.steps)
     metrics: list[EpochMetrics] = []
     initial_loss: float | None = None
 
@@ -308,9 +309,9 @@ def train(
             value = batch_loss.item()
             if initial_loss is None:
                 initial_loss = max(value, 1e-12)
-            if not np.isfinite(value) or value > config.divergence_factor * initial_loss:
+            if not np.isfinite(value) or value > DIVERGENCE_FACTOR * initial_loss:
                 raise DivergedLoss(
-                    f"batch loss {value} exceeded {config.divergence_factor} x initial {initial_loss}"
+                    f"batch loss {value} exceeded {DIVERGENCE_FACTOR} x initial {initial_loss}"
                 )
             params.zero_grad()
             numcore.backward(batch_loss)

@@ -98,10 +98,9 @@ def update_coordinates(
 def egnn_forward(
     state: NodeState,
     params: ParamStore,
-    layers: tuple[str, ...] = DEFAULT_LAYERS,
     fragment_ids: np.ndarray | None = None,
 ) -> NodeState:
-    """Run the configured layers with residual feature sums and coordinate shifts.
+    """Run the DEFAULT_LAYERS with residual feature sums and coordinate shifts.
 
     Each layer computes the edge geometry once and feeds it to both the
     messages and the coordinate update.  A graph without edges (every
@@ -115,7 +114,7 @@ def egnn_forward(
     edge_scale = fragment_edge_scale(receivers)
 
     current = state
-    for layer in layers:
+    for layer in DEFAULT_LAYERS:
         rel, dist = edge_geometry(current.coords, receivers, senders)
         messages = compute_messages(current, params, layer, receivers, senders, dist)
         features = numcore.add(current.features, numcore.segment_sum(messages, receivers, n))

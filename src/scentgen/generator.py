@@ -14,7 +14,7 @@ import enum
 import logging
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -72,7 +72,6 @@ class GenerationConfig:
     tau: float = 0.5
     seed: int = 0
     bond_source: BondSource = BondSource.CLASSIFIER
-    edge_cutoff: float = EDGE_CUTOFF
 
     def __post_init__(self) -> None:
         if self.mode is Mode.CONSTRAINED:
@@ -167,14 +166,14 @@ def decode_atoms(x: Sequence[float], config: GenerationConfig) -> tuple[list[int
     return keep, atoms
 
 
-def propose_edges(coords: np.ndarray, decoded_atoms: Sequence[int], cutoff: float = EDGE_CUTOFF) -> list[tuple[int, int]]:
-    """Unordered atom pairs closer than the cutoff; no duplicates or self-loops."""
+def propose_edges(coords: np.ndarray, decoded_atoms: Sequence[int]) -> list[tuple[int, int]]:
+    """Unordered atom pairs closer than EDGE_CUTOFF; no duplicates or self-loops."""
     coords = np.asarray(coords, dtype=np.float64).reshape(-1, 3)
     n = min(coords.shape[0], len(decoded_atoms))
     edges = []
     for i in range(n):
         for j in range(i + 1, n):
-            if float(np.linalg.norm(coords[i] - coords[j])) < cutoff:
+            if float(np.linalg.norm(coords[i] - coords[j])) < EDGE_CUTOFF:
                 edges.append((i, j))
     return edges
 
@@ -187,19 +186,14 @@ def assign_bond_types(
     tau: float,
     source: BondSource = BondSource.CLASSIFIER,
 ) -> list[tuple[int, int, BondType]]:
-    """Type each proposed edge via the softmax head or the numeric heuristic."""
-    if not edges:
-        return []
+    """Type each proposed edge via `diffusion.bond_head` or the numeric heuristic."""
     if source is BondSource.HEURISTIC:
         return [
             (i, j, chemrules.heuristic_bond_type(decoded_atoms[i], decoded_atoms[j]))
             for i, j in edges
         ]
-    h = np.asarray(node_embeddings, dtype=np.float64)
-    idx_i = np.asarray([e[0] for e in edges], dtype=np.int64)
-    idx_j = np.asarray([e[1] for e in edges], dtype=np.int64)
-    pair = numcore.Tensor(np.concatenate([h[idx_i], h[idx_j]], axis=1))
-    logits = numcore.linear(params, "bond", pair)
+    h = numcore.Tensor(np.asarray(node_embeddings, dtype=np.float64))
+    logits = diffusion.bond_head(h, edges, params)
     probs = diffusion.bond_probabilities(logits, tau)
     classes = np.argmax(probs.data, axis=1)
     return [(i, j, BOND_CLASSES[int(c)]) for (i, j), c in zip(edges, classes)]
@@ -228,21 +222,14 @@ def finalize(graph: MoleculeGraph, corpus: frozenset[str] = frozenset()) -> tupl
 
 
 def sample(
-    y: np.ndarray | Iterable[str],
+    y: np.ndarray,
     config: GenerationConfig,
     params: ParamStore,
-    vocab=None,
     corpus: frozenset[str] = frozenset(),
     seed: int | None = None,
 ) -> GenerationReport:
-    """Draw one molecule for a descriptor query; deterministic given the seed."""
+    """Draw one molecule for a multi-hot descriptor vector; deterministic given the seed."""
     _check_trained(params)
-    if not isinstance(y, np.ndarray):
-        if vocab is None:
-            raise ValueError("descriptor sets require a vocabulary to build the multi-hot vector")
-        from .dataio import multi_hot
-
-        y = multi_hot(y, vocab)
     used_seed = config.seed if seed is None else seed
     rng = np.random.default_rng(used_seed)
 
@@ -268,7 +255,7 @@ def sample(
     kept_coords = coords[keep]
     kept_embeddings = embeddings[keep]
 
-    edges = propose_edges(kept_coords, decoded, config.edge_cutoff)
+    edges = propose_edges(kept_coords, decoded)
     typed = assign_bond_types(edges, kept_embeddings, decoded, params, config.tau, config.bond_source)
     assembled = _assemble(decoded, kept_coords, typed)
     report, text, matched, corrected = finalize(assembled, corpus)

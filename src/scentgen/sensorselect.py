@@ -11,13 +11,10 @@ from __future__ import annotations
 
 import itertools
 import json
-import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
-
-logger = logging.getLogger(__name__)
+from typing import Sequence
 
 EXACT_SENSOR_LIMIT = 20
 
@@ -192,31 +189,6 @@ def subtractive_prune(current: Sequence[str], problem: CoverageProblem) -> Selec
             break
         kept.remove(removable)
     return _result(problem, kept)
-
-
-def expand_targets(
-    descriptors: Iterable[str],
-    sampler: Callable[[Iterable[str]], object],
-    count: int,
-    user_compounds: Iterable[str] = (),
-) -> frozenset[str]:
-    """Union of user compounds and valid generated SMILES for the descriptors.
-
-    The sampler is any callable returning a generation report per call;
-    duplicates collapse through canonical SMILES equality.
-    """
-    targets = {str(c) for c in user_compounds}
-    descriptors = list(descriptors)
-    generated = 0
-    for _ in range(count):
-        report = sampler(descriptors)
-        text = getattr(report, "smiles", None)
-        if text:
-            targets.add(text)
-            generated += 1
-    if count > 0 and generated == 0:
-        logger.warning("generator yielded no valid molecules for %s", sorted(descriptors))
-    return frozenset(targets)
 
 
 def bundled_scenario_path() -> Path:

@@ -7,7 +7,6 @@ import pytest
 from scentgen import smiles
 from scentgen.chemrules import (
     DEFAULT_VALENCES,
-    ValenceTable,
     aromaticity_and_charge_check,
     check_atomic_range,
     dedup_edges,
@@ -211,6 +210,16 @@ def test_formal_charge_indeterminate_for_unknown():
     assert charges[0] is None
 
 
+def test_formal_charge_indeterminate_exactly_where_valence_fails():
+    """Every tabled element at every order sum 0-9: None iff the valence check fails."""
+    for z in DEFAULT_VALENCES:
+        for order_sum in range(10):
+            g = star(z, 1, [BondType.SINGLE] * order_sum)
+            ok = valence_check(g).per_atom[0].ok
+            charge = formal_charges(g)[0]
+            assert charge == (0 if ok else None), (z, order_sum)
+
+
 # ------------------------------------------------------------- kekulation
 
 
@@ -294,24 +303,6 @@ def test_sanitize_report_stage_order_fixed(rng):
     for text in ("CCO", "c1ccccc1", "C(C)(C)(C)(C)C"):
         res = sanitize(smiles.parse(text))
         assert [s.name for s in res.report.stages] == list(CASCADE_STAGES)
-
-
-# ---------------------------------------------------------- valence table
-
-
-def test_valence_table_from_json(tmp_path):
-    path = tmp_path / "valences.json"
-    path.write_text('{"C": [4], "N": [3, 5]}')
-    table = ValenceTable.from_json(str(path))
-    assert table.allowed[6] == (4,)
-    assert table.allowed[7] == (3, 5)
-
-
-def test_valence_table_rejects_bad_entries():
-    with pytest.raises(ValueError):
-        ValenceTable({6: ()})
-    with pytest.raises(ValueError):
-        ValenceTable({6: (0,)})
 
 
 # Each ring-fusion carbon has three aromatic bonds and one double bond in any

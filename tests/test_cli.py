@@ -148,7 +148,16 @@ def test_generate_zero_samples(tmp_path, trained_checkpoint, capsys):
     )
     assert code == EXIT_OK
     assert out.read_text() == ""
-    assert json.loads(stdout)["samples"] == 0
+    summary = json.loads(stdout)
+    assert summary["samples"] == 0
+    assert summary["corpus_matches"] == 0 and summary["failure_stages"] == {}
+
+    code, one_sample, _ = run_cli(
+        capsys, "generate", "--checkpoint", str(trained_checkpoint), "--query", str(query),
+        "--out", str(out), "--n", "1",
+    )
+    assert code == EXIT_OK
+    assert set(summary) == set(json.loads(one_sample))
 
 
 def test_generate_missing_checkpoint(tmp_path, capsys):

@@ -42,12 +42,12 @@ def small_example(rng, n=4, L=5):
 
 
 def test_beta_linear_endpoint():
-    sched = NoiseSchedule(1000, beta_max=1.0)
+    sched = NoiseSchedule(1000)
     assert beta_at(sched, 1000) == pytest.approx(1.0)
 
 
 def test_beta_linear_midpoint():
-    sched = NoiseSchedule(1000, beta_max=1.0)
+    sched = NoiseSchedule(1000)
     assert beta_at(sched, 500) == pytest.approx(0.5)
 
 

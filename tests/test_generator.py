@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from scentgen import chemrules, diffusion, generator, smiles
+from scentgen import chemrules, dataio, diffusion, generator, numcore, smiles
 from scentgen.generator import (
     BondSource,
     EmptyInput,
@@ -68,17 +68,17 @@ def test_decode_unconstrained_keeps_range():
 
 def test_propose_edges_threshold():
     coords = np.array([[0.0, 0, 0], [1.2, 0, 0]])
-    assert propose_edges(coords, [6, 6], cutoff=1.8) == [(0, 1)]
+    assert propose_edges(coords, [6, 6]) == [(0, 1)]
 
 
 def test_propose_edges_far_apart():
     coords = np.array([[0.0, 0, 0], [5.0, 0, 0]])
-    assert propose_edges(coords, [6, 6], cutoff=1.8) == []
+    assert propose_edges(coords, [6, 6]) == []
 
 
 def test_propose_edges_collinear():
     coords = np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]])
-    assert propose_edges(coords, [6, 6, 6], cutoff=1.8) == [(0, 1), (1, 2)]
+    assert propose_edges(coords, [6, 6, 6]) == [(0, 1), (1, 2)]
 
 
 # -------------------------------------------------------------- bond types
@@ -93,6 +93,15 @@ def test_assign_bond_types_classifier_argmax():
     h = np.random.default_rng(0).normal(size=(3, diffusion.HIDDEN_DIM))
     typed = assign_bond_types([(0, 1), (1, 2)], h, [6, 6, 6], params, tau=1.0)
     assert all(t is BondType.SINGLE for _, _, t in typed)
+
+
+def test_assign_bond_types_is_argmax_of_bond_head():
+    params = diffusion.init_params(vocab_size=3, seed=2)
+    h = np.random.default_rng(1).normal(size=(5, diffusion.HIDDEN_DIM))
+    edges = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+    typed = assign_bond_types(edges, h, [6] * 5, params, tau=0.5)
+    logits = diffusion.bond_head(numcore.Tensor(h), edges, params).data
+    assert [t for _, _, t in typed] == [diffusion.BOND_CLASSES[k] for k in np.argmax(logits, axis=1)]
 
 
 def test_assign_bond_types_heuristic():
@@ -174,11 +183,12 @@ def test_sample_steps_executed(quick_trained):
 
 
 def test_sample_descriptor_set_path(quick_trained):
+    """A descriptor set reaches the sampler as its multi-hot vector."""
     vocab, params = quick_trained
-    report = sample({"fruity"}, constrained(seed=4), params, vocab=vocab)
+    y = dataio.multi_hot({"fruity"}, vocab)
+    assert y.sum() == 1.0 and y[vocab.index("fruity")] == 1.0
+    report = sample(y, constrained(seed=4), params)
     assert report.steps_executed == 30
-    with pytest.raises(ValueError):
-        sample({"fruity"}, constrained(), params)  # vocabulary required
 
 
 def test_sample_zero_params_no_crash(quick_trained):

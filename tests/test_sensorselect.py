@@ -13,7 +13,6 @@ from scentgen.sensorselect import (
     UnknownSensorId,
     bundled_scenario_path,
     exact_cover,
-    expand_targets,
     greedy_cover,
     load_scenario,
     subtractive_prune,
@@ -163,26 +162,6 @@ def test_greedy_vs_exact_random_instances(rng):
         assert len(greedy.chosen) <= bound
         matches += len(greedy.chosen) == len(exact.chosen)
     assert matches / total >= 0.95
-
-
-def test_expand_targets_passthrough():
-    out = expand_targets(["sharp"], lambda d: None, count=0, user_compounds={"NO"})
-    assert out == frozenset({"NO"})
-
-
-def test_expand_targets_dedup_and_zero_yield(caplog):
-    class Report:
-        def __init__(self, text):
-            self.smiles = text
-
-    outputs = iter(["CCO", "CCO", None])
-    out = expand_targets(["x"], lambda d: Report(next(outputs)), count=3, user_compounds={"N"})
-    assert out == frozenset({"N", "CCO"})
-
-    with caplog.at_level("WARNING"):
-        out = expand_targets(["x"], lambda d: Report(None), count=2, user_compounds={"N"})
-    assert out == frozenset({"N"})
-    assert "no valid molecules" in caplog.text
 
 
 def test_catalog_validation():
