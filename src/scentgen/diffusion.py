@@ -73,13 +73,28 @@ def forward_noise(
     return x0 + np.sqrt(beta) * eps, eps
 
 
+def descriptor_vector(y, params: ParamStore) -> np.ndarray:
+    """`y` as a float64 vector of the trained vocabulary's length.
+
+    Raises `TypeError` unless `y` holds only bool, integer or float numbers,
+    and `LengthMismatch` when its length differs from the vocabulary size.
+    """
+    try:
+        values = np.asarray(y)
+    except ValueError as exc:  # ragged nesting
+        raise TypeError(f"descriptor vector is not numeric: {exc}") from None
+    if values.dtype.kind not in "biuf":
+        raise TypeError(f"descriptor vector must hold numbers, got dtype {values.dtype}")
+    values = values.astype(np.float64, copy=False).reshape(-1)
+    size = params["cond.w"].data.shape[0]
+    if values.shape[0] != size:
+        raise LengthMismatch(f"descriptor vector length {values.shape[0]} != vocabulary size {size}")
+    return values
+
+
 def condition_embed(y: np.ndarray, params: ParamStore) -> Tensor:
     """Project a multi-hot descriptor vector into the conditioning space."""
-    w = params["cond.w"]
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
-    if y.shape[0] != w.data.shape[0]:
-        raise LengthMismatch(f"descriptor vector length {y.shape[0]} != vocabulary size {w.data.shape[0]}")
-    return numcore.linear(params, "cond", Tensor(y.reshape(1, -1)))
+    return numcore.linear(params, "cond", Tensor(descriptor_vector(y, params).reshape(1, -1)))
 
 
 def time_embed(t: int, steps: int, params: ParamStore) -> Tensor:

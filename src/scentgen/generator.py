@@ -228,8 +228,15 @@ def sample(
     corpus: frozenset[str] = frozenset(),
     seed: int | None = None,
 ) -> GenerationReport:
-    """Draw one molecule for a multi-hot descriptor vector; deterministic given the seed."""
+    """Draw one molecule for a multi-hot descriptor vector; deterministic given the seed.
+
+    Raises `UntrainedParams` when `params` lacks a denoiser component,
+    `TypeError` when `y` is not numeric (a set, strings, ragged nesting) and
+    `diffusion.LengthMismatch` when its length differs from the trained
+    vocabulary size.
+    """
     _check_trained(params)
+    y = diffusion.descriptor_vector(y, params)
     used_seed = config.seed if seed is None else seed
     rng = np.random.default_rng(used_seed)
 

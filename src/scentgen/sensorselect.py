@@ -1,20 +1,21 @@
 """Sensor down-selection for target compound sets.
 
 Targets are compound tokens (canonical SMILES where available, opaque names
-otherwise).  The additive path picks a covering sensor set greedily by
-coverage per unit cost, with an exhaustive optimum available as an oracle for
-small catalogs; the subtractive path prunes an existing loadout without
-shrinking its coverage.
+otherwise).  Each solver call numbers the targets as bits and turns every
+sensor into the mask of the targets it detects.  The additive path picks a
+covering sensor set greedily by coverage per unit cost, or exactly by a
+branch-and-bound search over cover sizes up to `EXACT_SENSOR_LIMIT` sensors;
+the subtractive path prunes an existing loadout without shrinking its
+coverage.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 EXACT_SENSOR_LIMIT = 20
 
@@ -36,6 +37,8 @@ class Sensor:
     def __post_init__(self) -> None:
         if not self.detects:
             raise ValueError(f"sensor {self.id!r} detects nothing")
+        if not math.isfinite(self.cost):
+            raise ValueError(f"sensor {self.id!r} has non-finite cost {self.cost}")
         if self.cost < 0:
             raise ValueError(f"sensor {self.id!r} has negative cost")
 
@@ -95,16 +98,44 @@ class SelectionResult:
         }
 
 
-def _result(problem: CoverageProblem, chosen: Sequence[str]) -> SelectionResult:
-    covered: set[str] = set()
+class _Masks:
+    """One solver call's bit view of a problem.
+
+    Bit k stands for ``targets[k]``, the targets taken in sorted order.
+    ``masks[i]`` holds the target bits that the i-th catalog sensor detects,
+    and ``position`` maps a sensor id to its i.
+    """
+
+    def __init__(self, problem: CoverageProblem) -> None:
+        self.sensors = problem.catalog.sensors
+        self.position = {s.id: i for i, s in enumerate(self.sensors)}
+        self.targets = tuple(sorted(problem.targets))
+        bit = {t: 1 << k for k, t in enumerate(self.targets)}
+        # `detects` is a set, so its bits are distinct and their sum is their union.
+        self.masks = tuple(sum(bit.get(name, 0) for name in s.detects) for s in self.sensors)
+
+    def positions(self, sensor_ids: Iterable[str]) -> list[int]:
+        try:
+            return [self.position[sid] for sid in sensor_ids]
+        except KeyError as exc:
+            raise UnknownSensorId(exc.args[0]) from None
+
+    def union(self, chosen: Iterable[int]) -> int:
+        mask = 0
+        for i in chosen:
+            mask |= self.masks[i]
+        return mask
+
+
+def _result(problem: CoverageProblem, m: _Masks, chosen: Sequence[int]) -> SelectionResult:
     total = 0.0
-    for sensor_id in chosen:
-        sensor = problem.catalog.by_id(sensor_id)
-        covered |= sensor.detects & problem.targets
-        total += sensor.cost
+    for i in chosen:
+        total += m.sensors[i].cost
+    covered_mask = m.union(chosen)
+    covered = frozenset(t for k, t in enumerate(m.targets) if covered_mask >> k & 1)
     return SelectionResult(
-        chosen=tuple(chosen),
-        covered=frozenset(covered),
+        chosen=tuple(m.sensors[i].id for i in chosen),
+        covered=covered,
         uncovered=problem.targets - covered,
         total_cost=total,
     )
@@ -116,79 +147,105 @@ def greedy_cover(problem: CoverageProblem) -> SelectionResult:
     Ties break toward lower cost, then lexicographic id.  Stops when no sensor
     adds coverage; unreachable targets are reported, never raised.
     """
-    remaining = set(problem.targets)
-    chosen: list[str] = []
-    taken: set[str] = set()
+    m = _Masks(problem)
+    remaining = (1 << len(m.targets)) - 1
+    chosen: list[int] = []
     while remaining:
         best_key = None
-        best_id = None
-        for sensor in problem.catalog.sensors:
-            if sensor.id in taken:
-                continue
-            gain = len(sensor.detects & remaining)
+        best = None
+        for i, sensor in enumerate(m.sensors):
+            gain = (m.masks[i] & remaining).bit_count()
             if gain == 0:
                 continue
             ratio = gain / sensor.cost if sensor.cost > 0 else math.inf
             key = (-ratio, sensor.cost, sensor.id)
             if best_key is None or key < best_key:
                 best_key = key
-                best_id = sensor.id
-        if best_id is None:
+                best = i
+        if best is None:
             break
-        taken.add(best_id)
-        chosen.append(best_id)
-        remaining -= problem.catalog.by_id(best_id).detects
-    return _result(problem, chosen)
+        chosen.append(best)
+        remaining &= ~m.masks[best]
+    return _result(problem, m, chosen)
+
+
+def _find_covers(
+    uncovered: int,
+    room: int,
+    chosen: int,
+    excluded: int,
+    masks: tuple[int, ...],
+    detecting: list[list[int]],
+    covers: list[int],
+) -> None:
+    """Append every extension of `chosen` by at most `room` sensors, none of
+    them in `excluded`, that covers `uncovered` (sets are bitmasks over
+    catalog positions).
+
+    Branches only on the sensors that detect the lowest uncovered bit.  A
+    sensor tried at a node is excluded from its later siblings' subtrees, so
+    each set is appended at most once.
+    """
+    low = (uncovered & -uncovered).bit_length() - 1
+    for i in detecting[low]:
+        pick = 1 << i
+        if excluded & pick:
+            continue
+        left = uncovered & ~masks[i]
+        if not left:
+            covers.append(chosen | pick)
+        elif room > 1:
+            _find_covers(left, room - 1, chosen | pick, excluded, masks, detecting, covers)
+        excluded |= pick
 
 
 def exact_cover(problem: CoverageProblem) -> SelectionResult:
-    """Minimum-cardinality (then minimum-cost) cover by exhaustive enumeration.
+    """Minimum-cardinality (then minimum-cost) cover by branch-and-bound.
 
-    Covers every coverable target; sensors beyond the guard limit raise.
+    Deepens the allowed cover size one sensor at a time until some cover
+    fits; each node branches only on the sensors that detect the lowest
+    uncovered coverable target, so every cover of the smallest size is found
+    exactly once.  Among them the least cost (summed in catalog order) wins,
+    then the smallest sorted ids, which come back sorted.  Covers every
+    coverable target; catalogs above `EXACT_SENSOR_LIMIT` sensors raise
+    `TooManySensors`.
     """
     sensors = problem.catalog.sensors
     if len(sensors) > EXACT_SENSOR_LIMIT:
         raise TooManySensors(f"{len(sensors)} sensors exceeds exhaustive limit {EXACT_SENSOR_LIMIT}")
-    coverable = frozenset(
-        t for t in problem.targets if any(t in s.detects for s in sensors)
-    )
+    m = _Masks(problem)
+    coverable = m.union(range(len(sensors)))
     if not coverable:
-        return _result(problem, [])
-    best: tuple[int, float, tuple[str, ...]] | None = None
-    for size in range(0, len(sensors) + 1):
-        for combo in itertools.combinations(sensors, size):
-            covered: set[str] = set()
-            for s in combo:
-                covered |= s.detects
-            if coverable <= covered:
-                cost = sum(s.cost for s in combo)
-                ids = tuple(sorted(s.id for s in combo))
-                key = (size, cost, ids)
-                if best is None or key < best:
-                    best = key
-        if best is not None:
-            break
-    assert best is not None
-    return _result(problem, list(best[2]))
+        return _result(problem, m, [])
+    detecting = [[i for i, mask in enumerate(m.masks) if mask >> k & 1] for k in range(len(m.targets))]
+    covers: list[int] = []
+    size = 0
+    while not covers:
+        size += 1
+        _find_covers(coverable, size, 0, 0, m.masks, detecting, covers)
+
+    def key(cover: int) -> tuple[float, tuple[str, ...]]:
+        members = [s for i, s in enumerate(sensors) if cover >> i & 1]
+        return sum(s.cost for s in members), tuple(sorted(s.id for s in members))
+
+    return _result(problem, m, m.positions(min(map(key, covers))[1]))
 
 
 def subtractive_prune(current: Sequence[str], problem: CoverageProblem) -> SelectionResult:
-    """Drop sensors (highest cost first) while the covered target set is unchanged."""
-    for sensor_id in current:
-        problem.catalog.by_id(sensor_id)  # raises UnknownSensorId
-    baseline = _result(problem, current).covered
-    kept = list(current)
-    while True:
-        removable = None
-        for sensor_id in sorted(kept, key=lambda sid: (-problem.catalog.by_id(sid).cost, sid)):
-            trial = [sid for sid in kept if sid != sensor_id]
-            if _result(problem, trial).covered == baseline:
-                removable = sensor_id
-                break
-        if removable is None:
-            break
-        kept.remove(removable)
-    return _result(problem, kept)
+    """Drop sensors (highest cost first, then id) while the covered target set is unchanged.
+
+    A repeated id counts once, at its first occurrence; an id absent from the
+    catalog raises `UnknownSensorId`.
+    """
+    m = _Masks(problem)
+    kept = m.positions(dict.fromkeys(current))
+    baseline = m.union(kept)
+    # Removing sensors only shrinks coverage, so a sensor kept once stays
+    # needed: one pass in removal order drops the same ones as restarting it.
+    for i in sorted(kept, key=lambda i: (-m.sensors[i].cost, m.sensors[i].id)):
+        if m.union(j for j in kept if j != i) == baseline:
+            kept.remove(i)
+    return _result(problem, m, kept)
 
 
 def bundled_scenario_path() -> Path:

@@ -260,6 +260,20 @@ def test_select_sensors_malformed(tmp_path, capsys):
     assert code == EXIT_BAD_INPUT
 
 
+@pytest.mark.parametrize("cost", ["NaN", "Infinity", "-Infinity", '"nan"'])
+def test_select_sensors_non_finite_cost_is_malformed(tmp_path, capsys, cost):
+    scenario = tmp_path / "nan.json"
+    scenario.write_text(
+        '{"targets": ["NO"], "sensors": [{"id": "a", "detects": ["NO"], "cost": %s},'
+        ' {"id": "b", "detects": ["NO"], "cost": 1.0}]}' % cost
+    )
+    for mode in (["--mode", "add", "--exact"], ["--mode", "add"]):
+        code, out, err = run_cli(capsys, "select-sensors", str(scenario), *mode)
+        assert code == EXIT_BAD_INPUT
+        assert out == ""
+        assert "malformed scenario" in err and "non-finite cost" in err
+
+
 def test_select_sensors_subtract_needs_current(tmp_path, capsys):
     scenario = tmp_path / "nc.json"
     scenario.write_text(json.dumps({

@@ -191,6 +191,30 @@ def test_sample_descriptor_set_path(quick_trained):
     assert report.steps_executed == 30
 
 
+@pytest.mark.parametrize("y", [{"fruity"}, ["fruity"], "fruity", None, [[1.0], [0.0, 1.0]], [1j, 0j]])
+def test_sample_rejects_non_numeric_descriptor(quick_trained, y):
+    _, params = quick_trained
+    with pytest.raises(TypeError):
+        sample(y, constrained(steps=2), params)
+
+
+def test_sample_wrong_length_raises_length_mismatch(quick_trained):
+    vocab, params = quick_trained
+    for y in (np.zeros(len(vocab) + 1), [1] * (len(vocab) - 1), 1.0):
+        with pytest.raises(diffusion.LengthMismatch):
+            sample(y, constrained(steps=2), params)
+
+
+def test_sample_numeric_descriptor_forms_agree(quick_trained):
+    """A list, a bool array and an int array sample exactly like the float vector."""
+    vocab, params = quick_trained
+    y = dataio.multi_hot({"fruity", "sweet"}, vocab)
+    want = json.dumps(sample(y, constrained(seed=6, steps=8), params).to_dict(), sort_keys=True)
+    for form in (list(y), y.astype(bool), y.astype(np.int64)):
+        got = sample(form, constrained(seed=6, steps=8), params)
+        assert json.dumps(got.to_dict(), sort_keys=True) == want
+
+
 def test_sample_zero_params_no_crash(quick_trained):
     vocab, params = quick_trained
     zeroed = ParamStore()
