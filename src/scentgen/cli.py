@@ -95,16 +95,19 @@ def cmd_ingest(args) -> int:
 
 def _train_config(args) -> tuple[diffusion.TrainConfig, generator.Mode, frozenset[int]]:
     raw = _read_json(args.config) if args.config else {}
-    steps = args.steps if args.steps is not None else int(raw.get("steps", 1000))
-    _check_steps(steps)
-    config = diffusion.TrainConfig(
-        steps=steps,
-        epochs=args.epochs if args.epochs is not None else int(raw.get("epochs", 1000)),
-        batch_size=int(raw.get("batch_size", 32)),
-        tau=args.tau if args.tau is not None else float(raw.get("tau", 1.0)),
-        learning_rate=float(raw.get("learning_rate", 1e-3)),
-        seed=args.seed if args.seed is not None else int(raw.get("seed", 0)),
-    )
+    try:
+        steps = args.steps if args.steps is not None else int(raw.get("steps", 1000))
+        _check_steps(steps)
+        config = diffusion.TrainConfig(
+            steps=steps,
+            epochs=args.epochs if args.epochs is not None else int(raw.get("epochs", 1000)),
+            batch_size=int(raw.get("batch_size", 32)),
+            tau=args.tau if args.tau is not None else float(raw.get("tau", 1.0)),
+            learning_rate=float(raw.get("learning_rate", 1e-3)),
+            seed=args.seed if args.seed is not None else int(raw.get("seed", 0)),
+        )
+    except (TypeError, ValueError) as exc:
+        raise _fail(f"bad training config: {exc}")
     constrained = args.constrained or bool(raw.get("constrained", False))
     mode = generator.Mode.CONSTRAINED if constrained else generator.Mode.UNCONSTRAINED
     if args.allowlist:

@@ -5,11 +5,17 @@ by a linear variance schedule.  The denoiser embeds the noisy features
 together with a linear time embedding and a projected multi-hot descriptor
 vector, runs two equivariant message-passing layers, and predicts the noise
 per node plus a four-way bond-type logit per edge.
+
+One denoiser pass can cover several molecules at once: they are fragments of
+one block-diagonal graph, each with its own timestep and descriptor row.
+Training runs every minibatch that way, as one forward, one loss and one
+backward pass; sampling passes a single molecule, a batch of one.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -93,13 +99,24 @@ def descriptor_vector(y, params: ParamStore) -> np.ndarray:
 
 
 def condition_embed(y: np.ndarray, params: ParamStore) -> Tensor:
-    """Project a multi-hot descriptor vector into the conditioning space."""
-    return numcore.linear(params, "cond", Tensor(descriptor_vector(y, params).reshape(1, -1)))
+    """Project multi-hot descriptors into the conditioning space, one row per descriptor.
+
+    `y` is one descriptor vector, giving one row, or an [F, L] ndarray with
+    one descriptor row per fragment.  Raises `LengthMismatch` when L differs from
+    the vocabulary size.
+    """
+    if not (isinstance(y, np.ndarray) and y.ndim == 2):
+        return numcore.linear(params, "cond", Tensor(descriptor_vector(y, params).reshape(1, -1)))
+    rows = np.asarray(y, dtype=np.float64)
+    size = params["cond.w"].data.shape[0]
+    if rows.shape[1] != size:
+        raise LengthMismatch(f"descriptor rows of length {rows.shape[1]} != vocabulary size {size}")
+    return numcore.linear(params, "cond", Tensor(rows))
 
 
-def time_embed(t: int, steps: int, params: ParamStore) -> Tensor:
-    """Affine image of the normalized timestep t / T."""
-    frac = Tensor(np.array([[t / steps]], dtype=np.float64))
+def time_embed(t: int | np.ndarray, steps: int, params: ParamStore) -> Tensor:
+    """Affine image of the normalized timestep t / T: one row per entry of `t`."""
+    frac = Tensor(np.asarray(t, dtype=np.float64).reshape(-1, 1) / steps)
     return numcore.linear(params, "time", frac)
 
 
@@ -116,8 +133,8 @@ class DenoiserOutput:
 def denoiser_forward(
     x_noisy: np.ndarray,
     coords: np.ndarray,
-    bond_edges: Sequence[tuple[int, int]],
-    t: int,
+    bond_edges: Sequence[tuple[int, int]] | np.ndarray,
+    t: int | np.ndarray,
     schedule: NoiseSchedule,
     y: np.ndarray,
     params: ParamStore,
@@ -127,8 +144,13 @@ def denoiser_forward(
 
     Every node sees [noisy feature, time embedding, conditioning vector];
     bond logits are read from the final node embeddings over `bond_edges`.
-    Outputs that hold a non-finite value are passed through nan_to_num in
-    place; the caller's `x_noisy` and `coords` are never written or aliased.
+    Message passing stays within each fragment of `fragment_ids` (default:
+    one fragment).  Either `t` is one timestep and `y` one descriptor vector,
+    shared by every fragment, or `t` is an array of one step per fragment and
+    `y` an [F, L] array of one row per fragment, picked by fragment ids in
+    [0, F).  Outputs that hold a non-finite value are passed through
+    nan_to_num in place; the caller's `x_noisy` and `coords` are never
+    written or aliased.
     """
     x_noisy = np.asarray(x_noisy, dtype=np.float64).reshape(-1, 1)
     coords = np.asarray(coords, dtype=np.float64).reshape(-1, 3)
@@ -137,13 +159,23 @@ def denoiser_forward(
         raise ValueError("denoiser_forward requires at least one node")
     if coords.shape[0] != n:
         raise numcore.ShapeMismatch(f"{n} features vs {coords.shape[0]} coordinate rows")
-    beta_at(schedule, t)
+    frag = np.zeros(n, dtype=np.int64) if fragment_ids is None else np.asarray(fragment_ids, dtype=np.int64)
+    if frag.shape != (n,):
+        raise numcore.ShapeMismatch(f"{n} nodes vs fragment ids of shape {frag.shape}")
+    for step in t.reshape(-1).tolist() if isinstance(t, np.ndarray) else (t,):
+        beta_at(schedule, step)
 
-    cond_rows = numcore.repeat_rows(condition_embed(y, params), n)
-    temb_rows = numcore.repeat_rows(time_embed(t, schedule.steps, params), n)
-    node_input = numcore.concat([Tensor(x_noisy), temb_rows, cond_rows], axis=1)
+    time_rows, cond_rows = time_embed(t, schedule.steps, params), condition_embed(y, params)
+    if time_rows.data.shape[0] != cond_rows.data.shape[0]:
+        raise numcore.ShapeMismatch(
+            f"{time_rows.data.shape[0]} timesteps vs {cond_rows.data.shape[0]} descriptor rows"
+        )
+    # One [time, condition] row per fragment, or one row every fragment shares.
+    context = numcore.concat([time_rows, cond_rows], axis=1)
+    rows = frag if context.data.shape[0] > 1 else np.zeros(n, dtype=np.int64)
+    node_input = numcore.concat([Tensor(x_noisy), numcore.gather(context, rows)], axis=1)
     hidden = numcore.linear(params, "input_proj", node_input)
-    state = egnn.egnn_forward(NodeState(hidden, Tensor(coords)), params, fragment_ids)
+    state = egnn.egnn_forward(NodeState(hidden, Tensor(coords)), params, frag)
     eps_hat = numcore.linear(params, "head", state.features)
     bond_logits = bond_head(state.features, bond_edges, params)
 
@@ -155,14 +187,15 @@ def denoiser_forward(
     return DenoiserOutput(eps_hat, bond_logits, state.features, state.coords)
 
 
-def bond_head(node_features: Tensor, bond_edges: Sequence[tuple[int, int]], params: ParamStore) -> Tensor:
+def bond_head(
+    node_features: Tensor, bond_edges: Sequence[tuple[int, int]] | np.ndarray, params: ParamStore
+) -> Tensor:
     """Four-way bond-type logits [E, 4] from the concatenated end-node features of each edge."""
-    if not bond_edges:
+    if len(bond_edges) == 0:
         return Tensor(np.zeros((0, len(BOND_CLASSES))))
-    idx_i = np.asarray([e[0] for e in bond_edges], dtype=np.int64)
-    idx_j = np.asarray([e[1] for e in bond_edges], dtype=np.int64)
+    edges = np.asarray(bond_edges, dtype=np.int64).reshape(-1, 2)
     pair_features = numcore.concat(
-        [numcore.gather(node_features, idx_i), numcore.gather(node_features, idx_j)], axis=1
+        [numcore.gather(node_features, edges[:, 0]), numcore.gather(node_features, edges[:, 1])], axis=1
     )
     return numcore.linear(params, "bond", pair_features)
 
@@ -177,32 +210,65 @@ def bond_probabilities(logits: Tensor | np.ndarray, tau: float) -> Tensor:
     return numcore.exp(numcore.log_softmax_rows(numcore.mul(logits, 1.0 / tau)))
 
 
-def mse_loss(eps_hat: Tensor, eps: np.ndarray) -> Tensor:
+def _fragment_means(rows: Tensor, fragment_ids: np.ndarray | None, fragments: int, scale: float) -> Tensor:
+    """Per-fragment means of the 1-D `rows`, times `scale`: shape [fragments].
+
+    `fragment_ids` gives each row's fragment (default: all in fragment 0);
+    a fragment without rows gives 0.
+    """
+    n = rows.data.shape[0]
+    ids = np.zeros(n, dtype=np.int64) if fragment_ids is None else np.asarray(fragment_ids, dtype=np.int64)
+    if ids.shape != (n,):
+        raise numcore.ShapeMismatch(f"{n} rows vs fragment ids of shape {ids.shape}")
+    if n and (ids.min() < 0 or ids.max() >= fragments):
+        raise numcore.ShapeMismatch(f"fragment id outside [0, {fragments})")
+    counts = np.bincount(ids, minlength=fragments)
+    return numcore.mul(numcore.segment_sum(rows, ids, fragments), scale / np.maximum(counts, 1))
+
+
+def mse_loss(
+    eps_hat: Tensor, eps: np.ndarray, fragment_ids: np.ndarray | None = None, fragments: int = 1
+) -> Tensor:
+    """Mean squared error of each fragment's noise prediction, shape [fragments].
+
+    `fragment_ids` gives each node's fragment.
+    """
     eps = np.asarray(eps, dtype=np.float64)
     eps_hat = numcore.as_tensor(eps_hat)
-    if eps_hat.data.shape != eps.shape:
+    if eps_hat.data.shape != eps.shape or eps.ndim != 2:
         raise numcore.ShapeMismatch(f"{eps_hat.data.shape} vs {eps.shape}")
     diff = numcore.sub(eps_hat, Tensor(eps))
-    return numcore.mean_(numcore.mul(diff, diff))
+    per_node = numcore.sum_(numcore.mul(diff, diff), axis=1)
+    return _fragment_means(per_node, fragment_ids, fragments, 1.0 / max(eps.shape[1], 1))
 
 
-def bond_ce_loss(bond_logits: Tensor, bond_labels: np.ndarray, tau: float) -> Tensor:
-    """Mean cross-entropy of temperature-scaled bond probabilities vs labels."""
+def bond_ce_loss(
+    bond_logits: Tensor,
+    bond_labels: np.ndarray,
+    tau: float,
+    fragment_ids: np.ndarray | None = None,
+    fragments: int = 1,
+) -> Tensor:
+    """Mean cross-entropy of temperature-scaled bond probabilities vs labels, per fragment.
+
+    `fragment_ids` gives each bond's fragment.  The result has shape
+    [fragments]; a fragment without bonds gives 0.
+    """
     if tau <= 0:
         raise NonPositiveTemperature(f"tau={tau}")
     labels = np.asarray(bond_labels, dtype=np.int64).reshape(-1)
     logits = numcore.as_tensor(bond_logits)
-    if labels.size == 0:
-        return Tensor(np.zeros(()))
     if logits.data.shape[0] != labels.size:
         raise numcore.ShapeMismatch(f"{logits.data.shape[0]} logit rows vs {labels.size} labels")
+    if labels.size == 0:
+        return Tensor(np.zeros(fragments))
     if labels.min() < 0 or labels.max() >= logits.data.shape[1]:
         raise numcore.ShapeMismatch("bond label outside class range")
     log_probs = numcore.log_softmax_rows(numcore.mul(logits, 1.0 / tau))
     onehot = np.zeros_like(logits.data)
     onehot[np.arange(labels.size), labels] = 1.0
     picked = numcore.sum_(numcore.mul(log_probs, onehot), axis=1)
-    return numcore.mul(numcore.mean_(picked), -1.0)
+    return _fragment_means(picked, fragment_ids, fragments, -1.0)
 
 
 def loss_total(
@@ -212,8 +278,8 @@ def loss_total(
     bond_labels: np.ndarray,
     tau: float,
 ) -> Tensor:
-    """Unweighted sum of the node-noise MSE and the bond cross-entropy."""
-    return numcore.add(mse_loss(eps_hat, eps), bond_ce_loss(bond_logits, bond_labels, tau))
+    """Node-noise MSE plus bond cross-entropy of one molecule, a scalar."""
+    return numcore.mean_(numcore.add(mse_loss(eps_hat, eps), bond_ce_loss(bond_logits, bond_labels, tau)))
 
 
 @dataclass(frozen=True)
@@ -229,12 +295,28 @@ class TrainingExample:
 
 @dataclass
 class TrainConfig:
+    """Training settings; `ValueError` for a value that cannot train.
+
+    `steps` and `batch_size` must be at least 1, `epochs` at least 0, and
+    `learning_rate` finite and positive.
+    """
+
     steps: int = 1000
     epochs: int = 1000
     batch_size: int = 32
     tau: float = 1.0
     learning_rate: float = 1e-3
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.steps < 1:
+            raise ValueError(f"steps must be at least 1, got {self.steps}")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be at least 0, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
 
 
 @dataclass
@@ -273,6 +355,51 @@ def _stratified_timesteps(n: int, steps: int, rng: np.random.Generator) -> list[
     return ts
 
 
+def batch_loss(
+    examples: Sequence[TrainingExample],
+    timesteps: Sequence[int],
+    schedule: NoiseSchedule,
+    tau: float,
+    params: ParamStore,
+    rng: np.random.Generator,
+) -> tuple[Tensor, Tensor, Tensor]:
+    """Loss of a minibatch run as one graph with one fragment per molecule.
+
+    Each example draws its noise at its timestep, in batch order.  Returns
+    the batch loss, which is the mean over molecules of each one's node-noise
+    MSE plus bond cross-entropy, and the per-molecule MSE and cross-entropy,
+    each of shape [B].
+    """
+    sizes = [ex.features.shape[0] for ex in examples]
+    offsets = np.cumsum([0] + sizes[:-1])
+    noisy, noise = zip(*(forward_noise(ex.features, t, schedule, rng) for ex, t in zip(examples, timesteps)))
+    bonds = [len(ex.bond_edges) for ex in examples]
+    edges = np.concatenate(
+        [np.asarray(ex.bond_edges, dtype=np.int64).reshape(-1, 2) + off for ex, off in zip(examples, offsets)]
+    )
+    fragments = len(examples)
+    node_fragments = np.repeat(np.arange(fragments), sizes)
+    out = denoiser_forward(
+        np.concatenate(noisy),
+        np.concatenate([ex.coords for ex in examples]),
+        edges,
+        np.asarray(timesteps),
+        schedule,
+        np.stack([descriptor_vector(ex.condition, params) for ex in examples]),
+        params,
+        node_fragments,
+    )
+    mse = mse_loss(out.eps_hat, np.concatenate(noise), node_fragments, fragments)
+    ce = bond_ce_loss(
+        out.bond_logits,
+        np.concatenate([ex.bond_labels for ex in examples]),
+        tau,
+        np.repeat(np.arange(fragments), bonds),
+        fragments,
+    )
+    return numcore.mean_(numcore.add(mse, ce)), mse, ce
+
+
 def train(
     examples: Sequence[TrainingExample],
     config: TrainConfig,
@@ -281,8 +408,13 @@ def train(
     """Epoch loop: noise, denoise, MSE + CE, backprop, Adam.
 
     Each molecule draws a uniform timestep, stratified across the epoch.
-    Aborts with DivergedLoss once a batch loss is non-finite or exceeds the
-    guard factor times the first batch's loss.
+    Each minibatch runs as one block-diagonal graph (`batch_loss`): one
+    denoiser pass, one loss, one backward pass and one Adam step.  The loss
+    is the mean over the batch's molecules of each one's node-noise MSE plus
+    its bond cross-entropy.  Raises `LengthMismatch` when an example's
+    descriptor vector does not match the vocabulary.  Aborts with
+    DivergedLoss once a batch loss is non-finite or exceeds the guard factor
+    times the first batch's loss.
     """
     examples = list(examples)
     if not examples:
@@ -294,34 +426,21 @@ def train(
     schedule = NoiseSchedule(config.steps)
     metrics: list[EpochMetrics] = []
     initial_loss: float | None = None
+    count = len(examples)
 
     for epoch in range(1, config.epochs + 1):
-        order = rng.permutation(len(examples))
-        timesteps = _stratified_timesteps(len(examples), config.steps, rng)
+        order = rng.permutation(count)
+        timesteps = _stratified_timesteps(count, config.steps, rng)
         epoch_mse = 0.0
         epoch_ce = 0.0
-        count = 0
         for lo in range(0, len(order), config.batch_size):
-            batch = order[lo : lo + config.batch_size]
-            molecule_losses = []
-            for offset, idx in enumerate(batch):
-                ex = examples[idx]
-                t = timesteps[lo + offset]
-                x_t, eps = forward_noise(ex.features, t, schedule, rng)
-                out = denoiser_forward(
-                    x_t, ex.coords, ex.bond_edges, t, schedule, ex.condition, params
-                )
-                mse = mse_loss(out.eps_hat, eps)
-                ce = bond_ce_loss(out.bond_logits, ex.bond_labels, config.tau)
-                molecule_losses.append(numcore.add(mse, ce))
-                epoch_mse += mse.item()
-                epoch_ce += ce.item()
-                count += 1
-            batch_loss = molecule_losses[0]
-            for extra in molecule_losses[1:]:
-                batch_loss = numcore.add(batch_loss, extra)
-            batch_loss = numcore.mul(batch_loss, 1.0 / len(molecule_losses))
-            value = batch_loss.item()
+            batch = [examples[idx] for idx in order[lo : lo + config.batch_size]]
+            loss, mse, ce = batch_loss(
+                batch, timesteps[lo : lo + len(batch)], schedule, config.tau, params, rng
+            )
+            epoch_mse += float(mse.data.sum())
+            epoch_ce += float(ce.data.sum())
+            value = loss.item()
             if initial_loss is None:
                 initial_loss = max(value, 1e-12)
             if not np.isfinite(value) or value > DIVERGENCE_FACTOR * initial_loss:
@@ -329,7 +448,7 @@ def train(
                     f"batch loss {value} exceeded {DIVERGENCE_FACTOR} x initial {initial_loss}"
                 )
             params.zero_grad()
-            numcore.backward(batch_loss)
+            numcore.backward(loss)
             numcore.adam_step(params, lr=config.learning_rate)
         metrics.append(
             EpochMetrics(epoch, epoch_mse / count, epoch_ce / count, (epoch_mse + epoch_ce) / count)

@@ -242,10 +242,11 @@ def sqrt(a: Tensor) -> Tensor:
 
 def silu(a: Tensor) -> Tensor:
     a = as_tensor(a)
-    # Branchless stable sigmoid: exp never sees a positive argument.
+    # Stable sigmoid in one division: exp never sees a positive argument, and
+    # the numerator picks 1 or exp(-|x|) by sign.
     x = a.data
     ex = np.exp(-np.abs(x))
-    sig = np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
+    sig = np.where(x >= 0, 1.0, ex) / (1.0 + ex)
     out_data = x * sig
 
     def bw(g):
@@ -295,19 +296,6 @@ def segment_sum(a: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor
 
     def bw(g):
         _accumulate(a, g[seg])
-
-    return _make(out_data, (a,), bw)
-
-
-def repeat_rows(a: Tensor, count: int) -> Tensor:
-    """Tile a [1, d] row into [count, d]; the gradient sums back over rows."""
-    a = as_tensor(a)
-    if a.data.ndim != 2 or a.data.shape[0] != 1:
-        raise ShapeMismatch(f"repeat_rows expects [1, d], got {a.data.shape}")
-    out_data = np.repeat(a.data, count, axis=0)
-
-    def bw(g):
-        _accumulate(a, g.sum(axis=0, keepdims=True))
 
     return _make(out_data, (a,), bw)
 

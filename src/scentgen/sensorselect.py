@@ -43,6 +43,17 @@ class Sensor:
             raise ValueError(f"sensor {self.id!r} has negative cost")
 
 
+def _names(value, field: str) -> list[str]:
+    """A JSON list of compound or sensor names as strings.
+
+    Anything but a list raises `ValueError`; a bare string would otherwise
+    be read as one name per character.
+    """
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{field!r} must be a list, got {type(value).__name__}")
+    return [str(v) for v in value]
+
+
 @dataclass(frozen=True)
 class SensorCatalog:
     sensors: tuple[Sensor, ...]
@@ -61,7 +72,7 @@ class SensorCatalog:
     @classmethod
     def from_dict(cls, payload: dict) -> "SensorCatalog":
         sensors = tuple(
-            Sensor(str(e["id"]), frozenset(str(d) for d in e["detects"]), float(e.get("cost", 1.0)))
+            Sensor(str(e["id"]), frozenset(_names(e["detects"], "detects")), float(e.get("cost", 1.0)))
             for e in payload["sensors"]
         )
         return cls(sensors)
@@ -259,6 +270,6 @@ def load_scenario(path: str | Path) -> tuple[CoverageProblem, list[str]]:
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     catalog = SensorCatalog.from_dict(payload)
-    targets = frozenset(str(t) for t in payload["targets"])
-    current = [str(s) for s in payload.get("current", [])]
+    targets = frozenset(_names(payload["targets"], "targets"))
+    current = _names(payload.get("current", []), "current")
     return CoverageProblem(targets=targets, catalog=catalog), current

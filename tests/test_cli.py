@@ -76,6 +76,31 @@ def test_train_missing_dataset(tmp_path, capsys):
     assert code == EXIT_BAD_INPUT
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"batch_size": 0},
+        {"batch_size": -3},
+        {"epochs": -1},
+        {"learning_rate": "nan"},
+        {"learning_rate": "inf"},
+        {"learning_rate": 0.0},
+        {"learning_rate": -1e-3},
+        {"batch_size": "many"},
+    ],
+)
+def test_train_rejects_config_that_cannot_train(tmp_path, tiny_csv, capsys, bad):
+    config = tmp_path / "train.json"
+    config.write_text(json.dumps({"steps": 900, "epochs": 1, **bad}))
+    out = tmp_path / "model.json"
+    code, stdout, err = run_cli(
+        capsys, "train", "--data", str(tiny_csv), "--config", str(config), "--out", str(out)
+    )
+    assert code == EXIT_BAD_INPUT
+    assert stdout == "" and not out.exists()
+    assert "bad training config" in err
+
+
 def test_train_steps_range_enforced(tmp_path, tiny_csv, capsys):
     code, _, err = run_cli(
         capsys, "train", "--data", str(tiny_csv), "--out", str(tmp_path / "x.json"),
@@ -272,6 +297,24 @@ def test_select_sensors_non_finite_cost_is_malformed(tmp_path, capsys, cost):
         assert code == EXIT_BAD_INPUT
         assert out == ""
         assert "malformed scenario" in err and "non-finite cost" in err
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"targets": ["NO2"], "sensors": [{"id": "A", "detects": "NO2"}]},
+        {"targets": "NO2", "sensors": [{"id": "A", "detects": ["NO2"]}]},
+        {"targets": ["NO2"], "sensors": [{"id": "A", "detects": ["NO2"]}], "current": "A"},
+    ],
+)
+def test_select_sensors_string_for_list_is_malformed(tmp_path, capsys, payload):
+    scenario = tmp_path / "letters.json"
+    scenario.write_text(json.dumps(payload))
+    for mode in (["--mode", "add"], ["--mode", "subtract"]):
+        code, out, err = run_cli(capsys, "select-sensors", str(scenario), *mode)
+        assert code == EXIT_BAD_INPUT
+        assert out == ""
+        assert "malformed scenario" in err and "must be a list" in err
 
 
 def test_select_sensors_subtract_needs_current(tmp_path, capsys):

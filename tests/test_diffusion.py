@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from scentgen import diffusion, numcore
+from scentgen import dataio, diffusion, numcore
 from scentgen.diffusion import (
     DivergedLoss,
     EmptyDataset,
@@ -13,6 +13,7 @@ from scentgen.diffusion import (
     StepOutOfRange,
     TrainConfig,
     TrainingExample,
+    batch_loss,
     beta_at,
     bond_ce_loss,
     bond_probabilities,
@@ -336,6 +337,211 @@ def test_train_deterministic(rng):
     for name in p1.names():
         assert np.array_equal(p1[name].data, p2[name].data)
     assert [(m.mse, m.ce) for m in m1] == [(m.mse, m.ce) for m in m2]
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"batch_size": 0},
+        {"epochs": -1},
+        {"steps": 0},
+        {"learning_rate": float("nan")},
+        {"learning_rate": float("inf")},
+        {"learning_rate": 0.0},
+        {"learning_rate": -1e-3},
+    ],
+)
+def test_train_config_rejects_values_that_cannot_train(bad):
+    with pytest.raises(ValueError):
+        TrainConfig(**bad)
+
+
+def test_train_config_accepts_edge_values():
+    config = TrainConfig(steps=1, epochs=0, batch_size=1, learning_rate=1e-12)
+    assert (config.steps, config.epochs, config.batch_size) == (1, 0, 1)
+
+
+# ------------------------------------------------------- batched training
+#
+# `train` runs each minibatch as one graph with one fragment per molecule.
+# The oracle below is the per-molecule loop that training ran before: one
+# denoiser pass, MSE and cross-entropy per molecule, then the mean of the
+# per-molecule sums.
+
+
+def _oracle_batch_loss(examples, timesteps, schedule, tau, params, rng):
+    """Per-molecule loss loop: (batch loss, per-molecule MSEs, per-molecule CEs)."""
+    molecule_losses, mses, ces = [], [], []
+    for ex, t in zip(examples, timesteps):
+        x_t, eps = forward_noise(ex.features, t, schedule, rng)
+        out = denoiser_forward(x_t, ex.coords, ex.bond_edges, t, schedule, ex.condition, params)
+        diff = numcore.sub(out.eps_hat, Tensor(eps))
+        mse = numcore.mean_(numcore.mul(diff, diff))
+        labels = np.asarray(ex.bond_labels, dtype=np.int64)
+        if labels.size == 0:
+            ce = Tensor(np.zeros(()))
+        else:
+            log_probs = numcore.log_softmax_rows(numcore.mul(out.bond_logits, 1.0 / tau))
+            onehot = np.zeros_like(out.bond_logits.data)
+            onehot[np.arange(labels.size), labels] = 1.0
+            picked = numcore.sum_(numcore.mul(log_probs, onehot), axis=1)
+            ce = numcore.mul(numcore.mean_(picked), -1.0)
+        molecule_losses.append(numcore.add(mse, ce))
+        mses.append(mse.item())
+        ces.append(ce.item())
+    loss = molecule_losses[0]
+    for extra in molecule_losses[1:]:
+        loss = numcore.add(loss, extra)
+    return numcore.mul(loss, 1.0 / len(molecule_losses)), mses, ces
+
+
+def _molecule(rng, n, bonded=True, vocab=5):
+    """A random molecule of n atoms: a bonded chain plus a ring closure from 5 atoms on."""
+    edges = [(i, i + 1) for i in range(n - 1)] if bonded else []
+    if bonded and n >= 5:
+        edges.append((0, n - 1))
+    return TrainingExample(
+        features=rng.normal(6.5, 1.5, size=(n, 1)),
+        coords=rng.normal(size=(n, 3)),
+        bond_edges=tuple(edges),
+        bond_labels=rng.integers(0, 4, size=len(edges)),
+        condition=(rng.random(vocab) < 0.4).astype(np.float64),
+    )
+
+
+def _mixed_batches():
+    rng = np.random.default_rng(31)
+    return {
+        "one molecule": [_molecule(rng, 6)],
+        "one atom": [_molecule(rng, 1)],
+        "one atom among others": [_molecule(rng, 4), _molecule(rng, 1), _molecule(rng, 7)],
+        "no bonds among others": [_molecule(rng, 5), _molecule(rng, 3, bonded=False), _molecule(rng, 2)],
+        "no bonds at all": [_molecule(rng, 3, bonded=False), _molecule(rng, 1)],
+        "mixed sizes up to 11": [_molecule(rng, n) for n in (11, 2, 9, 1, 5, 10, 3, 8, 11, 4)],
+    }
+
+
+def _loss_and_gradients(loss, params):
+    params.zero_grad()
+    numcore.backward(loss)
+    return loss.item(), {name: params[name].grad.copy() for name in params.names()}
+
+
+def _assert_matches_oracle(examples, timesteps, params, seed, tau=1.0, steps=500):
+    schedule = NoiseSchedule(steps)
+    loss, mse, ce = batch_loss(examples, timesteps, schedule, tau, params, np.random.default_rng(seed))
+    oracle, oracle_mse, oracle_ce = _oracle_batch_loss(
+        examples, timesteps, schedule, tau, params, np.random.default_rng(seed)
+    )
+    assert loss.data.shape == ()
+    assert mse.data.shape == ce.data.shape == (len(examples),)
+    assert np.allclose(mse.data, oracle_mse, rtol=1e-12, atol=0.0)
+    assert np.allclose(ce.data, oracle_ce, rtol=1e-12, atol=0.0)
+    value, grads = _loss_and_gradients(loss, params)
+    oracle_value, oracle_grads = _loss_and_gradients(oracle, params)
+    assert abs(value - oracle_value) <= 1e-12 * abs(oracle_value)
+    for name in params.names():
+        scale = np.abs(oracle_grads[name]).max()
+        assert np.abs(grads[name] - oracle_grads[name]).max() <= 1e-12 * scale, name
+
+
+@pytest.mark.parametrize("case", sorted(_mixed_batches()))
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_batch_loss_matches_per_molecule_oracle(case, seed):
+    examples = _mixed_batches()[case]
+    params = init_params(vocab_size=5, seed=seed)
+    timesteps = np.random.default_rng(100 + seed).integers(1, 501, size=len(examples)).tolist()
+    _assert_matches_oracle(examples, timesteps, params, seed, tau=0.7)
+
+
+def test_batch_loss_matches_oracle_on_corpus_batch(fixture_dataset):
+    vocab, molecules = fixture_dataset
+    examples = dataio.to_training_examples(molecules[:32], vocab)
+    params = init_params(len(vocab), seed=4)
+    timesteps = np.random.default_rng(4).integers(1, 1001, size=len(examples)).tolist()
+    _assert_matches_oracle(examples, timesteps, params, seed=4, steps=1000)
+
+
+def test_train_epoch_metrics_match_oracle_molecule_means():
+    """One epoch of one batch: the metrics are the oracle's per-molecule means."""
+    examples = _mixed_batches()["mixed sizes up to 11"]
+    config = TrainConfig(steps=200, epochs=1, batch_size=len(examples), tau=1.0, seed=6)
+    _, metrics = train(examples, config)
+    rng = np.random.default_rng(config.seed)
+    order = rng.permutation(len(examples))
+    timesteps = diffusion._stratified_timesteps(len(examples), config.steps, rng)
+    oracle, mses, ces = _oracle_batch_loss(
+        [examples[i] for i in order], timesteps, NoiseSchedule(config.steps), config.tau,
+        init_params(5, seed=config.seed), rng,
+    )
+    assert metrics[0].mse == pytest.approx(np.mean(mses), rel=1e-12)
+    assert metrics[0].ce == pytest.approx(np.mean(ces), rel=1e-12)
+    assert metrics[0].total == pytest.approx(oracle.item(), rel=1e-12)
+
+
+@pytest.mark.parametrize("position", [0, 2, 4])
+def test_train_wrong_length_condition_anywhere_in_batch(position):
+    rng = np.random.default_rng(8)
+    examples = [_molecule(rng, n) for n in (3, 4, 5, 6, 7)]
+    bad = examples[position]
+    examples[position] = TrainingExample(bad.features, bad.coords, bad.bond_edges, bad.bond_labels, np.ones(7))
+    with pytest.raises(LengthMismatch):
+        train(examples, TrainConfig(steps=50, epochs=1, batch_size=5, seed=0), init_params(5, seed=0))
+
+
+def test_train_mixed_batches_deterministic():
+    examples = [m for batch in _mixed_batches().values() for m in batch]
+    config = TrainConfig(steps=100, epochs=3, batch_size=4, seed=12)
+    p1, m1 = train(examples, config)
+    p2, m2 = train(examples, config)
+    for name in p1.names():
+        assert np.array_equal(p1[name].data, p2[name].data), name
+    assert [(m.mse, m.ce, m.total) for m in m1] == [(m.mse, m.ce, m.total) for m in m2]
+
+
+def test_denoiser_fragments_take_their_own_step_and_descriptor(rng):
+    """Per-fragment t and y rows give each fragment the output of its own single pass."""
+    params = init_params(vocab_size=4, seed=2)
+    sched = NoiseSchedule(100)
+    sizes, steps = (3, 1, 4), (5, 60, 99)
+    ys = (rng.random((3, 4)) < 0.5).astype(np.float64)
+    xs = [rng.normal(size=(n, 1)) for n in sizes]
+    cs = [rng.normal(size=(n, 3)) for n in sizes]
+    batched = denoiser_forward(
+        np.vstack(xs), np.vstack(cs), (), np.array(steps), sched, ys, params,
+        fragment_ids=np.repeat(np.arange(3), sizes),
+    )
+    lo = 0
+    for x, c, t, y in zip(xs, cs, steps, ys):
+        single = denoiser_forward(x, c, (), t, sched, y, params)
+        hi = lo + len(x)
+        assert np.abs(batched.eps_hat.data[lo:hi] - single.eps_hat.data).max() <= 1e-12
+        assert np.abs(batched.coords.data[lo:hi] - single.coords.data).max() <= 1e-12
+        lo = hi
+
+
+def test_denoiser_rejects_a_step_out_of_range_in_any_fragment(rng):
+    params = init_params(vocab_size=4, seed=2)
+    with pytest.raises(StepOutOfRange):
+        denoiser_forward(
+            rng.normal(size=(2, 1)), rng.normal(size=(2, 3)), (), np.array([5, 51]), NoiseSchedule(50),
+            np.zeros((2, 4)), params, fragment_ids=np.array([0, 1]),
+        )
+
+
+def test_denoiser_rejects_steps_and_descriptor_rows_of_different_counts(rng):
+    params = init_params(vocab_size=4, seed=2)
+    with pytest.raises(ShapeMismatch):
+        denoiser_forward(
+            rng.normal(size=(2, 1)), rng.normal(size=(2, 3)), (), 5, NoiseSchedule(50),
+            np.zeros((2, 4)), params, fragment_ids=np.array([0, 1]),
+        )
+
+
+def test_condition_embed_rows_length_mismatch():
+    params = init_params(vocab_size=6, seed=0)
+    with pytest.raises(LengthMismatch):
+        condition_embed(np.zeros((3, 5)), params)
 
 
 # ---------------------------------------------------------------- metrics IO

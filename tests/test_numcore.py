@@ -52,6 +52,20 @@ def test_matmul_identity_associativity(rng):
     assert np.abs(out - a).max() < 1e-12
 
 
+def test_silu_matches_two_branch_sigmoid_bit_for_bit(rng):
+    """One division picks the same bits as the sigmoid's two stable branches."""
+    special = [0.0, -0.0, 700.0, -700.0, 1e308, -1e308, np.inf, -np.inf, np.nan, 1e-300, -1e-300, 36.7, -36.7, 1.0, -1.0, 0.5]
+    x = np.concatenate([rng.normal(scale=10.0, size=20000), rng.normal(size=20000), special]).reshape(-1, 4)
+    ex = np.exp(-np.abs(x))
+    sig = np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
+    a = Tensor(x, requires_grad=True)
+    with np.errstate(invalid="ignore"):
+        out = numcore.silu(a)
+        backward(numcore.sum_(out))
+        assert np.array_equal(out.data, x * sig, equal_nan=True)
+        assert np.array_equal(a.grad, sig * (1.0 + x * (1.0 - sig)), equal_nan=True)
+
+
 # ------------------------------------------------------------------- MLPs
 
 

@@ -219,6 +219,22 @@ def test_bundled_scenario_add_and_subtract():
     assert pruned.covered == problem.targets
 
 
+@pytest.mark.parametrize("detects", ["NO2", 5, {"NO2": 1}])
+def test_catalog_rejects_detects_that_is_not_a_list(detects):
+    with pytest.raises(ValueError, match="detects"):
+        SensorCatalog.from_dict({"sensors": [{"id": "a", "detects": detects}]})
+
+
+@pytest.mark.parametrize("field", ["targets", "current"])
+def test_scenario_rejects_a_string_list_field(tmp_path, field):
+    payload = {"sensors": [{"id": "a", "detects": ["NO2"]}], "targets": ["NO2"], "current": ["a"]}
+    payload[field] = "NO2"
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=field):
+        load_scenario(path)
+
+
 # ------------------------------------------------- enumerating oracles
 #
 # The solvers as they stood before the bitmask search: exact_cover tries every
