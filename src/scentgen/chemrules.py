@@ -4,6 +4,8 @@ The cascade runs five stages in a fixed order: atomic-number range filter,
 edge deduplication, valence limits with implicit-hydrogen fill, aromatic ring
 and formal-charge checks, and kekule-assignment verification.  Range and dedup
 stages correct the graph; the remaining stages only record pass/fail verdicts.
+The range stage keeps its atoms with `molgraph.subgraph`, and the kekule stage
+takes its aromatic systems from `MoleculeGraph.connected_components`.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from .molgraph import (
     BondType,
     MoleculeGraph,
     UnknownElement,
+    subgraph,
 )
 
 # Allowed total bond orders (heavy bonds + implicit hydrogens) per element.
@@ -223,21 +226,20 @@ def _huckel_ok(cycle: list[int], graph: MoleculeGraph, donors: set[int]) -> bool
 
 def _cycles_through(adj: dict[int, list[int]], i: int, j: int, max_len: int = 18) -> Iterable[list[int]]:
     """Simple cycles in the aromatic subgraph containing edge (i, j)."""
-    path = [i, j]
-    on_path = {i, j}
+    return _close_cycles(adj, [i, j], {i, j}, max_len)
 
-    def extend(u: int):
-        for v in adj.get(u, ()):
-            if v == i and len(path) >= 3:
-                yield list(path)
-            elif v not in on_path and len(path) < max_len:
-                path.append(v)
-                on_path.add(v)
-                yield from extend(v)
-                path.pop()
-                on_path.discard(v)
 
-    yield from extend(j)
+def _close_cycles(adj: dict[int, list[int]], path: list[int], on_path: set[int], max_len: int) -> Iterable[list[int]]:
+    """Simple cycles that extend `path` (the atoms in `on_path`) and return to its first atom."""
+    for v in adj.get(path[-1], ()):
+        if v == path[0] and len(path) >= 3:
+            yield list(path)
+        elif v not in on_path and len(path) < max_len:
+            path.append(v)
+            on_path.add(v)
+            yield from _close_cycles(adj, path, on_path, max_len)
+            path.pop()
+            on_path.discard(v)
 
 
 def valid_aromatic_bonds(graph: MoleculeGraph) -> set[tuple[int, int]]:
@@ -301,65 +303,54 @@ def aromaticity_and_charge_check(graph: MoleculeGraph) -> AromaticityCheckResult
     return AromaticityCheckResult(not problems, "; ".join(problems), bad, charges)
 
 
-def _match_pi_atoms(nodes: list[int], edges: set[tuple[int, int]]) -> bool:
-    """Backtracking perfect matching over the pi-bond participants."""
-    free = set(nodes)
+def _match_pi_atoms(free: set[int], edges: set[tuple[int, int]]) -> bool:
+    """Backtracking perfect matching over the pi-bond participants in `free`.
 
-    def solve() -> bool:
-        if not free:
+    `free` is emptied on success and left as it was on failure.
+    """
+    if not free:
+        return True
+    u = min(free)
+    free.discard(u)
+    for a, b in edges:
+        if a == u and b in free:
+            v = b
+        elif b == u and a in free:
+            v = a
+        else:
+            continue
+        free.discard(v)
+        if _match_pi_atoms(free, edges):
             return True
-        u = min(free)
-        free.discard(u)
-        for a, b in edges:
-            if a == u and b in free:
-                v = b
-            elif b == u and a in free:
-                v = a
-            else:
-                continue
-            free.discard(v)
-            if solve():
-                return True
-            free.add(v)
-        free.add(u)
-        return False
-
-    return solve()
+        free.add(v)
+    free.add(u)
+    return False
 
 
 def kekule_assignment_exists(graph: MoleculeGraph) -> tuple[bool, str]:
     """Whether each aromatic system admits an alternating single/double form.
 
-    Lone-pair donors take no double bond; every other aromatic atom needs
-    exactly one, which reduces to a perfect matching over the remaining atoms.
+    The aromatic systems are the connected components of the aromatic-bond
+    subgraph.  Lone-pair donors take no double bond; every other aromatic atom
+    needs exactly one, which reduces to a perfect matching over the remaining
+    atoms.
     """
-    adj = _aromatic_adjacency(graph)
-    if not adj:
+    aromatic = MoleculeGraph(graph.atoms, tuple([b for b in graph.bonds if b[2] is BondType.AROMATIC]))
+    if not aromatic.bonds:
         return True, "no aromatic bonds"
     donors = _lone_pair_donors(graph)
-    seen: set[int] = set()
-    for start in sorted(adj):
-        if start in seen:
+    adj = aromatic.adjacency()
+    for component in aromatic.connected_components():
+        if not adj[component[0]]:
             continue
-        stack = [start]
-        component = set()
-        seen.add(start)
-        while stack:
-            u = stack.pop()
-            component.add(u)
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        pi_atoms = sorted(component - donors)
+        members = set(component)
         pi_edges = {
             (i, j)
-            for i, j, t in graph.bonds
-            if t is BondType.AROMATIC and i in component and j in component
-            and i not in donors and j not in donors
+            for i, j, _ in aromatic.bonds
+            if i in members and j in members and i not in donors and j not in donors
         }
-        if not _match_pi_atoms(pi_atoms, pi_edges):
-            return False, f"aromatic system containing atom {min(component)} is not kekulizable"
+        if not _match_pi_atoms(members - donors, pi_edges):
+            return False, f"aromatic system containing atom {component[0]} is not kekulizable"
     return True, "kekule assignment found"
 
 
@@ -378,23 +369,17 @@ def sanitize(graph: MoleculeGraph) -> SanitizeResult:
     report = ValidationReport()
 
     # Stage 1: atomic range. Out-of-range atoms are dropped along with their bonds.
-    keep = [i for i, a in enumerate(graph.atoms) if 1 <= a.atomic_number <= MAX_ATOMIC_NUMBER]
-    dropped = graph.n_atoms - len(keep)
-    remap = {old: new for new, old in enumerate(keep)}
-    atoms = tuple(graph.atoms[i] for i in keep)
-    bonds_kept = [
-        (remap[i], remap[j], t) for i, j, t in graph.bonds if i in remap and j in remap
-    ]
-    if not atoms:
+    kept = subgraph(graph, [i for i, a in enumerate(graph.atoms) if 1 <= a.atomic_number <= MAX_ATOMIC_NUMBER])
+    dropped = graph.n_atoms - kept.n_atoms
+    if not kept.atoms:
         report.stages.append(StageResult("atomic_range", False, f"no atoms remain (dropped {dropped})"))
     else:
         report.stages.append(StageResult("atomic_range", True, f"dropped {dropped} atom(s)"))
 
     # Stage 2: edge dedup (also removes self-loops).
-    deduped = dedup_edges(bonds_kept)
-    removed = len(bonds_kept) - len(deduped)
-    normalized = tuple(sorted((min(i, j), max(i, j), t) for i, j, t in deduped))
-    corrected = MoleculeGraph(atoms=atoms, bonds=normalized)
+    deduped = dedup_edges(kept.bonds)
+    removed = len(kept.bonds) - len(deduped)
+    corrected = MoleculeGraph(atoms=kept.atoms, bonds=tuple(sorted(deduped)))
     report.stages.append(StageResult("edge_dedup", True, f"removed {removed} edge(s)"))
 
     # Stage 3: valence.

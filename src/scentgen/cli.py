@@ -48,13 +48,19 @@ def _check_steps(steps: int) -> int:
 
 
 def _read_json(path: str) -> dict:
+    """The JSON object in `path`; bad input (exit 2) if it cannot be read or is not an object."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            payload = json.load(fh)
     except FileNotFoundError:
         raise _fail(f"file not found: {path}")
+    except OSError as exc:
+        raise _fail(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise _fail(f"malformed JSON in {path}: {exc}")
+    if not isinstance(payload, dict):
+        raise _fail(f"{path} must hold a JSON object, got {type(payload).__name__}")
+    return payload
 
 
 def _parse_allowlist(text: str) -> frozenset[int]:
@@ -162,7 +168,10 @@ def cmd_generate(args) -> int:
         raise _fail(f"unusable checkpoint {args.checkpoint}: {exc}")
     query = _read_json(args.query)
     descriptors = [str(d) for d in query.get("descriptors", [])]
-    n = args.n if args.n is not None else int(query.get("count", 10))
+    try:
+        n = args.n if args.n is not None else int(query.get("count", 10))
+    except (TypeError, ValueError):
+        raise _fail(f"sample count must be an integer, got {query['count']!r}")
     if n < 0:
         raise _fail(f"sample count must be >= 0, got {n}")
 
@@ -188,16 +197,19 @@ def cmd_generate(args) -> int:
     )
     pool = tuple(int(c) for c in meta.get("atom_count_pool", (8,))) or (8,)
     seed = args.seed if args.seed is not None else 0
-    config = generator.GenerationConfig(
-        mode=mode,
-        allowlist=allowlist,
-        n_atoms=args.n_atoms,
-        atom_count_pool=pool,
-        steps=steps,
-        tau=args.tau if args.tau is not None else float(meta.get("tau", 0.5)),
-        seed=seed,
-        bond_source=generator.BondSource.HEURISTIC if args.heuristic_bonds else generator.BondSource.CLASSIFIER,
-    )
+    try:
+        config = generator.GenerationConfig(
+            mode=mode,
+            allowlist=allowlist,
+            n_atoms=args.n_atoms,
+            atom_count_pool=pool,
+            steps=steps,
+            tau=args.tau if args.tau is not None else float(meta.get("tau", 0.5)),
+            seed=seed,
+            bond_source=generator.BondSource.HEURISTIC if args.heuristic_bonds else generator.BondSource.CLASSIFIER,
+        )
+    except ValueError as exc:
+        raise _fail(f"bad generation settings: {exc}")
     corpus_path = Path(args.corpus) if args.corpus else dataio.bundled_dataset_path()
     try:
         corpus = dataio.load_corpus(corpus_path)

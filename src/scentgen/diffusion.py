@@ -298,7 +298,7 @@ class TrainConfig:
     """Training settings; `ValueError` for a value that cannot train.
 
     `steps` and `batch_size` must be at least 1, `epochs` at least 0, and
-    `learning_rate` finite and positive.
+    `tau` and `learning_rate` finite and positive.
     """
 
     steps: int = 1000
@@ -315,6 +315,8 @@ class TrainConfig:
             raise ValueError(f"epochs must be at least 0, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
+        if not (math.isfinite(self.tau) and self.tau > 0):
+            raise ValueError(f"tau must be finite and positive, got {self.tau}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
 

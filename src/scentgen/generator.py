@@ -11,7 +11,6 @@ assembled graph through the validity cascade.
 from __future__ import annotations
 
 import enum
-import logging
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -25,17 +24,11 @@ from .molgraph import (
     MAX_ATOMIC_NUMBER,
     Atom,
     BondType,
-    DuplicateBond,
-    IndexOutOfRange,
     MoleculeGraph,
-    SelfLoop,
-    add_bond,
     graph_to_dict,
     new_graph,
 )
 from .numcore import ParamStore
-
-logger = logging.getLogger(__name__)
 
 
 class UntrainedParams(RuntimeError):
@@ -83,6 +76,8 @@ class GenerationConfig:
             raise ValueError("n_atoms must be >= 1")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
+        if not (math.isfinite(self.tau) and self.tau > 0):
+            raise ValueError(f"tau must be finite and positive, got {self.tau}")
         if not self.atom_count_pool:
             raise ValueError("atom_count_pool must be nonempty")
 
@@ -199,19 +194,6 @@ def assign_bond_types(
     return [(i, j, BOND_CLASSES[int(c)]) for (i, j), c in zip(edges, classes)]
 
 
-def _assemble(
-    decoded: list[int], coords: np.ndarray, typed_edges: list[tuple[int, int, BondType]]
-) -> MoleculeGraph:
-    atoms = [Atom(z, tuple(coords[k])) for k, z in enumerate(decoded)]
-    graph = new_graph(atoms)
-    for i, j, t in typed_edges:
-        try:
-            graph = add_bond(graph, i, j, t)
-        except (DuplicateBond, SelfLoop, IndexOutOfRange) as exc:
-            logger.warning("skipping bond (%d, %d): %s", i, j, exc)
-    return graph
-
-
 def finalize(graph: MoleculeGraph, corpus: frozenset[str] = frozenset()) -> tuple[ValidationReport, str | None, bool, MoleculeGraph]:
     """Sanitize, then canonicalize and check corpus membership on success."""
     result = chemrules.sanitize(graph)
@@ -264,7 +246,7 @@ def sample(
 
     edges = propose_edges(kept_coords, decoded)
     typed = assign_bond_types(edges, kept_embeddings, decoded, params, config.tau, config.bond_source)
-    assembled = _assemble(decoded, kept_coords, typed)
+    assembled = new_graph([Atom(z, tuple(xyz)) for z, xyz in zip(decoded, kept_coords)], typed)
     report, text, matched, corrected = finalize(assembled, corpus)
     fragments = len(corrected.connected_components())
 

@@ -1,12 +1,16 @@
-"""Core molecular graph types: atoms with 3D positions and typed undirected bonds."""
+"""Core molecular graph types: atoms with 3D positions and typed undirected bonds.
+
+The graph jobs that other modules share live here too: building a graph from a
+checked bond list, taking a subgraph, grouping atoms into connected
+components, and the JSON-ready dict form that `generate` writes.
+"""
 
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -79,7 +83,10 @@ class Atom:
     position: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def __post_init__(self) -> None:
-        pos = tuple(float(c) for c in self.position)
+        # Tuples here and in the hot paths are built from lists: tuple() of a
+        # generator allocates room for ten items, then shrinks, and CPython
+        # keeps the freed tuple in the free list of its final size.
+        pos = tuple([float(c) for c in self.position])
         if len(pos) != 3:
             raise ValueError(f"position must have 3 components, got {len(pos)}")
         object.__setattr__(self, "position", pos)
@@ -146,28 +153,62 @@ class MoleculeGraph:
         return components
 
 
-def new_graph(atoms: Iterable[Atom]) -> MoleculeGraph:
-    """Build a bond-free graph, rejecting non-finite positions."""
+def _bond_key(n_atoms: int, present: set[tuple[int, int]], i: int, j: int) -> tuple[int, int]:
+    """The (min, max) pair of a new bond between atoms i and j.
+
+    Raises IndexOutOfRange, SelfLoop or DuplicateBond (a pair in `present`).
+    """
+    for idx in (i, j):
+        if not 0 <= idx < n_atoms:
+            raise IndexOutOfRange(f"atom index {idx} outside [0, {n_atoms})")
+    if i == j:
+        raise SelfLoop(f"bond endpoints identical: {i}")
+    key = (min(i, j), max(i, j))
+    if key in present:
+        raise DuplicateBond(f"bond {key} already present")
+    return key
+
+
+def new_graph(atoms: Iterable[Atom], bonds: Iterable[tuple[int, int, BondType]] = ()) -> MoleculeGraph:
+    """Build a graph from atoms and (i, j, type) bonds.
+
+    Non-finite positions raise NonFinitePosition.  Bonds are checked in list
+    order, as successive `add_bond` calls would check them, and stored sorted
+    with i < j.
+    """
     atoms = tuple(atoms)
     for idx, atom in enumerate(atoms):
         if not all(math.isfinite(c) for c in atom.position):
             raise NonFinitePosition(f"atom {idx} has non-finite position {atom.position}")
-    return MoleculeGraph(atoms=atoms, bonds=())
+    present: set[tuple[int, int]] = set()
+    checked = []
+    for i, j, bond_type in bonds:
+        key = _bond_key(len(atoms), present, i, j)
+        present.add(key)
+        checked.append((key[0], key[1], bond_type))
+    return MoleculeGraph(atoms=atoms, bonds=tuple(sorted(checked)))
 
 
 def add_bond(graph: MoleculeGraph, i: int, j: int, bond_type: BondType) -> MoleculeGraph:
     """Return a new graph with one extra bond; duplicates and self-loops are rejected."""
-    n = graph.n_atoms
-    for idx in (i, j):
-        if not 0 <= idx < n:
-            raise IndexOutOfRange(f"atom index {idx} outside [0, {n})")
-    if i == j:
-        raise SelfLoop(f"bond endpoints identical: {i}")
-    key = (min(i, j), max(i, j))
-    if any((b[0], b[1]) == key for b in graph.bonds):
-        raise DuplicateBond(f"bond {key} already present")
+    key = _bond_key(graph.n_atoms, {(a, b) for a, b, _ in graph.bonds}, i, j)
     bonds = tuple(sorted(graph.bonds + ((key[0], key[1], bond_type),)))
     return MoleculeGraph(atoms=graph.atoms, bonds=bonds)
+
+
+def subgraph(graph: MoleculeGraph, keep: Sequence[int]) -> MoleculeGraph:
+    """The atoms at `keep`, in that order, and every bond between two of them.
+
+    Bonds are renumbered to positions in `keep`, oriented i < j and kept in
+    input order.
+    """
+    new_index = {old: new for new, old in enumerate(keep)}
+    bonds = tuple([
+        (min(new_index[i], new_index[j]), max(new_index[i], new_index[j]), t)
+        for i, j, t in graph.bonds
+        if i in new_index and j in new_index
+    ])
+    return MoleculeGraph(atoms=tuple([graph.atoms[i] for i in keep]), bonds=bonds)
 
 
 def pairwise_distance(graph: MoleculeGraph, i: int, j: int) -> float:
@@ -187,19 +228,3 @@ def graph_to_dict(graph: MoleculeGraph) -> dict:
         "atoms": [{"z": a.atomic_number, "xyz": list(a.position)} for a in graph.atoms],
         "bonds": [[i, j, t.value] for i, j, t in graph.bonds],
     }
-
-
-def graph_from_dict(payload: dict) -> MoleculeGraph:
-    atoms = [Atom(int(a["z"]), tuple(a["xyz"])) for a in payload.get("atoms", [])]
-    graph = new_graph(atoms)
-    for i, j, label in payload.get("bonds", []):
-        graph = add_bond(graph, int(i), int(j), BondType(label))
-    return graph
-
-
-def graph_to_json(graph: MoleculeGraph) -> str:
-    return json.dumps(graph_to_dict(graph), sort_keys=True)
-
-
-def graph_from_json(text: str) -> MoleculeGraph:
-    return graph_from_dict(json.loads(text))

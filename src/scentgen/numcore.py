@@ -80,31 +80,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, tracked={self._tracked()})"
 
-    # Operator sugar; every op routes through the module-level functions.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(as_tensor(other), self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(np.asarray(value, dtype=np.float64))
@@ -362,9 +337,6 @@ class ParamStore:
         except KeyError:
             raise UnknownParam(name) from None
 
-    def __len__(self) -> int:
-        return len(self._params)
-
     def names(self) -> list[str]:
         return sorted(self._params)
 
@@ -373,10 +345,6 @@ class ParamStore:
         # (e.g. the last layer's coordinate MLP) legitimately have zero gradient.
         for t in self._params.values():
             t.grad = np.zeros_like(t.data)
-
-    @property
-    def gradients(self) -> dict[str, np.ndarray | None]:
-        return {name: self._params[name].grad for name in self.names()}
 
 
 def linear(params: ParamStore, name: str, x: Tensor) -> Tensor:

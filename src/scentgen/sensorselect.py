@@ -54,6 +54,13 @@ def _names(value, field: str) -> list[str]:
     return [str(v) for v in value]
 
 
+def _object(value, what: str) -> dict:
+    """`value` itself if it is a JSON object; `ValueError` otherwise."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be an object, got {type(value).__name__}")
+    return value
+
+
 @dataclass(frozen=True)
 class SensorCatalog:
     sensors: tuple[Sensor, ...]
@@ -71,16 +78,12 @@ class SensorCatalog:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "SensorCatalog":
+        entries = [_object(e, "sensor entry") for e in payload["sensors"]]
         sensors = tuple(
             Sensor(str(e["id"]), frozenset(_names(e["detects"], "detects")), float(e.get("cost", 1.0)))
-            for e in payload["sensors"]
+            for e in entries
         )
         return cls(sensors)
-
-    @classmethod
-    def from_json(cls, path: str | Path) -> "SensorCatalog":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
 
 
 @dataclass(frozen=True)
@@ -268,7 +271,7 @@ def bundled_scenario_path() -> Path:
 def load_scenario(path: str | Path) -> tuple[CoverageProblem, list[str]]:
     """Scenario file: {"sensors": [...], "targets": [...], "current": [...]}."""
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+        payload = _object(json.load(fh), "scenario")
     catalog = SensorCatalog.from_dict(payload)
     targets = frozenset(_names(payload["targets"], "targets"))
     current = _names(payload.get("current", []), "current")

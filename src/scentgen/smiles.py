@@ -5,9 +5,11 @@ lowercase forms, bracket atoms for every other element, bond symbols - = # :,
 branches, ring closures (1-9 and %nn), and dot-separated fragments.  Not
 supported: stereo descriptors, isotopes, charges, and explicit H counts.
 
+The parser checks and builds its graph in one `molgraph.new_graph` call.
 Canonical strings come from invariant refinement followed by an exact
 tie-break search that prunes branches related by automorphisms of the graph,
-so every graph gets its canonical string, however symmetric.
+so every graph gets its canonical string, however symmetric.  Each connected
+component (`molgraph.subgraph`) is canonicalized on its own.
 """
 
 from __future__ import annotations
@@ -22,11 +24,10 @@ from .molgraph import (
     ELEMENT_SYMBOLS,
     Atom,
     BondType,
-    DuplicateBond,
     MoleculeGraph,
     UnknownElement,
-    add_bond,
     new_graph,
+    subgraph,
 )
 
 ORGANIC_SUBSET = ("Cl", "Br", "B", "C", "N", "O", "P", "S", "F", "I")
@@ -214,13 +215,7 @@ def parse(text: str) -> MoleculeGraph:
         digit, (_, _, pos) = sorted(ring_open.items())[0]
         raise SmilesSyntaxError(pos, f"unclosed ring closure {digit}")
 
-    graph = new_graph(Atom(a.atomic_number) for a in atoms)
-    for i_, j_, t in bonds:
-        try:
-            graph = add_bond(graph, i_, j_, t)
-        except DuplicateBond as exc:  # pragma: no cover - pre-checked above
-            raise SmilesSyntaxError(0, str(exc))
-    return graph
+    return new_graph([Atom(a.atomic_number) for a in atoms], bonds)
 
 
 def _lowercase_atoms(graph: MoleculeGraph) -> set[int]:
@@ -291,38 +286,18 @@ def _write_component(
     adj: dict[int, list[tuple[int, BondType]]],
 ) -> str:
     start = min(comp, key=lambda i: ranks[i])
-    bond_of = graph.bond_map()
 
     # Depth-first spanning tree; non-tree edges become ring closures.
-    visited = {start}
-    emit_seq: list[int] = [start]
+    emit_index = {start: 0}
     tree_children: dict[int, list[int]] = {u: [] for u in comp}
-    closures: list[tuple[int, int]] = []
-    closure_keys: set[tuple[int, int]] = set()
-
-    def scout(u: int, parent: int | None) -> None:
-        for v, _t in adj[u]:
-            if v == parent:
-                continue
-            if v in visited:
-                key = (min(u, v), max(u, v))
-                if key not in closure_keys:
-                    closure_keys.add(key)
-                    closures.append((v, u))
-            else:
-                visited.add(v)
-                emit_seq.append(v)
-                tree_children[u].append(v)
-                scout(v, u)
-
-    scout(start, None)
-    emit_index = {u: k for k, u in enumerate(emit_seq)}
+    closures: dict[tuple[int, int], tuple[int, int]] = {}
+    _scout(start, None, adj, emit_index, tree_children, closures)
 
     # Allocate ring-closure digits by opening position, reusing closed digits.
     closure_at: dict[int, list[tuple[int, int]]] = {}  # atom -> [(partner, digit)]
     in_use: dict[int, int] = {}  # digit -> emit index where it closes
     events = sorted(
-        closures,
+        closures.values(),
         key=lambda pair: (
             min(emit_index[pair[0]], emit_index[pair[1]]),
             max(emit_index[pair[0]], emit_index[pair[1]]),
@@ -340,28 +315,59 @@ def _write_component(
         closure_at.setdefault(first, []).append((second, digit))
         closure_at.setdefault(second, []).append((first, digit))
 
-    def digit_token(d: int) -> str:
-        return str(d) if d < 10 else f"%{d:02d}"
+    return _emit(start, graph, graph.bond_map(), lowercase, emit_index, tree_children, closure_at)
 
-    def emit(u: int, parent: int | None) -> str:
-        out = [_atom_token(graph.atoms[u].atomic_number, u in lowercase)]
-        for partner, digit in sorted(closure_at.get(u, []), key=lambda pd: emit_index[pd[0]]):
-            if emit_index[u] < emit_index[partner]:
-                key = (min(u, partner), max(u, partner))
-                out.append(_bond_token(bond_of[key], u in lowercase, partner in lowercase))
-            out.append(digit_token(digit))
-        children = tree_children[u]
-        for pos, v in enumerate(children):
-            key = (min(u, v), max(u, v))
-            bond = _bond_token(bond_of[key], u in lowercase, v in lowercase)
-            sub = bond + emit(v, u)
-            if pos < len(children) - 1:
-                out.append(f"({sub})")
-            else:
-                out.append(sub)
-        return "".join(out)
 
-    return emit(start, None)
+def _scout(
+    u: int,
+    parent: int | None,
+    adj: dict[int, list[tuple[int, BondType]]],
+    emit_index: dict[int, int],
+    tree_children: dict[int, list[int]],
+    closures: dict[tuple[int, int], tuple[int, int]],
+) -> None:
+    """Visit the unvisited neighbours of `u` depth first, numbering atoms in visit order.
+
+    Tree edges go to `tree_children`; every other edge becomes a ring closure,
+    keyed by its (min, max) pair.
+    """
+    for v, _t in adj[u]:
+        if v == parent:
+            continue
+        if v in emit_index:
+            closures.setdefault((min(u, v), max(u, v)), (v, u))
+        else:
+            emit_index[v] = len(emit_index)
+            tree_children[u].append(v)
+            _scout(v, u, adj, emit_index, tree_children, closures)
+
+
+def _emit(
+    u: int,
+    graph: MoleculeGraph,
+    bond_of: dict[tuple[int, int], BondType],
+    lowercase: set[int],
+    emit_index: dict[int, int],
+    tree_children: dict[int, list[int]],
+    closure_at: dict[int, list[tuple[int, int]]],
+) -> str:
+    """The SMILES text of the spanning subtree below `u`."""
+    out = [_atom_token(graph.atoms[u].atomic_number, u in lowercase)]
+    for partner, digit in sorted(closure_at.get(u, []), key=lambda pd: emit_index[pd[0]]):
+        if emit_index[u] < emit_index[partner]:
+            key = (min(u, partner), max(u, partner))
+            out.append(_bond_token(bond_of[key], u in lowercase, partner in lowercase))
+        out.append(str(digit) if digit < 10 else f"%{digit:02d}")
+    children = tree_children[u]
+    for pos, v in enumerate(children):
+        key = (min(u, v), max(u, v))
+        bond = _bond_token(bond_of[key], u in lowercase, v in lowercase)
+        sub = bond + _emit(v, graph, bond_of, lowercase, emit_index, tree_children, closure_at)
+        if pos < len(children) - 1:
+            out.append(f"({sub})")
+        else:
+            out.append(sub)
+    return "".join(out)
 
 
 _BOND_RANK = {BondType.SINGLE: 1, BondType.DOUBLE: 2, BondType.TRIPLE: 3, BondType.AROMATIC: 4}
@@ -430,59 +436,59 @@ def _canonical_component(graph: MoleculeGraph) -> str:
         adj[j].append((_BOND_RANK[t], i))
     edges = [(i, j, _BOND_RANK[t]) for i, j, t in graph.bonds]
     first: list = []  # path, certificate and atom-per-rank of the first leaf
-    automorphisms: list[list[int]] = []
     written: dict[tuple, str] = {}  # certificate -> its string
-
-    def search(ranks: list[int], path: list[int]) -> int:
-        """Explore below `path`; return the depth at which the search resumes."""
-        groups: dict[int, list[int]] = {}
-        for idx, r in enumerate(ranks):
-            groups.setdefault(r, []).append(idx)
-        tied = [r for r, members in groups.items() if len(members) > 1]
-        if not tied:
-            at_rank = [groups[r][0] for r in range(len(ranks))]
-            certificate = (
-                tuple(numbers[i] for i in at_rank),
-                tuple(sorted((min(ranks[i], ranks[j]), max(ranks[i], ranks[j]), b) for i, j, b in edges)),
-            )
-            if not first:
-                first.extend((path, certificate, at_rank))
-            elif certificate == first[1]:
-                first_path, _, first_at_rank = first
-                automorphisms.append([first_at_rank[r] for r in ranks])
-                return next(k for k, (a, b) in enumerate(zip(path, first_path)) if a != b)
-            if certificate not in written:
-                written[certificate] = write(graph, _ranks=ranks)
-            return len(path)
-        target = min(tied)
-        explored: list[int] = []
-        for pick in groups[target]:
-            if explored and automorphisms:
-                orbit = _orbits(automorphisms, path)
-                if any(orbit[pick] == orbit[done] for done in explored):
-                    continue
-            explored.append(pick)
-            keys = [(r, 0 if (r != target or idx == pick) else 1) for idx, r in enumerate(ranks)]
-            depth = search(_refine(adj, _dense(keys)), path + [pick])
-            if depth < len(path):
-                return depth
-        return len(path)
-
-    search(_refine(adj, _initial_ranks(adj, numbers)), [])
+    _search(_refine(adj, _initial_ranks(adj, numbers)), [], graph, adj, edges, first, [], written)
     return min(written.values())
 
 
-def _subgraph(graph: MoleculeGraph, indices: list[int]) -> MoleculeGraph:
-    remap = {old: new for new, old in enumerate(indices)}
-    atoms = tuple(graph.atoms[i] for i in indices)
-    bonds = tuple(
-        sorted(
-            (min(remap[i], remap[j]), max(remap[i], remap[j]), t)
-            for i, j, t in graph.bonds
-            if i in remap and j in remap
+def _search(
+    ranks: list[int],
+    path: list[int],
+    graph: MoleculeGraph,
+    adj: list[list[tuple[int, int]]],
+    edges: list[tuple[int, int, int]],
+    first: list,
+    automorphisms: list[list[int]],
+    written: dict[tuple, str],
+) -> int:
+    """Explore the search tree below `path`; return the depth at which the search resumes.
+
+    `first` receives the first leaf's path, certificate and atom per rank,
+    `automorphisms` each automorphism found, and `written` the string of each
+    new certificate.
+    """
+    groups: dict[int, list[int]] = {}
+    for idx, r in enumerate(ranks):
+        groups.setdefault(r, []).append(idx)
+    tied = [r for r, members in groups.items() if len(members) > 1]
+    if not tied:
+        at_rank = [groups[r][0] for r in range(len(ranks))]
+        certificate = (
+            tuple([graph.atoms[i].atomic_number for i in at_rank]),
+            tuple(sorted((min(ranks[i], ranks[j]), max(ranks[i], ranks[j]), b) for i, j, b in edges)),
         )
-    )
-    return MoleculeGraph(atoms=atoms, bonds=bonds)
+        if not first:
+            first.extend((path, certificate, at_rank))
+        elif certificate == first[1]:
+            first_path, _, first_at_rank = first
+            automorphisms.append([first_at_rank[r] for r in ranks])
+            return next(k for k, (a, b) in enumerate(zip(path, first_path)) if a != b)
+        if certificate not in written:
+            written[certificate] = write(graph, _ranks=ranks)
+        return len(path)
+    target = min(tied)
+    explored: list[int] = []
+    for pick in groups[target]:
+        if explored and automorphisms:
+            orbit = _orbits(automorphisms, path)
+            if any(orbit[pick] == orbit[done] for done in explored):
+                continue
+        explored.append(pick)
+        keys = [(r, 0 if (r != target or idx == pick) else 1) for idx, r in enumerate(ranks)]
+        depth = _search(_refine(adj, _dense(keys)), path + [pick], graph, adj, edges, first, automorphisms, written)
+        if depth < len(path):
+            return depth
+    return len(path)
 
 
 def canonicalize(graph: MoleculeGraph) -> str:
@@ -497,5 +503,5 @@ def canonicalize(graph: MoleculeGraph) -> str:
     """
     if graph.n_atoms == 0:
         return ""
-    pieces = [_canonical_component(_subgraph(graph, comp)) for comp in graph.connected_components()]
+    pieces = [_canonical_component(subgraph(graph, comp)) for comp in graph.connected_components()]
     return ".".join(sorted(pieces))

@@ -11,7 +11,7 @@ import networkx as nx
 import pytest
 
 from scentgen import smiles
-from scentgen.molgraph import Atom, BondType, MoleculeGraph
+from scentgen.molgraph import Atom, BondType, MoleculeGraph, subgraph
 from test_acceptance import connected_topologies
 
 _BOND_RANK = {BondType.SINGLE: 1, BondType.DOUBLE: 2, BondType.TRIPLE: 3, BondType.AROMATIC: 4}
@@ -71,7 +71,7 @@ def oracle_canonicalize(graph: MoleculeGraph) -> str:
     if graph.n_atoms == 0:
         return ""
     pieces = [
-        _exhaustive_component(smiles._subgraph(graph, comp)) for comp in graph.connected_components()
+        _exhaustive_component(subgraph(graph, comp)) for comp in graph.connected_components()
     ]
     return ".".join(sorted(pieces))
 

@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scentgen import smiles
 from scentgen.chemrules import (
     DEFAULT_VALENCES,
+    StageResult,
     aromaticity_and_charge_check,
     check_atomic_range,
     dedup_edges,
@@ -18,7 +21,7 @@ from scentgen.chemrules import (
     valid_aromatic_bonds,
     CASCADE_STAGES,
 )
-from scentgen.molgraph import Atom, BondType, MoleculeGraph, UnknownElement, add_bond, new_graph
+from scentgen.molgraph import MAX_ATOMIC_NUMBER, Atom, BondType, MoleculeGraph, UnknownElement, add_bond, new_graph
 
 
 def chain(*z_list, bond=BondType.SINGLE):
@@ -297,6 +300,58 @@ def test_sanitize_idempotent(rng):
         once = sanitize(g)
         twice = sanitize(once.graph)
         assert twice.graph == once.graph
+
+
+def _remap_then_dedup(graph):
+    """Stages 1 and 2 as `sanitize` wrote them before `molgraph.subgraph`: the oracle."""
+    keep = [i for i, a in enumerate(graph.atoms) if 1 <= a.atomic_number <= MAX_ATOMIC_NUMBER]
+    dropped = graph.n_atoms - len(keep)
+    remap = {old: new for new, old in enumerate(keep)}
+    atoms = tuple(graph.atoms[i] for i in keep)
+    bonds_kept = [(remap[i], remap[j], t) for i, j, t in graph.bonds if i in remap and j in remap]
+    if not atoms:
+        range_stage = StageResult("atomic_range", False, f"no atoms remain (dropped {dropped})")
+    else:
+        range_stage = StageResult("atomic_range", True, f"dropped {dropped} atom(s)")
+    deduped = dedup_edges(bonds_kept)
+    dedup_stage = StageResult("edge_dedup", True, f"removed {len(bonds_kept) - len(deduped)} edge(s)")
+    normalized = tuple(sorted((min(i, j), max(i, j), t) for i, j, t in deduped))
+    return MoleculeGraph(atoms=atoms, bonds=normalized), [range_stage, dedup_stage]
+
+
+@st.composite
+def raw_graphs(draw):
+    """Graphs built directly, with whatever atoms and bonds the constructor takes.
+
+    Atomic numbers include values outside [1, 118] and elements without a
+    valence entry; bonds include duplicates, reversed pairs, self-loops and
+    indices outside the atom list.
+    """
+    numbers = draw(st.lists(
+        st.sampled_from((6, 6, 6, 7, 8, 16, 1, 9, 17, 15, 5, 2, 11, 118, 0, -4, 119, 300)), max_size=8
+    ))
+    n = len(numbers)
+    bonds = draw(st.lists(
+        st.tuples(st.integers(-1, n), st.integers(-1, n), st.sampled_from(list(BondType))), max_size=12
+    ))
+    if bonds and draw(st.booleans()):
+        i, j, t = draw(st.sampled_from(bonds))
+        bonds.append((j, i, draw(st.sampled_from(list(BondType)))))
+    return MoleculeGraph(atoms=tuple(Atom(z) for z in numbers), bonds=tuple(bonds))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(raw_graphs())
+def test_sanitize_property_total_idempotent_and_matches_remap_oracle(graph):
+    result = sanitize(graph)
+    assert sanitize(graph) == result
+    corrected, first_stages = _remap_then_dedup(graph)
+    assert result.graph == corrected
+    assert result.report.stages[:2] == first_stages
+    again = sanitize(result.graph)
+    assert again.graph == result.graph
+    assert [s.passed for s in again.report.stages] == [s.passed for s in result.report.stages]
+    assert again.report.stages[2:] == result.report.stages[2:]
 
 
 def test_sanitize_report_stage_order_fixed(rng):

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from scentgen import cli, dataio, sensorselect
+from scentgen import cli, dataio, diffusion, numcore, sensorselect
 from scentgen.cli import EXIT_BAD_INPUT, EXIT_DIVERGED, EXIT_INVALID, EXIT_OK
 
 
@@ -355,6 +355,48 @@ def test_metrics_plot_missing_column(tmp_path, capsys):
     csv.write_text("epoch,mse_loss\n1,1.0\n")
     code, _, _ = run_cli(capsys, "metrics-plot", str(csv), "--out", str(tmp_path / "x.svg"))
     assert code == EXIT_BAD_INPUT
+
+
+# ---------------------------------------------------------------- bad input
+
+SCENARIO_SENSOR = {"id": "A", "detects": ["NO"], "cost": 1.0}
+
+# name -> (subcommand and extra arguments, files to write as JSON)
+BAD_INPUTS = {
+    "generate --n-atoms 0": (["generate", "--n-atoms", "0"], {}),
+    "generate --tau 0": (["generate", "--tau", "0"], {}),
+    "train --tau 0": (["train", "--tau", "0"], {}),
+    "train --tau nan": (["train", "--tau", "nan"], {}),
+    "count not an integer": (["generate"], {"query.json": {"descriptors": [], "count": "x"}}),
+    "query is a list": (["generate"], {"query.json": [{"count": 1}]}),
+    "config is a list": (["train", "--config", "{tmp}/config.json"], {"config.json": [{"epochs": 1}]}),
+    "query is a directory": (["generate", "--query", "{tmp}"], {}),
+    "scenario is a list": (["select-sensors", "{tmp}/scenario.json"], {"scenario.json": [SCENARIO_SENSOR]}),
+    "sensor entry not an object": (
+        ["select-sensors", "{tmp}/scenario.json"],
+        {"scenario.json": {"targets": ["NO"], "sensors": [SCENARIO_SENSOR, "B"]}},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_bad_input_exits_2(tmp_path, tiny_csv, capsys, case):
+    argv, files = BAD_INPUTS[case]
+    checkpoint = tmp_path / "model.json"
+    numcore.save_checkpoint(diffusion.init_params(2), str(checkpoint), {"vocabulary": ["floral", "sweet"]})
+    (tmp_path / "query.json").write_text(json.dumps({"descriptors": ["floral"], "count": 1}))
+    for name, payload in files.items():
+        (tmp_path / name).write_text(json.dumps(payload))
+    out = tmp_path / "out"
+    base = {
+        "generate": ["--checkpoint", str(checkpoint), "--query", str(tmp_path / "query.json"), "--out", str(out)],
+        "train": ["--data", str(tiny_csv), "--out", str(out), "--epochs", "1", "--steps", "800"],
+        "select-sensors": [],
+    }[argv[0]]
+    code, stdout, err = run_cli(capsys, argv[0], *base, *(a.format(tmp=tmp_path) for a in argv[1:]))
+    assert code == EXIT_BAD_INPUT
+    assert stdout == "" and not out.exists()
+    assert err.startswith("error: ") and "internal error" not in err
 
 
 # ------------------------------------------------------------- entry point

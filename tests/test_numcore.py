@@ -319,6 +319,6 @@ def test_paramstore_gradients_view(rng):
     params = ParamStore()
     w = params.add("w", np.ones(3))
     params.zero_grad()
-    assert np.array_equal(params.gradients["w"], np.zeros(3))
+    assert np.array_equal(w.grad, np.zeros(3))
     with pytest.raises(UnknownParam):
         params["ghost"]

@@ -1,3 +1,4 @@
+import gc
 import itertools
 
 import networkx as nx
@@ -304,3 +305,29 @@ def test_canonical_property_permutation_invariant_and_round_trips(case):
     canonical = canonicalize(g)
     assert canonicalize(permuted(g, list(perm))) == canonical
     assert isomorphic(parse(canonical), g)
+
+
+PETN = parse("C(CON(=O)=O)(CON(=O)=O)(CON(=O)=O)CON(=O)=O")
+NAPHTHALENE = parse("c1ccc2ccccc2c1")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: canonicalize(PETN), id="canonicalize-PETN"),
+        pytest.param(lambda: write(PETN), id="write-PETN"),
+        pytest.param(lambda: chemrules.sanitize(NAPHTHALENE), id="sanitize-naphthalene"),
+        pytest.param(lambda: parse("c1ccc2cc(CON(=O)=O)ccc2c1"), id="parse"),
+    ],
+)
+def test_calls_leave_no_reference_cycles(call):
+    """Reference counting frees everything a call builds; the cyclic collector finds nothing."""
+    call()
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(20):
+            call()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
