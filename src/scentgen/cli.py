@@ -85,6 +85,8 @@ def cmd_ingest(args) -> int:
         vocab, molecules = dataio.load_csv(args.data)
     except FileNotFoundError:
         raise _fail(f"dataset not found: {args.data}")
+    except IsADirectoryError:
+        raise _fail(f"dataset is a directory: {args.data}")
     except dataio.EmptyDataset as exc:
         raise _fail(str(exc))
     summary = {
@@ -132,6 +134,8 @@ def cmd_train(args) -> int:
         split = dataio.split_80_20(molecules, config.seed)
     except FileNotFoundError:
         raise _fail(f"dataset not found: {args.data}")
+    except IsADirectoryError:
+        raise _fail(f"dataset is a directory: {args.data}")
     except (dataio.EmptyDataset, dataio.TooFewSamples) as exc:
         raise _fail(str(exc))
     examples = dataio.to_training_examples(split.train, vocab)
@@ -164,6 +168,8 @@ def cmd_generate(args) -> int:
         params, meta = numcore.load_checkpoint(args.checkpoint)
     except FileNotFoundError:
         raise _fail(f"checkpoint not found: {args.checkpoint}")
+    except IsADirectoryError:
+        raise _fail(f"checkpoint is a directory: {args.checkpoint}")
     except (ValueError, KeyError) as exc:
         raise _fail(f"unusable checkpoint {args.checkpoint}: {exc}")
     query = _read_json(args.query)
@@ -215,6 +221,8 @@ def cmd_generate(args) -> int:
         corpus = dataio.load_corpus(corpus_path)
     except FileNotFoundError:
         raise _fail(f"corpus not found: {corpus_path}")
+    except IsADirectoryError:
+        raise _fail(f"corpus is a directory: {corpus_path}")
 
     reports = []
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -266,6 +274,8 @@ def cmd_select_sensors(args) -> int:
         problem, current = sensorselect.load_scenario(args.scenario)
     except FileNotFoundError:
         raise _fail(f"scenario not found: {args.scenario}")
+    except IsADirectoryError:
+        raise _fail(f"scenario is a directory: {args.scenario}")
     except (json.JSONDecodeError, KeyError, ValueError) as exc:
         raise _fail(f"malformed scenario {args.scenario}: {exc}")
     if args.mode == "add":
@@ -336,6 +346,8 @@ def cmd_metrics_plot(args) -> int:
         metrics = diffusion.read_metrics_csv(args.metrics_csv)
     except FileNotFoundError:
         raise _fail(f"metrics CSV not found: {args.metrics_csv}")
+    except IsADirectoryError:
+        raise _fail(f"metrics CSV is a directory: {args.metrics_csv}")
     except (ValueError, KeyError) as exc:
         raise _fail(f"malformed metrics CSV: {exc}")
     if not metrics:

@@ -10,13 +10,20 @@ One denoiser pass can cover several molecules at once: they are fragments of
 one block-diagonal graph, each with its own timestep and descriptor row.
 Training runs every minibatch that way, as one forward, one loss and one
 backward pass; sampling passes a single molecule, a batch of one.
+
+What a pass derives from its descriptors, timesteps and fragment ids does not
+change along a reverse trajectory or within a batch.  `denoiser_constants`
+builds it once: the conditioning projection of `y`, the time embedding of
+every step needed, and the `egnn.EdgeLayout`.  Sampling builds one per
+trajectory over all T steps, `batch_loss` one per minibatch, and every
+`denoiser_forward` reads from it; called without one, a pass builds its own.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -130,6 +137,74 @@ class DenoiserOutput:
     coords: Tensor
 
 
+@dataclass(frozen=True)
+class DenoiserConstants:
+    """What every denoiser pass of one trajectory, or of one training batch, shares.
+
+    `context` holds rows of [time embedding, conditioning vector], and
+    `steps[k]` is the timestep of row k.  With one descriptor shared by every
+    fragment, there is a row per step, and a pass at step t gives every node
+    the row of t.  With one descriptor row per fragment (`per_fragment`),
+    row f is fragment f's at its own step, and a pass must run at `steps`.
+    """
+
+    layout: egnn.EdgeLayout
+    steps: np.ndarray
+    context: Tensor
+    per_fragment: bool
+    _row_of_step: dict[int, int] = field(default_factory=dict, repr=False, compare=False)
+
+    def node_rows(self, t: int | np.ndarray) -> np.ndarray:
+        """The context row of every node in a pass at `t`, which `denoiser_constants` covered."""
+        if self.per_fragment:
+            if not np.array_equal(np.reshape(t, -1), self.steps):
+                raise ValueError("a pass over per-fragment descriptor rows must run at the prepared steps")
+            return self.layout.fragment_ids
+        if isinstance(t, np.ndarray):
+            raise numcore.ShapeMismatch(f"{t.size} timesteps vs 1 descriptor row")
+        row = self._row_of_step.get(t)
+        if row is None:
+            raise ValueError(f"step {t} was not prepared")
+        return np.full(self.layout.n_nodes, row, dtype=np.int64)
+
+
+def denoiser_constants(
+    steps: int | Sequence[int] | np.ndarray,
+    schedule: NoiseSchedule,
+    y: np.ndarray,
+    params: ParamStore,
+    fragment_ids: np.ndarray,
+) -> DenoiserConstants:
+    """Embed `y` once and `steps` once, and build the edge layout of `fragment_ids`.
+
+    `y` is either one descriptor vector shared by every fragment, with
+    `steps` one timestep or several (all of 1..T for a reverse trajectory),
+    or an [F, L] ndarray of one row per fragment, with `steps` an array of
+    one timestep per fragment.  Raises `StepOutOfRange` for a step outside
+    [1, T], `numcore.ShapeMismatch` when the counts of steps and descriptor
+    rows disagree, and what `condition_embed` raises for a bad `y`.
+    """
+    step_list = np.asarray(steps, dtype=np.int64).reshape(-1)
+    for step in step_list.tolist():
+        beta_at(schedule, step)
+    time_rows, cond_rows = time_embed(step_list, schedule.steps, params), condition_embed(y, params)
+    per_fragment = isinstance(y, np.ndarray) and y.ndim == 2
+    if time_rows.data.shape[0] != cond_rows.data.shape[0]:
+        if per_fragment:
+            raise numcore.ShapeMismatch(
+                f"{time_rows.data.shape[0]} timesteps vs {cond_rows.data.shape[0]} descriptor rows"
+            )
+        # the one conditioning row, next to every step's time row
+        cond_rows = numcore.gather(cond_rows, np.zeros(step_list.size, dtype=np.int64))
+    return DenoiserConstants(
+        egnn.edge_layout(fragment_ids),
+        step_list,
+        numcore.concat([time_rows, cond_rows], axis=1),
+        per_fragment,
+        {} if per_fragment else {step: row for row, step in enumerate(step_list.tolist())},
+    )
+
+
 def denoiser_forward(
     x_noisy: np.ndarray,
     coords: np.ndarray,
@@ -139,6 +214,7 @@ def denoiser_forward(
     y: np.ndarray,
     params: ParamStore,
     fragment_ids: np.ndarray | None = None,
+    constants: DenoiserConstants | None = None,
 ) -> DenoiserOutput:
     """One denoising pass over a (possibly multi-fragment) noisy graph.
 
@@ -148,9 +224,12 @@ def denoiser_forward(
     one fragment).  Either `t` is one timestep and `y` one descriptor vector,
     shared by every fragment, or `t` is an array of one step per fragment and
     `y` an [F, L] array of one row per fragment, picked by fragment ids in
-    [0, F).  Outputs that hold a non-finite value are passed through
-    nan_to_num in place; the caller's `x_noisy` and `coords` are never
-    written or aliased.
+    [0, F).  `constants` is `denoiser_constants` over these steps (or more),
+    `y`, `schedule` and fragment ids; it replaces the embedding of `y` and
+    `t` and the edge build, and without it the pass builds its own.  A step
+    it does not cover raises ValueError (`StepOutOfRange` without it).
+    Outputs that hold a non-finite value are passed through nan_to_num in
+    place; the caller's `x_noisy` and `coords` are never written or aliased.
     """
     x_noisy = np.asarray(x_noisy, dtype=np.float64).reshape(-1, 1)
     coords = np.asarray(coords, dtype=np.float64).reshape(-1, 3)
@@ -159,23 +238,18 @@ def denoiser_forward(
         raise ValueError("denoiser_forward requires at least one node")
     if coords.shape[0] != n:
         raise numcore.ShapeMismatch(f"{n} features vs {coords.shape[0]} coordinate rows")
-    frag = np.zeros(n, dtype=np.int64) if fragment_ids is None else np.asarray(fragment_ids, dtype=np.int64)
-    if frag.shape != (n,):
-        raise numcore.ShapeMismatch(f"{n} nodes vs fragment ids of shape {frag.shape}")
-    for step in t.reshape(-1).tolist() if isinstance(t, np.ndarray) else (t,):
-        beta_at(schedule, step)
+    if constants is None:
+        frag = np.zeros(n, dtype=np.int64) if fragment_ids is None else np.asarray(fragment_ids, dtype=np.int64)
+        if frag.shape != (n,):
+            raise numcore.ShapeMismatch(f"{n} nodes vs fragment ids of shape {frag.shape}")
+        constants = denoiser_constants(t, schedule, y, params, frag)
+    elif constants.layout.n_nodes != n:
+        raise numcore.ShapeMismatch(f"{n} nodes vs constants for {constants.layout.n_nodes}")
 
-    time_rows, cond_rows = time_embed(t, schedule.steps, params), condition_embed(y, params)
-    if time_rows.data.shape[0] != cond_rows.data.shape[0]:
-        raise numcore.ShapeMismatch(
-            f"{time_rows.data.shape[0]} timesteps vs {cond_rows.data.shape[0]} descriptor rows"
-        )
-    # One [time, condition] row per fragment, or one row every fragment shares.
-    context = numcore.concat([time_rows, cond_rows], axis=1)
-    rows = frag if context.data.shape[0] > 1 else np.zeros(n, dtype=np.int64)
-    node_input = numcore.concat([Tensor(x_noisy), numcore.gather(context, rows)], axis=1)
+    context = numcore.gather(constants.context, constants.node_rows(t))
+    node_input = numcore.concat([Tensor(x_noisy), context], axis=1)
     hidden = numcore.linear(params, "input_proj", node_input)
-    state = egnn.egnn_forward(NodeState(hidden, Tensor(coords)), params, frag)
+    state = egnn.egnn_forward(NodeState(hidden, Tensor(coords)), params, constants.layout)
     eps_hat = numcore.linear(params, "head", state.features)
     bond_logits = bond_head(state.features, bond_edges, params)
 

@@ -230,8 +230,11 @@ def sample(
     steps_executed = 0
     embeddings = np.zeros((n, diffusion.HIDDEN_DIM))
     with numcore.no_grad():
+        constants = diffusion.denoiser_constants(
+            np.arange(1, config.steps + 1), schedule, y, params, np.zeros(n, dtype=np.int64)
+        )
         for t in range(config.steps, 0, -1):
-            out = diffusion.denoiser_forward(x, coords, (), t, schedule, y, params)
+            out = diffusion.denoiser_forward(x, coords, (), t, schedule, y, params, constants=constants)
             sqrt_bt = math.sqrt(beta_at(schedule, t))
             sqrt_bt_prev = math.sqrt(beta_at(schedule, t - 1)) if t > 1 else 0.0
             x = np.clip(x - (sqrt_bt - sqrt_bt_prev) * out.eps_hat.data, -1e4, 1e4)

@@ -10,6 +10,7 @@ versioned JSON checkpoint format.
 from __future__ import annotations
 
 import json
+import math
 from contextlib import contextmanager
 from typing import Callable, Sequence
 
@@ -246,28 +247,66 @@ def concat(parts: Sequence[Tensor], axis: int = 1) -> Tensor:
     return _make(out_data, tuple(parts), bw)
 
 
+def scatter_index(index: np.ndarray, width: int) -> np.ndarray:
+    """Row-major flat positions `index[i] * width + c` of every element of rows of `width` columns.
+
+    `index` is taken as int64: the flat index of a 1-D sum (width 1) is
+    `index` itself.
+    """
+    index = np.asarray(index, dtype=np.int64)
+    return index if width == 1 else (index[:, None] * width + np.arange(width)).reshape(-1)
+
+
+def _scatter_add(flat: np.ndarray, rows: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Zeros of `shape` plus each element of `rows` added at its position in `flat`.
+
+    `np.bincount` adds each bucket's terms in input order starting from 0.0,
+    as `np.add.at` does, so the sums have the same bits.  A position outside
+    the array raises IndexError.
+    """
+    size = math.prod(shape)
+    try:
+        summed = np.bincount(flat, weights=rows.reshape(-1), minlength=size)
+    except ValueError:  # a negative position
+        raise IndexError(f"segment id outside [0, {shape[0]})") from None
+    if summed.size != size:
+        raise IndexError(f"segment id outside [0, {shape[0]})")
+    # bincount of no positions returns int64 zeros
+    return summed.reshape(shape) if flat.size else np.zeros(shape)
+
+
 def gather(a: Tensor, indices: np.ndarray) -> Tensor:
     """Select rows; the gradient scatter-adds back into the source."""
     a = as_tensor(a)
     idx = np.asarray(indices, dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= a.data.shape[0]):
+    # one reduction: a negative index is a huge unsigned one
+    if idx.size and idx.view(np.uint64).max() >= a.data.shape[0]:
         raise IndexError(f"gather index outside [0, {a.data.shape[0]})")
     out_data = a.data[idx]
 
     def bw(g):
-        full = np.zeros_like(a.data)
-        np.add.at(full, idx, g)
-        _accumulate(a, full)
+        width = math.prod(a.data.shape[1:])
+        _accumulate(a, _scatter_add(scatter_index(idx, width), g, a.data.shape))
 
     return _make(out_data, (a,), bw)
 
 
-def segment_sum(a: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
-    """Sum rows of `a` into `num_segments` buckets keyed by `segment_ids`."""
+def segment_sum(
+    a: Tensor, segment_ids: np.ndarray, num_segments: int, flat_index: np.ndarray | None = None
+) -> Tensor:
+    """Sum rows of `a` into `num_segments` buckets keyed by `segment_ids`.
+
+    `flat_index`, when given, is `scatter_index(segment_ids, width)` for the
+    row width of `a`, built once by a caller that sums many times over the
+    same ids.  An id outside [0, num_segments) raises IndexError.
+    """
     a = as_tensor(a)
     seg = np.asarray(segment_ids, dtype=np.int64)
-    out_data = np.zeros((num_segments,) + a.data.shape[1:], dtype=np.float64)
-    np.add.at(out_data, seg, a.data)
+    if seg.shape[:1] != a.data.shape[:1]:
+        raise ShapeMismatch(f"{seg.shape[0]} segment ids vs {a.data.shape[0]} rows")
+    if flat_index is None:
+        flat_index = scatter_index(seg, math.prod(a.data.shape[1:]))
+    out_data = _scatter_add(flat_index, a.data, (num_segments,) + a.data.shape[1:])
 
     def bw(g):
         _accumulate(a, g[seg])
@@ -359,15 +398,12 @@ def linear(params: ParamStore, name: str, x: Tensor) -> Tensor:
 
 def mlp_forward(params: ParamStore, name: str, x: Tensor) -> Tensor:
     """Two-layer MLP: affine, SiLU, affine, using `{name}.w1/b1/w2/b2`."""
-    for suffix in ("w1", "b1", "w2", "b2"):
-        if f"{name}.{suffix}" not in params:
-            raise UnknownParam(f"{name}.{suffix}")
+    w1, b1, w2, b2 = (params[f"{name}.{suffix}"] for suffix in ("w1", "b1", "w2", "b2"))
     x = as_tensor(x)
-    w1 = params[f"{name}.w1"]
     if x.data.ndim != 2 or x.data.shape[1] != w1.data.shape[0]:
         raise ShapeMismatch(f"mlp {name!r}: input {x.data.shape} vs weight {w1.data.shape}")
-    hidden = silu(add(matmul(x, w1), params[f"{name}.b1"]))
-    return add(matmul(hidden, params[f"{name}.w2"]), params[f"{name}.b2"])
+    hidden = silu(add(matmul(x, w1), b1))
+    return add(matmul(hidden, w2), b2)
 
 
 def init_affine(params: ParamStore, name: str, n_in: int, n_out: int, rng: np.random.Generator) -> None:

@@ -43,15 +43,19 @@ class Sensor:
             raise ValueError(f"sensor {self.id!r} has negative cost")
 
 
-def _names(value, field: str) -> list[str]:
-    """A JSON list of compound or sensor names as strings.
+def _list(value, field: str) -> list | tuple:
+    """`value` itself if it is a JSON list; `ValueError` otherwise.
 
-    Anything but a list raises `ValueError`; a bare string would otherwise
-    be read as one name per character.
+    A bare string would otherwise be read as one item per character.
     """
     if not isinstance(value, (list, tuple)):
         raise ValueError(f"{field!r} must be a list, got {type(value).__name__}")
-    return [str(v) for v in value]
+    return value
+
+
+def _names(value, field: str) -> list[str]:
+    """A JSON list of compound or sensor names as strings; `ValueError` for anything but a list."""
+    return [str(v) for v in _list(value, field)]
 
 
 def _object(value, what: str) -> dict:
@@ -78,7 +82,7 @@ class SensorCatalog:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "SensorCatalog":
-        entries = [_object(e, "sensor entry") for e in payload["sensors"]]
+        entries = [_object(e, "sensor entry") for e in _list(payload["sensors"], "sensors")]
         sensors = tuple(
             Sensor(str(e["id"]), frozenset(_names(e["detects"], "detects")), float(e.get("cost", 1.0)))
             for e in entries

@@ -376,6 +376,13 @@ BAD_INPUTS = {
         ["select-sensors", "{tmp}/scenario.json"],
         {"scenario.json": {"targets": ["NO"], "sensors": [SCENARIO_SENSOR, "B"]}},
     ),
+    "sensors not a list": (["select-sensors", "{tmp}/scenario.json"], {"scenario.json": {"targets": ["NO"], "sensors": 5}}),
+    "ingest a directory": (["ingest", "{tmp}"], {}),
+    "train --data a directory": (["train", "--data", "{tmp}"], {}),
+    "generate --checkpoint a directory": (["generate", "--checkpoint", "{tmp}"], {}),
+    "generate --corpus a directory": (["generate", "--corpus", "{tmp}"], {}),
+    "select-sensors a directory": (["select-sensors", "{tmp}"], {}),
+    "metrics-plot a directory": (["metrics-plot", "{tmp}", "--out", "{tmp}/out"], {}),
 }
 
 
@@ -392,6 +399,8 @@ def test_bad_input_exits_2(tmp_path, tiny_csv, capsys, case):
         "generate": ["--checkpoint", str(checkpoint), "--query", str(tmp_path / "query.json"), "--out", str(out)],
         "train": ["--data", str(tiny_csv), "--out", str(out), "--epochs", "1", "--steps", "800"],
         "select-sensors": [],
+        "ingest": [],
+        "metrics-plot": [],
     }[argv[0]]
     code, stdout, err = run_cli(capsys, argv[0], *base, *(a.format(tmp=tmp_path) for a in argv[1:]))
     assert code == EXIT_BAD_INPUT

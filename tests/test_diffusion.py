@@ -18,6 +18,7 @@ from scentgen.diffusion import (
     bond_ce_loss,
     bond_probabilities,
     condition_embed,
+    denoiser_constants,
     denoiser_forward,
     forward_noise,
     init_params,
@@ -536,6 +537,47 @@ def test_denoiser_rejects_steps_and_descriptor_rows_of_different_counts(rng):
             rng.normal(size=(2, 1)), rng.normal(size=(2, 3)), (), 5, NoiseSchedule(50),
             np.zeros((2, 4)), params, fragment_ids=np.array([0, 1]),
         )
+
+
+def _same_bits(a, b):
+    return all(
+        getattr(a, k).data.tobytes() == getattr(b, k).data.tobytes()
+        for k in ("eps_hat", "bond_logits", "node_embeddings", "coords")
+    )
+
+
+def test_denoiser_constants_give_the_bits_of_a_pass_that_builds_its_own(rng):
+    params = init_params(vocab_size=4, seed=1)
+    sched = NoiseSchedule(50)
+    y = np.array([1.0, 0, 1, 0])
+    x, coords = rng.normal(size=(3, 1)), rng.normal(size=(3, 3))
+    constants = denoiser_constants(np.arange(10, 21), sched, y, params, np.zeros(3, dtype=np.int64))
+    for t in (10, 15, 20):
+        with_constants = denoiser_forward(x, coords, ((0, 1),), t, sched, y, params, constants=constants)
+        assert _same_bits(with_constants, denoiser_forward(x, coords, ((0, 1),), t, sched, y, params))
+    with pytest.raises(ValueError, match="not prepared"):
+        denoiser_forward(x, coords, (), 9, sched, y, params, constants=constants)
+    with pytest.raises(ShapeMismatch):
+        denoiser_forward(rng.normal(size=(4, 1)), rng.normal(size=(4, 3)), (), 10, sched, y, params,
+                         constants=constants)
+
+
+def test_per_fragment_constants_run_only_at_their_steps(rng):
+    params = init_params(vocab_size=4, seed=1)
+    sched = NoiseSchedule(100)
+    ys = (rng.random((2, 4)) < 0.5).astype(np.float64)
+    frag = np.array([0, 0, 1])
+    x, coords = rng.normal(size=(3, 1)), rng.normal(size=(3, 3))
+    constants = denoiser_constants(np.array([5, 60]), sched, ys, params, frag)
+    out = denoiser_forward(x, coords, (), np.array([5, 60]), sched, ys, params, frag, constants)
+    assert _same_bits(out, denoiser_forward(x, coords, (), np.array([5, 60]), sched, ys, params, frag))
+    for wrong in (np.array([5, 61]), np.array([5]), 5):
+        with pytest.raises(ValueError, match="prepared steps"):
+            denoiser_forward(x, coords, (), wrong, sched, ys, params, frag, constants)
+    with pytest.raises(ShapeMismatch):
+        denoiser_constants(np.array([5, 60, 7]), sched, ys, params, frag)
+    with pytest.raises(StepOutOfRange):
+        denoiser_constants(np.array([0, 60]), sched, ys, params, frag)
 
 
 def test_condition_embed_rows_length_mismatch():

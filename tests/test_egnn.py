@@ -8,6 +8,7 @@ from scentgen.egnn import (
     NodeState,
     compute_messages,
     edge_geometry,
+    edge_layout,
     egnn_forward,
     fragment_edge_scale,
     fully_connected_edges,
@@ -107,6 +108,36 @@ def test_edges_and_scale_match_double_loop(frag):
     scale = fragment_edge_scale(recv)
     assert scale.shape == (len(ref_recv), 1)
     assert np.array_equal(scale[:, 0], reference_edge_scale(frag, ref_recv))
+
+
+@pytest.mark.parametrize("frag", edge_layouts(), ids=lambda f: ",".join(map(str, f)))
+def test_edge_layout_matches_edges_scale_and_flat_index(frag):
+    layout = edge_layout(frag)
+    recv, send = fully_connected_edges(frag)
+    assert np.array_equal(layout.fragment_ids, frag) and layout.n_nodes == len(frag)
+    assert np.array_equal(layout.receivers, recv) and np.array_equal(layout.senders, send)
+    assert layout.edge_scale.shape == (len(recv), 1)
+    assert np.array_equal(layout.edge_scale, fragment_edge_scale(recv))
+    for width in (1, 3, D):
+        flat = [r * width + c for r in recv.tolist() for c in range(width)]
+        assert layout.scatter_index(width).tolist() == flat
+        assert layout.scatter_index(width) is layout.scatter_index(width)
+
+
+def test_forward_rejects_a_layout_of_another_size(rng):
+    state = state_of(rng.normal(size=(3, D)), rng.normal(size=(3, 3)))
+    with pytest.raises(numcore.ShapeMismatch):
+        egnn_forward(state, make_params(), edge_layout(np.zeros(4, dtype=int)))
+
+
+def test_forward_with_layout_equals_forward_without(rng):
+    """The default layout is one fragment: passing it gives the same bits."""
+    params = make_params()
+    state = state_of(rng.normal(size=(5, D)), rng.normal(size=(5, 3)))
+    base = egnn_forward(state, params)
+    out = egnn_forward(state, params, edge_layout(np.zeros(5, dtype=int)))
+    assert base.features.data.tobytes() == out.features.data.tobytes()
+    assert base.coords.data.tobytes() == out.coords.data.tobytes()
 
 
 def test_messages_zero_distance_twins(rng):
@@ -268,7 +299,7 @@ def test_forward_fragments_independent(rng):
     doubled_feats = np.vstack([feats, feats])
     doubled_coords = np.vstack([coords, coords + 100.0])
     frag = np.array([0, 0, 0, 1, 1, 1])
-    out = egnn_forward(state_of(doubled_feats, doubled_coords), params, fragment_ids=frag)
+    out = egnn_forward(state_of(doubled_feats, doubled_coords), params, edge_layout(frag))
     assert np.abs(out.features.data[:3] - base.features.data).max() < 1e-9
     assert np.abs(out.features.data[3:] - base.features.data).max() < 1e-9
     assert np.abs(out.coords.data[:3] - base.coords.data).max() < 1e-9

@@ -1,9 +1,11 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from scentgen import chemrules, dataio, diffusion, generator, numcore, smiles
+from scentgen.diffusion import NoiseSchedule, beta_at
 from scentgen.generator import (
     BondSource,
     EmptyInput,
@@ -18,7 +20,7 @@ from scentgen.generator import (
     summarize,
     validity_rate,
 )
-from scentgen.molgraph import Atom, BondType, add_bond, new_graph
+from scentgen.molgraph import Atom, BondType, add_bond, graph_to_dict, new_graph
 from scentgen.numcore import ParamStore
 
 
@@ -151,6 +153,63 @@ def test_finalize_novel_molecule_not_failure():
 
 
 # ------------------------------------------------------------------ sample
+
+
+def reference_sample(y, config, params, seed):
+    """`sample` as it was before the trajectory's constants were built once.
+
+    Every reverse step embeds its own timestep and descriptor and builds its
+    own edges: `denoiser_forward` is called without prepared constants.
+    """
+    y = diffusion.descriptor_vector(y, params)
+    rng = np.random.default_rng(seed)
+    n = config.n_atoms if config.n_atoms is not None else int(rng.choice(config.atom_count_pool))
+    schedule = NoiseSchedule(config.steps)
+    x = rng.standard_normal((n, 1))
+    coords = rng.standard_normal((n, 3))
+    steps_executed = 0
+    embeddings = np.zeros((n, diffusion.HIDDEN_DIM))
+    with numcore.no_grad():
+        for t in range(config.steps, 0, -1):
+            out = diffusion.denoiser_forward(x, coords, (), t, schedule, y, params)
+            sqrt_bt = math.sqrt(beta_at(schedule, t))
+            sqrt_bt_prev = math.sqrt(beta_at(schedule, t - 1)) if t > 1 else 0.0
+            x = np.clip(x - (sqrt_bt - sqrt_bt_prev) * out.eps_hat.data, -1e4, 1e4)
+            coords = generator._rescale_coords(out.coords.data)
+            embeddings = out.node_embeddings.data
+            steps_executed += 1
+    raw = [float(v) for v in x.reshape(-1)]
+    keep, decoded = decode_atoms(x, config)
+    kept_coords = coords[keep]
+    edges = propose_edges(kept_coords, decoded)
+    typed = assign_bond_types(edges, embeddings[keep], decoded, params, config.tau, config.bond_source)
+    assembled = new_graph([Atom(z, tuple(xyz)) for z, xyz in zip(decoded, kept_coords)], typed)
+    report, text, matched, corrected = finalize(assembled)
+    return generator.GenerationReport(
+        raw_features=raw,
+        decoded_atoms=decoded,
+        proposed_edges=edges,
+        typed_edges=[(i, j, t.value) for i, j, t in typed],
+        validation=report,
+        smiles=text,
+        corpus_match=matched,
+        fragments=len(corrected.connected_components()),
+        steps_executed=steps_executed,
+        seed=seed,
+        graph=graph_to_dict(corrected) if report.final_verdict else None,
+    )
+
+
+@pytest.mark.parametrize("n_atoms", [1, 2, 6, 11])
+@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize("bonds", list(BondSource))
+def test_sample_equals_the_per_step_reverse_loop(quick_trained, n_atoms, mode, bonds):
+    """Constants built once per trajectory give the bits of embedding every step anew."""
+    vocab, params = quick_trained
+    y = dataio.multi_hot({"fruity", "sweet"}, vocab)
+    cfg = GenerationConfig(mode=mode, n_atoms=n_atoms, steps=12, bond_source=bonds)
+    for seed in (0, 1, 2):
+        assert sample(y, cfg, params, seed=seed).to_dict() == reference_sample(y, cfg, params, seed).to_dict()
 
 
 def test_sample_requires_params():

@@ -109,6 +109,18 @@ def test_mlp_unknown_param():
         mlp_forward(params, "ghost", Tensor(np.zeros((1, 2))))
 
 
+@pytest.mark.parametrize("missing", ["w1", "b1", "w2", "b2"])
+def test_mlp_names_the_missing_param(rng, missing):
+    params = ParamStore()
+    make_mlp(params, "f", 3, 8, 1, rng)
+    partial = ParamStore()
+    for name in params.names():
+        if name != f"f.{missing}":
+            partial.add(name, params[name].data)
+    with pytest.raises(UnknownParam, match=f"f.{missing}"):
+        mlp_forward(partial, "f", Tensor(np.zeros((1, 3))))
+
+
 def test_mlp_bad_width(rng):
     params = ParamStore()
     make_mlp(params, "f", 3, 8, 1, rng)
@@ -322,3 +334,90 @@ def test_paramstore_gradients_view(rng):
     assert np.array_equal(w.grad, np.zeros(3))
     with pytest.raises(UnknownParam):
         params["ghost"]
+
+
+# ------------------------------------------- scatter-adds against np.add.at
+
+
+def add_at(shape, index, rows):
+    """The scatter-add that gather's backward and segment_sum used before bincount."""
+    out = np.zeros(shape)
+    np.add.at(out, np.asarray(index, dtype=np.int64), rows)
+    return out
+
+
+# Terms of very different magnitude, so another summation order gives other
+# bits (1 + 1e16 - 1e16 is 0 in input order, 1 in reverse), plus -0.0 terms:
+# a bucket of only -0.0 sums to +0.0 from 0.0.
+TERMS = np.array([1.0, 1e16, -1e16, 3.5, -0.0, 1e-8, -2.25, 7.0, -0.0, 0.1, 1e16, -1.0])
+
+SCATTER_CASES = {
+    "repeated": ([0, 2, 2, 3, 0, 2], 4),
+    "unsorted": ([3, 1, 0, 1, 3, 2, 0], 4),
+    "empty": ([], 3),
+    "one bucket": ([0, 0, 0, 0, 0], 1),
+    "empty buckets": ([4, 4, 1], 6),
+    "only -0.0": ([1, 1], 2),
+}
+
+
+def scatter_rows(n, width):
+    """`n` rows of `width` columns cycling through TERMS (only -0.0 for width 0 rows)."""
+    count = n * max(width, 1)
+    values = np.resize(TERMS, count) if count else np.zeros(0)
+    return values.reshape(n) if width == 0 else values.reshape(n, width)
+
+
+@pytest.mark.parametrize("case", list(SCATTER_CASES))
+@pytest.mark.parametrize("width", [0, 1, 3, 8])  # 0: 1-D rows
+def test_segment_sum_matches_add_at_bit_for_bit(case, width):
+    ids, buckets = SCATTER_CASES[case]
+    rows = scatter_rows(len(ids), width)
+    if case == "only -0.0":
+        rows = -np.zeros_like(rows)
+    want = add_at((buckets,) + rows.shape[1:], ids, rows)
+    got = numcore.segment_sum(Tensor(rows), np.array(ids, dtype=np.int64), buckets)
+    assert got.data.dtype == np.float64 and got.data.shape == want.shape
+    assert got.data.tobytes() == want.tobytes()
+    flat = numcore.scatter_index(np.array(ids, dtype=np.int64), max(width, 1))
+    prebuilt = numcore.segment_sum(Tensor(rows), np.array(ids, dtype=np.int64), buckets, flat)
+    assert prebuilt.data.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("case", list(SCATTER_CASES))
+@pytest.mark.parametrize("width", [0, 1, 3, 8])
+def test_gather_backward_matches_add_at_bit_for_bit(case, width):
+    ids, n = SCATTER_CASES[case]
+    source = Tensor(np.ones((n,) if width == 0 else (n, width)), requires_grad=True)
+    upstream = scatter_rows(len(ids), width)
+    if case == "only -0.0":
+        upstream = -np.zeros_like(upstream)
+    out = numcore.gather(source, np.array(ids, dtype=np.int64))
+    backward(numcore.sum_(numcore.mul(out, Tensor(upstream))))
+    want = add_at(source.data.shape, ids, upstream)
+    assert source.grad.dtype == np.float64 and source.grad.tobytes() == want.tobytes()
+
+
+def test_single_atom_fragment_sums_and_gathers_nothing():
+    """A lone atom has no edges: empty ids sum to zeros and gather gives back zeros."""
+    node = Tensor(np.full((1, 8), 2.0), requires_grad=True)
+    edges = np.zeros(0, dtype=np.int64)
+    messages = numcore.gather(node, edges)
+    summed = numcore.segment_sum(messages, edges, 1)
+    assert summed.data.tobytes() == np.zeros((1, 8)).tobytes()
+    backward(numcore.sum_(summed))
+    assert node.grad.tobytes() == np.zeros((1, 8)).tobytes()
+
+
+@pytest.mark.parametrize("bad", [[-1], [0, 2], [1, -3]])
+@pytest.mark.parametrize("width", [0, 3])
+def test_segment_sum_rejects_ids_outside_range(bad, width):
+    rows = Tensor(scatter_rows(len(bad), width))
+    with pytest.raises(IndexError):
+        numcore.segment_sum(rows, np.array(bad), 2)
+
+
+@pytest.mark.parametrize("bad", [[-1], [0, 4], [2, -4]])
+def test_gather_rejects_indices_outside_range(bad):
+    with pytest.raises(IndexError):
+        numcore.gather(Tensor(np.zeros((4, 2))), np.array(bad))
