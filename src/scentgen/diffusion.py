@@ -161,7 +161,9 @@ class DenoiserConstants:
                 raise ValueError("a pass over per-fragment descriptor rows must run at the prepared steps")
             return self.layout.fragment_ids
         if isinstance(t, np.ndarray):
-            raise numcore.ShapeMismatch(f"{t.size} timesteps vs 1 descriptor row")
+            if t.size != 1:
+                raise numcore.ShapeMismatch(f"{t.size} timesteps vs 1 descriptor row")
+            t = t.item()
         row = self._row_of_step.get(t)
         if row is None:
             raise ValueError(f"step {t} was not prepared")

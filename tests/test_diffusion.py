@@ -555,8 +555,13 @@ def test_denoiser_constants_give_the_bits_of_a_pass_that_builds_its_own(rng):
     for t in (10, 15, 20):
         with_constants = denoiser_forward(x, coords, ((0, 1),), t, sched, y, params, constants=constants)
         assert _same_bits(with_constants, denoiser_forward(x, coords, ((0, 1),), t, sched, y, params))
+    for t in (np.array(12), np.array([12])):  # one step given as an array
+        assert _same_bits(denoiser_forward(x, coords, (), t, sched, y, params, constants=constants),
+                          denoiser_forward(x, coords, (), 12, sched, y, params))
     with pytest.raises(ValueError, match="not prepared"):
         denoiser_forward(x, coords, (), 9, sched, y, params, constants=constants)
+    with pytest.raises(ShapeMismatch):
+        denoiser_forward(x, coords, (), np.array([10, 11]), sched, y, params, constants=constants)
     with pytest.raises(ShapeMismatch):
         denoiser_forward(rng.normal(size=(4, 1)), rng.normal(size=(4, 3)), (), 10, sched, y, params,
                          constants=constants)
