@@ -3,12 +3,16 @@
 Machine-readable JSON/JSONL/CSV goes to stdout or files; human-oriented notes
 go to stderr.  Every source of randomness hangs off the single --seed flag.
 Exit codes: 0 success, 1 internal error, 2 bad input, 3 diverged training,
-4 validation failures.
+4 validation failures.  Bad input is an input file that is missing,
+unreadable, not UTF-8 or malformed; a JSON field of the wrong type; a setting
+out of range; or an output directory that does not exist.  Every input file
+is read through `_load`, the one place that maps file errors to exit 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import logging
 import os
@@ -26,6 +30,10 @@ EXIT_DIVERGED = 3
 EXIT_INVALID = 4
 
 STEPS_RANGE = (800, 1200)  # accepted diffusion step counts at the CLI surface
+
+# What reading a JSON value as a setting raises when the value has the wrong
+# type or range: int(1e400) raises OverflowError, int([]) TypeError.
+BAD_VALUE = (KeyError, TypeError, ValueError, OverflowError)
 
 logger = logging.getLogger("scentgen")
 
@@ -47,20 +55,31 @@ def _check_steps(steps: int) -> int:
     return steps
 
 
-def _read_json(path: str) -> dict:
-    """The JSON object in `path`; bad input (exit 2) if it cannot be read or is not an object."""
+def _load(what: str, loader, path, *malformed: type[Exception]):
+    """`loader(path)`; bad input (exit 2) if the file is missing, unreadable or one of `malformed`."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+        return loader(path)
     except FileNotFoundError:
-        raise _fail(f"file not found: {path}")
-    except OSError as exc:
-        raise _fail(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise _fail(f"malformed JSON in {path}: {exc}")
+        raise _fail(f"{what} not found: {path}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _fail(f"cannot read {what} {path}: {exc}")
+    except malformed as exc:
+        raise _fail(f"malformed {what} {path}: {exc}")
+
+
+def _read_json(what: str, path: str) -> dict:
+    """The JSON object in `path`; bad input (exit 2) if it cannot be read or is not an object."""
+    payload = _load(what, lambda p: json.loads(Path(p).read_text(encoding="utf-8")), path, ValueError)
     if not isinstance(payload, dict):
-        raise _fail(f"{path} must hold a JSON object, got {type(payload).__name__}")
+        raise _fail(f"{what} {path} must hold a JSON object, got {type(payload).__name__}")
     return payload
+
+
+def _check_out(*paths: str | None) -> None:
+    """Bad input (exit 2) if an output file's directory does not exist, before any work."""
+    for path in paths:
+        if path is not None and not Path(path).parent.is_dir():
+            raise _fail(f"output directory not found: {Path(path).parent}")
 
 
 def _parse_allowlist(text: str) -> frozenset[int]:
@@ -81,14 +100,8 @@ def _parse_allowlist(text: str) -> frozenset[int]:
 
 
 def cmd_ingest(args) -> int:
-    try:
-        vocab, molecules = dataio.load_csv(args.data)
-    except FileNotFoundError:
-        raise _fail(f"dataset not found: {args.data}")
-    except IsADirectoryError:
-        raise _fail(f"dataset is a directory: {args.data}")
-    except dataio.EmptyDataset as exc:
-        raise _fail(str(exc))
+    _check_out(args.out)
+    vocab, molecules = _load("dataset", dataio.load_csv, args.data, dataio.EmptyDataset)
     summary = {
         "molecules": len(molecules),
         "vocab_size": len(vocab),
@@ -102,7 +115,7 @@ def cmd_ingest(args) -> int:
 
 
 def _train_config(args) -> tuple[diffusion.TrainConfig, generator.Mode, frozenset[int]]:
-    raw = _read_json(args.config) if args.config else {}
+    raw = _read_json("training config", args.config) if args.config else {}
     try:
         steps = args.steps if args.steps is not None else int(raw.get("steps", 1000))
         _check_steps(steps)
@@ -114,30 +127,33 @@ def _train_config(args) -> tuple[diffusion.TrainConfig, generator.Mode, frozense
             learning_rate=float(raw.get("learning_rate", 1e-3)),
             seed=args.seed if args.seed is not None else int(raw.get("seed", 0)),
         )
-    except (TypeError, ValueError) as exc:
+        constrained = raw.get("constrained", False)
+        if not isinstance(constrained, bool):
+            raise TypeError(f"constrained must be true or false, got {constrained!r}")
+        listed = raw.get("allowlist", [])
+        if not isinstance(listed, list):
+            raise TypeError(f"allowlist must be a list, got {listed!r}")
+    except BAD_VALUE as exc:
         raise _fail(f"bad training config: {exc}")
-    constrained = args.constrained or bool(raw.get("constrained", False))
-    mode = generator.Mode.CONSTRAINED if constrained else generator.Mode.UNCONSTRAINED
+    mode = generator.Mode.CONSTRAINED if args.constrained or constrained else generator.Mode.UNCONSTRAINED
     if args.allowlist:
         allowlist = _parse_allowlist(args.allowlist)
-    elif raw.get("allowlist"):
-        allowlist = _parse_allowlist(",".join(str(t) for t in raw["allowlist"]))
+    elif listed:
+        allowlist = _parse_allowlist(",".join(str(t) for t in listed))
     else:
         allowlist = generator.DEFAULT_ALLOWLIST
     return config, mode, allowlist
 
 
 def cmd_train(args) -> int:
+    _check_out(args.out, args.metrics)
     config, mode, allowlist = _train_config(args)
-    try:
-        vocab, molecules = dataio.load_csv(args.data)
-        split = dataio.split_80_20(molecules, config.seed)
-    except FileNotFoundError:
-        raise _fail(f"dataset not found: {args.data}")
-    except IsADirectoryError:
-        raise _fail(f"dataset is a directory: {args.data}")
-    except (dataio.EmptyDataset, dataio.TooFewSamples) as exc:
-        raise _fail(str(exc))
+
+    def load_split(path):
+        vocab, molecules = dataio.load_csv(path)
+        return vocab, dataio.split_80_20(molecules, config.seed)
+
+    vocab, split = _load("dataset", load_split, args.data, dataio.EmptyDataset, dataio.TooFewSamples)
     examples = dataio.to_training_examples(split.train, vocab)
     try:
         params, metrics = diffusion.train(examples, config)
@@ -164,65 +180,52 @@ def cmd_train(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    try:
-        params, meta = numcore.load_checkpoint(args.checkpoint)
-    except FileNotFoundError:
-        raise _fail(f"checkpoint not found: {args.checkpoint}")
-    except IsADirectoryError:
-        raise _fail(f"checkpoint is a directory: {args.checkpoint}")
-    except (ValueError, KeyError) as exc:
-        raise _fail(f"unusable checkpoint {args.checkpoint}: {exc}")
-    query = _read_json(args.query)
-    descriptors = [str(d) for d in query.get("descriptors", [])]
+    _check_out(args.out)
+    params, meta = _load("checkpoint", numcore.load_checkpoint, args.checkpoint, *BAD_VALUE)
+    query = _read_json("query", args.query)
+    descriptors = query.get("descriptors", [])
+    if not isinstance(descriptors, list) or not all(isinstance(d, str) for d in descriptors):
+        raise _fail(f"query descriptors must be a list of strings, got {descriptors!r}")
     try:
         n = args.n if args.n is not None else int(query.get("count", 10))
-    except (TypeError, ValueError):
+    except BAD_VALUE:
         raise _fail(f"sample count must be an integer, got {query['count']!r}")
     if n < 0:
         raise _fail(f"sample count must be >= 0, got {n}")
 
-    vocab = dataio.OdourVocabulary(tuple(meta.get("vocabulary", ())))
-    known = [d for d in (t.strip().lower() for t in descriptors) if vocab.index(d) is not None]
-    dropped = sorted(set(t.strip().lower() for t in descriptors) - set(known))
-    if dropped:
-        logger.warning("dropping descriptors outside the trained vocabulary: %s", dropped)
-    y = dataio.multi_hot(known, vocab)
-
-    steps = args.steps if args.steps is not None else int(meta.get("steps", 1000))
-    _check_steps(steps)
-    if args.constrained:
-        mode = generator.Mode.CONSTRAINED
-    elif args.unconstrained:
-        mode = generator.Mode.UNCONSTRAINED
-    else:
-        mode = generator.Mode(meta.get("mode", "unconstrained"))
-    allowlist = (
-        _parse_allowlist(args.allowlist)
-        if args.allowlist
-        else frozenset(int(z) for z in meta.get("allowlist", sorted(generator.DEFAULT_ALLOWLIST)))
-    )
-    pool = tuple(int(c) for c in meta.get("atom_count_pool", (8,))) or (8,)
     seed = args.seed if args.seed is not None else 0
     try:
+        vocab = dataio.OdourVocabulary(tuple(meta.get("vocabulary", ())))
+        steps = _check_steps(args.steps if args.steps is not None else int(meta.get("steps", 1000)))
+        if args.constrained:
+            mode = generator.Mode.CONSTRAINED
+        elif args.unconstrained:
+            mode = generator.Mode.UNCONSTRAINED
+        else:
+            mode = generator.Mode(meta.get("mode", "unconstrained"))
+        allowlist = (
+            _parse_allowlist(args.allowlist)
+            if args.allowlist
+            else frozenset(int(z) for z in meta.get("allowlist", sorted(generator.DEFAULT_ALLOWLIST)))
+        )
         config = generator.GenerationConfig(
             mode=mode,
             allowlist=allowlist,
             n_atoms=args.n_atoms,
-            atom_count_pool=pool,
+            atom_count_pool=tuple(int(c) for c in meta.get("atom_count_pool", (8,))) or (8,),
             steps=steps,
             tau=args.tau if args.tau is not None else float(meta.get("tau", 0.5)),
             seed=seed,
             bond_source=generator.BondSource.HEURISTIC if args.heuristic_bonds else generator.BondSource.CLASSIFIER,
         )
-    except ValueError as exc:
+    except BAD_VALUE as exc:
         raise _fail(f"bad generation settings: {exc}")
-    corpus_path = Path(args.corpus) if args.corpus else dataio.bundled_dataset_path()
-    try:
-        corpus = dataio.load_corpus(corpus_path)
-    except FileNotFoundError:
-        raise _fail(f"corpus not found: {corpus_path}")
-    except IsADirectoryError:
-        raise _fail(f"corpus is a directory: {corpus_path}")
+    known = [d for d in (t.strip().lower() for t in descriptors) if vocab.index(d) is not None]
+    dropped = sorted(set(t.strip().lower() for t in descriptors) - set(known))
+    if dropped:
+        logger.warning("dropping descriptors outside the trained vocabulary: %s", dropped)
+    y = dataio.multi_hot(known, vocab)
+    corpus = _load("corpus", dataio.load_corpus, args.corpus or dataio.bundled_dataset_path())
 
     reports = []
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -238,11 +241,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    path = Path(args.smiles_file)
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
-        raise _fail(f"cannot read {path}: {exc}")
+    lines = _load("SMILES file", lambda path: Path(path).read_text(encoding="utf-8"), args.smiles_file).splitlines()
     any_failed = False
     checked = 0
     for line_no, line in enumerate(lines, start=1):
@@ -270,14 +269,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_select_sensors(args) -> int:
-    try:
-        problem, current = sensorselect.load_scenario(args.scenario)
-    except FileNotFoundError:
-        raise _fail(f"scenario not found: {args.scenario}")
-    except IsADirectoryError:
-        raise _fail(f"scenario is a directory: {args.scenario}")
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
-        raise _fail(f"malformed scenario {args.scenario}: {exc}")
+    problem, current = _load("scenario", sensorselect.load_scenario, args.scenario, *BAD_VALUE)
     if args.mode == "add":
         if args.exact:
             try:
@@ -342,14 +334,8 @@ def render_metrics_svg(metrics, path: str) -> None:
 
 
 def cmd_metrics_plot(args) -> int:
-    try:
-        metrics = diffusion.read_metrics_csv(args.metrics_csv)
-    except FileNotFoundError:
-        raise _fail(f"metrics CSV not found: {args.metrics_csv}")
-    except IsADirectoryError:
-        raise _fail(f"metrics CSV is a directory: {args.metrics_csv}")
-    except (ValueError, KeyError) as exc:
-        raise _fail(f"malformed metrics CSV: {exc}")
+    _check_out(args.out)
+    metrics = _load("metrics CSV", diffusion.read_metrics_csv, args.metrics_csv, csv.Error, *BAD_VALUE)
     if not metrics:
         raise _fail("metrics CSV has no data rows")
     render_metrics_svg(metrics, args.out)

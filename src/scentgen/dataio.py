@@ -102,8 +102,6 @@ def load_csv(path: str | Path) -> tuple[OdourVocabulary, list[LabeledMolecule]]:
     so the result is fully deterministic given the file.
     """
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(str(path))
     rows = path.read_text(encoding="utf-8").splitlines()
     molecules: list[tuple[str, frozenset[str], MoleculeGraph]] = []
     skipped = 0
@@ -141,11 +139,8 @@ def load_csv(path: str | Path) -> tuple[OdourVocabulary, list[LabeledMolecule]]:
 
 def load_corpus(path: str | Path) -> frozenset[str]:
     """Canonical SMILES of every parseable corpus row (no geometry, no labels)."""
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(str(path))
     canon: set[str] = set()
-    for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines()):
+    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines()):
         line = line.strip()
         if not line or line_no == 0:
             continue

@@ -373,8 +373,8 @@ class TrainingExample:
 class TrainConfig:
     """Training settings; `ValueError` for a value that cannot train.
 
-    `steps` and `batch_size` must be at least 1, `epochs` at least 0, and
-    `tau` and `learning_rate` finite and positive.
+    `steps` and `batch_size` must be at least 1, `epochs` and `seed` at
+    least 0, and `tau` and `learning_rate` finite and positive.
     """
 
     steps: int = 1000
@@ -395,6 +395,8 @@ class TrainConfig:
             raise ValueError(f"tau must be finite and positive, got {self.tau}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be at least 0, got {self.seed}")
 
 
 @dataclass

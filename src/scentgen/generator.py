@@ -78,8 +78,10 @@ class GenerationConfig:
             raise ValueError("steps must be >= 1")
         if not (math.isfinite(self.tau) and self.tau > 0):
             raise ValueError(f"tau must be finite and positive, got {self.tau}")
-        if not self.atom_count_pool:
-            raise ValueError("atom_count_pool must be nonempty")
+        if not self.atom_count_pool or min(self.atom_count_pool) < 1:
+            raise ValueError(f"atom_count_pool must be nonempty with counts >= 1, got {self.atom_count_pool}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -465,17 +465,30 @@ def save_checkpoint(params: ParamStore, path: str, meta: dict | None = None) -> 
         json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
 
 
+def _object(value, what: str) -> dict:
+    """`value` itself if it is a JSON object; `ValueError` otherwise."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be an object, got {type(value).__name__}")
+    return value
+
+
 def load_checkpoint(path: str) -> tuple[ParamStore, dict]:
+    """Parameters, Adam state and meta as `save_checkpoint` wrote them.
+
+    Raises `ValueError` for another format version, or when the payload,
+    `params`, a parameter entry, `adam` or `meta` is not a JSON object.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+        payload = _object(json.load(fh), "checkpoint")
     version = payload.get("format_version")
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version!r}")
     params = ParamStore()
-    for name, entry in payload["params"].items():
+    for name, entry in _object(payload["params"], "params").items():
+        entry = _object(entry, f"parameter {name!r}")
         shape = tuple(entry["shape"])
         params.add(name, np.asarray(entry["data"], dtype=np.float64).reshape(shape))
-    adam = payload.get("adam", {})
+    adam = _object(payload.get("adam", {}), "adam")
     params.adam_steps = int(adam.get("steps", 0))
     for name in params.names():
         if name in adam.get("m", {}):
@@ -485,4 +498,4 @@ def load_checkpoint(path: str) -> tuple[ParamStore, dict]:
             params._adam_v[name] = np.asarray(adam["v"][name], dtype=np.float64).reshape(
                 params[name].data.shape
             )
-    return params, payload.get("meta", {})
+    return params, _object(payload.get("meta", {}), "meta")

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scentgen import cli, dataio, diffusion, numcore, sensorselect
 from scentgen.cli import EXIT_BAD_INPUT, EXIT_DIVERGED, EXIT_INVALID, EXIT_OK
@@ -14,12 +18,14 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+TINY_ROWS = ["CCO,floral;sweet", "CCC,waxy", "CCN,fishy", "CC=O,green", "CCCO,alcoholic",
+             "CC(C)O,alcoholic", "CCCC,gasoline", "CC(=O)C,solvent", "COC,ethereal", "CCS,sulfurous"]
+
+
 @pytest.fixture()
 def tiny_csv(tmp_path):
-    rows = ["CCO,floral;sweet", "CCC,waxy", "CCN,fishy", "CC=O,green", "CCCO,alcoholic",
-            "CC(C)O,alcoholic", "CCCC,gasoline", "CC(=O)C,solvent", "COC,ethereal", "CCS,sulfurous"]
     path = tmp_path / "tiny.csv"
-    path.write_text("smiles,descriptors\n" + "\n".join(rows) + "\n")
+    path.write_text("smiles,descriptors\n" + "\n".join(TINY_ROWS) + "\n")
     return path
 
 
@@ -360,8 +366,11 @@ def test_metrics_plot_missing_column(tmp_path, capsys):
 # ---------------------------------------------------------------- bad input
 
 SCENARIO_SENSOR = {"id": "A", "detects": ["NO"], "cost": 1.0}
+NOT_UTF8 = b"smiles,descriptors\nCCO,floral\n\xff\xfe\n"
+THROUGH_FILE = "{tmp}/query.json/x"  # a path whose parent is a regular file
+METRICS_ROW = b"epoch,mse_loss,ce_loss,total_loss\n1,1.0,0.5,1.5\n"
 
-# name -> (subcommand and extra arguments, files to write as JSON)
+# name -> (subcommand and extra arguments, files to write: bytes as they are, anything else as JSON)
 BAD_INPUTS = {
     "generate --n-atoms 0": (["generate", "--n-atoms", "0"], {}),
     "generate --tau 0": (["generate", "--tau", "0"], {}),
@@ -383,6 +392,75 @@ BAD_INPUTS = {
     "generate --corpus a directory": (["generate", "--corpus", "{tmp}"], {}),
     "select-sensors a directory": (["select-sensors", "{tmp}"], {}),
     "metrics-plot a directory": (["metrics-plot", "{tmp}", "--out", "{tmp}/out"], {}),
+    "ingest through a file": (["ingest", THROUGH_FILE], {}),
+    "train --data through a file": (["train", "--data", THROUGH_FILE], {}),
+    "train --config through a file": (["train", "--config", THROUGH_FILE], {}),
+    "generate --query through a file": (["generate", "--query", THROUGH_FILE], {}),
+    "generate --checkpoint through a file": (["generate", "--checkpoint", THROUGH_FILE], {}),
+    "generate --corpus through a file": (["generate", "--corpus", THROUGH_FILE], {}),
+    "validate through a file": (["validate", THROUGH_FILE], {}),
+    "select-sensors through a file": (["select-sensors", THROUGH_FILE], {}),
+    "metrics-plot through a file": (["metrics-plot", THROUGH_FILE, "--out", "{tmp}/out"], {}),
+    "ingest not UTF-8": (["ingest", "{tmp}/bytes"], {"bytes": NOT_UTF8}),
+    "train --data not UTF-8": (["train", "--data", "{tmp}/bytes"], {"bytes": NOT_UTF8}),
+    "train --config not UTF-8": (["train", "--config", "{tmp}/bytes"], {"bytes": NOT_UTF8}),
+    "generate --query not UTF-8": (["generate", "--query", "{tmp}/bytes"], {"bytes": NOT_UTF8}),
+    "generate --checkpoint not UTF-8": (["generate", "--checkpoint", "{tmp}/bytes"], {"bytes": NOT_UTF8}),
+    "generate --corpus not UTF-8": (["generate", "--corpus", "{tmp}/bytes"], {"bytes": NOT_UTF8}),
+    "validate not UTF-8": (["validate", "{tmp}/bytes"], {"bytes": NOT_UTF8}),
+    "select-sensors not UTF-8": (["select-sensors", "{tmp}/bytes"], {"bytes": NOT_UTF8}),
+    "metrics-plot not UTF-8": (["metrics-plot", "{tmp}/bytes", "--out", "{tmp}/out"], {"bytes": NOT_UTF8}),
+    "checkpoint is a list": (["generate", "--checkpoint", "{tmp}/ckpt.json"], {"ckpt.json": []}),
+    "checkpoint params not an object": (
+        ["generate", "--checkpoint", "{tmp}/ckpt.json"], {"ckpt.json": {"format_version": 1, "params": 5}}
+    ),
+    "checkpoint adam not an object": (
+        ["generate", "--checkpoint", "{tmp}/ckpt.json"],
+        {"ckpt.json": {"format_version": 1, "params": {}, "adam": 3}},
+    ),
+    "checkpoint vocabulary not a list": (
+        ["generate", "--checkpoint", "{tmp}/ckpt.json"],
+        {"ckpt.json": {"format_version": 1, "params": {}, "meta": {"vocabulary": 5}}},
+    ),
+    "checkpoint atom_count_pool not integers": (
+        ["generate", "--checkpoint", "{tmp}/ckpt.json"],
+        {"ckpt.json": {"format_version": 1, "params": {}, "meta": {"atom_count_pool": ["x"]}}},
+    ),
+    "checkpoint mode unknown": (
+        ["generate", "--checkpoint", "{tmp}/ckpt.json"],
+        {"ckpt.json": {"format_version": 1, "params": {}, "meta": {"mode": "x"}}},
+    ),
+    "descriptors not a list": (["generate"], {"query.json": {"descriptors": 5}}),
+    "descriptors a string": (["generate"], {"query.json": {"descriptors": "fruity"}}),
+    "config allowlist not a list": (["train", "--config", "{tmp}/config.json"], {"config.json": {"allowlist": 5}}),
+    "config constrained a string": (
+        ["train", "--config", "{tmp}/config.json"], {"config.json": {"constrained": "false"}}
+    ),
+    "config seed negative": (["train", "--config", "{tmp}/config.json"], {"config.json": {"seed": -1}}),
+    "config batch_size infinite": (
+        ["train", "--config", "{tmp}/config.json"], {"config.json": {"batch_size": float("inf")}}
+    ),
+    "generate --seed negative": (["generate", "--seed", "-1"], {}),
+    "count infinite": (["generate"], {"query.json": {"descriptors": [], "count": float("inf")}}),
+    "checkpoint allowlist infinite": (
+        ["generate", "--checkpoint", "{tmp}/ckpt.json"],
+        {"ckpt.json": {"format_version": 1, "params": {}, "meta": {"allowlist": [float("inf")]}}},
+    ),
+    "checkpoint atom_count_pool zero": (
+        ["generate", "--checkpoint", "{tmp}/ckpt.json"],
+        {"ckpt.json": {"format_version": 1, "params": {}, "meta": {"atom_count_pool": [0]}}},
+    ),
+    "checkpoint adam steps infinite": (
+        ["generate", "--checkpoint", "{tmp}/ckpt.json"],
+        {"ckpt.json": {"format_version": 1, "params": {}, "adam": {"steps": float("inf")}}},
+    ),
+    "train --out into a missing directory": (["train", "--out", "{tmp}/nodir/model.json"], {}),
+    "train --metrics into a missing directory": (["train", "--metrics", "{tmp}/nodir/m.csv"], {}),
+    "generate --out into a missing directory": (["generate", "--out", "{tmp}/nodir/gen.jsonl"], {}),
+    "ingest --out into a missing directory": (["ingest", "{tmp}/tiny.csv", "--out", "{tmp}/nodir/s.json"], {}),
+    "metrics-plot --out into a missing directory": (
+        ["metrics-plot", "{tmp}/m.csv", "--out", "{tmp}/nodir/m.svg"], {"m.csv": METRICS_ROW}
+    ),
 }
 
 
@@ -393,7 +471,10 @@ def test_bad_input_exits_2(tmp_path, tiny_csv, capsys, case):
     numcore.save_checkpoint(diffusion.init_params(2), str(checkpoint), {"vocabulary": ["floral", "sweet"]})
     (tmp_path / "query.json").write_text(json.dumps({"descriptors": ["floral"], "count": 1}))
     for name, payload in files.items():
-        (tmp_path / name).write_text(json.dumps(payload))
+        if isinstance(payload, bytes):
+            (tmp_path / name).write_bytes(payload)
+        else:
+            (tmp_path / name).write_text(json.dumps(payload))
     out = tmp_path / "out"
     base = {
         "generate": ["--checkpoint", str(checkpoint), "--query", str(tmp_path / "query.json"), "--out", str(out)],
@@ -401,11 +482,79 @@ def test_bad_input_exits_2(tmp_path, tiny_csv, capsys, case):
         "select-sensors": [],
         "ingest": [],
         "metrics-plot": [],
+        "validate": [],
     }[argv[0]]
     code, stdout, err = run_cli(capsys, argv[0], *base, *(a.format(tmp=tmp_path) for a in argv[1:]))
     assert code == EXIT_BAD_INPUT
     assert stdout == "" and not out.exists()
     assert err.startswith("error: ") and "internal error" not in err
+
+
+# Each of the nine input files, with "{fuzz}" where random bytes go; the other
+# inputs are valid, and generate samples nothing so that a run stays short.
+FUZZED_INPUTS = {
+    "ingest": ["ingest", "{fuzz}"],
+    "train --data": ["train", "--data", "{fuzz}", "--out", "{dir}/trained.json", "--epochs", "1", "--steps", "800"],
+    "train --config": [
+        "train", "--data", "{dir}/tiny.csv", "--config", "{fuzz}", "--out", "{dir}/trained.json",
+        "--epochs", "1", "--steps", "800",
+    ],
+    "generate --checkpoint": [
+        "generate", "--checkpoint", "{fuzz}", "--query", "{dir}/query.json", "--corpus", "{dir}/tiny.csv",
+        "--out", "{dir}/gen.jsonl", "--n", "0",
+    ],
+    "generate --query": [
+        "generate", "--checkpoint", "{dir}/model.json", "--query", "{fuzz}", "--corpus", "{dir}/tiny.csv",
+        "--out", "{dir}/gen.jsonl", "--n", "0",
+    ],
+    "generate --corpus": [
+        "generate", "--checkpoint", "{dir}/model.json", "--query", "{dir}/query.json", "--corpus", "{fuzz}",
+        "--out", "{dir}/gen.jsonl", "--n", "0",
+    ],
+    "validate": ["validate", "{fuzz}"],
+    "select-sensors": ["select-sensors", "{fuzz}"],
+    "metrics-plot": ["metrics-plot", "{fuzz}", "--out", "{dir}/m.svg"],
+}
+
+# Field names of every JSON input, so that generated objects reach the typed reads.
+JSON_KEYS = (
+    "descriptors", "count", "steps", "epochs", "batch_size", "tau", "learning_rate", "seed", "constrained",
+    "allowlist", "sensors", "targets", "current", "id", "detects", "cost", "format_version", "params",
+    "adam", "meta", "shape", "data", "vocabulary", "mode", "atom_count_pool",
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(JSON_KEYS), inner, max_size=4),
+    max_leaves=8,
+)
+FILE_BYTES = st.one_of(
+    st.binary(max_size=64),
+    st.text(alphabet="CNOScno()[]=#+-12%.,;: \n", max_size=64).map(str.encode),
+    JSON_VALUES.map(lambda value: json.dumps(value).encode()),
+)
+
+
+@pytest.fixture(scope="module")
+def input_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("inputs")
+    (root / "tiny.csv").write_text("smiles,descriptors\n" + "\n".join(TINY_ROWS) + "\n")
+    (root / "query.json").write_text(json.dumps({"descriptors": ["floral"], "count": 1}))
+    numcore.save_checkpoint(diffusion.init_params(2), str(root / "model.json"), {"vocabulary": ["floral", "sweet"]})
+    return root
+
+
+@pytest.mark.parametrize("case", list(FUZZED_INPUTS))
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(content=FILE_BYTES)
+def test_any_input_file_exits_with_a_documented_code(input_dir, case, content):
+    fuzz = input_dir / "fuzz"
+    fuzz.write_bytes(content)
+    argv = [a.format(fuzz=fuzz, dir=input_dir) for a in FUZZED_INPUTS[case]]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(argv)
+    assert code in (EXIT_OK, EXIT_BAD_INPUT, EXIT_DIVERGED, EXIT_INVALID), stderr.getvalue()
+    assert "internal error" not in stderr.getvalue()
 
 
 # ------------------------------------------------------------- entry point

@@ -350,6 +350,7 @@ def test_train_deterministic(rng):
         {"learning_rate": float("inf")},
         {"learning_rate": 0.0},
         {"learning_rate": -1e-3},
+        {"seed": -1},
     ],
 )
 def test_train_config_rejects_values_that_cannot_train(bad):

@@ -40,6 +40,10 @@ def test_config_validation():
         GenerationConfig(allowlist=frozenset({300}), mode=Mode.CONSTRAINED)
     with pytest.raises(ValueError):
         GenerationConfig(n_atoms=0)
+    with pytest.raises(ValueError):
+        GenerationConfig(atom_count_pool=(3, 0))
+    with pytest.raises(ValueError):
+        GenerationConfig(seed=-1)
 
 
 # ------------------------------------------------------------------ decode

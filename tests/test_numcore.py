@@ -317,6 +317,23 @@ def test_checkpoint_version_guard(tmp_path):
         load_checkpoint(str(path))
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        [],
+        {"format_version": 1, "params": 5},
+        {"format_version": 1, "params": {"w": [1.0]}},
+        {"format_version": 1, "params": {}, "adam": 3},
+        {"format_version": 1, "params": {}, "meta": "note"},
+    ],
+)
+def test_checkpoint_not_in_documented_shape(tmp_path, payload):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="must be an object"):
+        load_checkpoint(str(path))
+
+
 def test_tensor_and_paramstore_copy_caller_arrays():
     x = np.arange(3.0)
     t = Tensor(x)
