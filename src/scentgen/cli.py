@@ -4,9 +4,11 @@ Machine-readable JSON/JSONL/CSV goes to stdout or files; human-oriented notes
 go to stderr.  Every source of randomness hangs off the single --seed flag.
 Exit codes: 0 success, 1 internal error, 2 bad input, 3 diverged training,
 4 validation failures.  Bad input is an input file that is missing,
-unreadable, not UTF-8 or malformed; a JSON field of the wrong type; a setting
-out of range; or an output directory that does not exist.  Every input file
-is read through `_load`, the one place that maps file errors to exit 2.
+unreadable, not UTF-8 or malformed (JSON nested too deep to decode included);
+a JSON field of the wrong type; a checkpoint that does not fit the model; a
+setting out of range; or an output path that is a directory or lies in a
+directory that does not exist.  Every input file is read through `_load`,
+the one place that maps file errors to exit 2.
 """
 
 from __future__ import annotations
@@ -56,14 +58,18 @@ def _check_steps(steps: int) -> int:
 
 
 def _load(what: str, loader, path, *malformed: type[Exception]):
-    """`loader(path)`; bad input (exit 2) if the file is missing, unreadable or one of `malformed`."""
+    """`loader(path)`; bad input (exit 2) if the file is missing, unreadable or one of `malformed`.
+
+    `RecursionError` counts as malformed: `json` raises it for arrays or
+    objects nested too deep to decode.
+    """
     try:
         return loader(path)
     except FileNotFoundError:
         raise _fail(f"{what} not found: {path}")
     except (OSError, UnicodeDecodeError) as exc:
         raise _fail(f"cannot read {what} {path}: {exc}")
-    except malformed as exc:
+    except (RecursionError, *malformed) as exc:
         raise _fail(f"malformed {what} {path}: {exc}")
 
 
@@ -76,9 +82,13 @@ def _read_json(what: str, path: str) -> dict:
 
 
 def _check_out(*paths: str | None) -> None:
-    """Bad input (exit 2) if an output file's directory does not exist, before any work."""
+    """Bad input (exit 2) if an output path is a directory or its directory does not exist, before any work."""
     for path in paths:
-        if path is not None and not Path(path).parent.is_dir():
+        if path is None:
+            continue
+        if Path(path).is_dir():
+            raise _fail(f"output path is a directory: {path}")
+        if not Path(path).parent.is_dir():
             raise _fail(f"output directory not found: {Path(path).parent}")
 
 
@@ -146,7 +156,9 @@ def _train_config(args) -> tuple[diffusion.TrainConfig, generator.Mode, frozense
 
 
 def cmd_train(args) -> int:
-    _check_out(args.out, args.metrics)
+    _check_out(args.out)  # first: a directory such as "." has no name to give a suffix
+    metrics_path = args.metrics or str(Path(args.out).with_suffix(".metrics.csv"))
+    _check_out(metrics_path)
     config, mode, allowlist = _train_config(args)
 
     def load_split(path):
@@ -173,10 +185,23 @@ def cmd_train(args) -> int:
         "epochs": config.epochs,
     }
     numcore.save_checkpoint(params, args.out, meta)
-    metrics_path = args.metrics or str(Path(args.out).with_suffix(".metrics.csv"))
     diffusion.write_metrics_csv(metrics, metrics_path)
     print(json.dumps({"checkpoint": args.out, "metrics": metrics_path, "epochs": len(metrics)}, sort_keys=True))
     return EXIT_OK
+
+
+def _check_fits(params: numcore.ParamStore, vocab: dataio.OdourVocabulary, path: str) -> None:
+    """Bad input (exit 2) unless the checkpoint holds every denoiser part, conditioned on its vocabulary."""
+    try:
+        generator._check_trained(params)
+        shape = params["cond.w"].data.shape
+    except (generator.UntrainedParams, numcore.UnknownParam) as exc:
+        raise _fail(f"checkpoint {path} does not fit the model: {exc}")
+    if shape[:1] != (len(vocab),):
+        raise _fail(
+            f"checkpoint {path} does not fit the model: {len(vocab)} vocabulary terms"
+            f" vs conditioning weights of shape {shape}"
+        )
 
 
 def cmd_generate(args) -> int:
@@ -220,6 +245,7 @@ def cmd_generate(args) -> int:
         )
     except BAD_VALUE as exc:
         raise _fail(f"bad generation settings: {exc}")
+    _check_fits(params, vocab, args.checkpoint)
     known = [d for d in (t.strip().lower() for t in descriptors) if vocab.index(d) is not None]
     dropped = sorted(set(t.strip().lower() for t in descriptors) - set(known))
     if dropped:

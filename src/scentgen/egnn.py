@@ -3,9 +3,13 @@
 Geometry enters only through pairwise distances, so node features are
 invariant under rigid transforms while coordinate updates move with them.
 Message edges are fully connected within each molecule fragment.  Each layer
-(Satorras et al., arXiv:2102.09844) computes the relative positions and
-distances of its edges once, in `edge_geometry`, and both `compute_messages`
-and `update_coordinates` read them.
+(Satorras et al., arXiv:2102.09844) is three `numcore` primitives, each one
+tape node with a hand-written backward: `pair_geometry` computes the
+relative positions and distances of the edges once, and `node_update`
+(gather, concat, node MLP, receiver sum, residual) and `coord_update`
+(coordinate MLP, edge scale, receiver sum, shift) both read them.  Their
+backwards add the same terms in the same order as the chain of single ops
+they replace, so outputs and gradients keep their bits.
 
 The edges depend only on the fragment ids, so an `EdgeLayout` holds them with
 everything else the layers derive from those ids: the edge scale and the flat
@@ -62,7 +66,9 @@ class EdgeLayout:
 
     `edge_scale` is `fragment_edge_scale(receivers)`.  `scatter_index(width)`
     gives the flat index that sums rows of `width` columns into their
-    receivers; each width's index is built on first use and kept.
+    receivers; each width's index is built on first use and kept.  A
+    receiver or sender outside [0, n_nodes) raises IndexError here, once, so
+    the layers index with them unchecked.
     """
 
     fragment_ids: np.ndarray
@@ -70,6 +76,12 @@ class EdgeLayout:
     senders: np.ndarray
     edge_scale: np.ndarray
     _scatter: dict[int, np.ndarray] = field(default_factory=dict, repr=False, compare=False)
+
+    def __post_init__(self):
+        for name in ("receivers", "senders"):
+            index = getattr(self, name)
+            if index.size and (index.min() < 0 or index.max() >= self.n_nodes):
+                raise IndexError(f"{name} outside [0, {self.n_nodes})")
 
     @property
     def n_nodes(self) -> int:
@@ -89,82 +101,105 @@ def edge_layout(fragment_ids: np.ndarray) -> EdgeLayout:
     return EdgeLayout(frag, receivers, senders, fragment_edge_scale(receivers))
 
 
-def edge_geometry(coords: Tensor, receivers: np.ndarray, senders: np.ndarray) -> tuple[Tensor, Tensor]:
-    """Relative positions r_i - r_j [E, 3] and distances |r_i - r_j| [E, 1] per edge.
+def pair_geometry(coords: Tensor, layout: EdgeLayout) -> Tensor:
+    """Per-edge [r_i - r_j | |r_i - r_j|] over the edges of `layout`, shape [E, 4]; one tape node.
 
-    Indices outside the node range raise IndexError.
+    The distance's gradient divides by max(|r_i - r_j|, 1e-150), so
+    coincident atoms get a finite gradient.
     """
-    rel = numcore.sub(numcore.gather(coords, receivers), numcore.gather(coords, senders))
-    return rel, numcore.sqrt(numcore.sum_(numcore.mul(rel, rel), axis=1, keepdims=True))
+    c = coords.data
+    rel = c[layout.receivers] - c[layout.senders]
+    dist = np.sqrt((rel * rel).sum(axis=1, keepdims=True))
+
+    def bw(g):
+        # sum(rel * rel) hands each of the product's two factors the same
+        # term, added one after the other
+        square = g[:, 3:] * 0.5 / np.maximum(dist, 1e-150) * rel
+        g_rel = g[:, :3] + square + square
+        numcore.accumulate(coords, numcore.scatter_add(layout.scatter_index(3), g_rel, c.shape))
+        numcore.accumulate(coords, numcore.scatter_add(numcore.scatter_index(layout.senders, 3), -g_rel, c.shape))
+
+    return numcore.primitive(np.concatenate([rel, dist], axis=1), (coords,), bw)
 
 
-def compute_messages(
-    state: NodeState,
-    params: ParamStore,
-    layer: str,
-    receivers: np.ndarray,
-    senders: np.ndarray,
-    dist: Tensor,
-) -> Tensor:
-    """Per-edge messages from [x_i, x_j, |r_i - r_j|], shape [E, d]."""
-    x_i = numcore.gather(state.features, receivers)
-    x_j = numcore.gather(state.features, senders)
-    return numcore.mlp_forward(params, f"{layer}.node_mlp", numcore.concat([x_i, x_j, dist], axis=1))
+def node_update(features: Tensor, geometry: Tensor, params: ParamStore, layer: str, layout: EdgeLayout) -> Tensor:
+    """New features x_i + sum_j phi_e([x_i, x_j, |r_i - r_j|]), shape [n, d]; one tape node.
 
-
-def update_coordinates(
-    state: NodeState,
-    params: ParamStore,
-    layer: str,
-    receivers: np.ndarray,
-    rel: Tensor,
-    dist: Tensor,
-    edge_scale: np.ndarray | None = None,
-    scatter_index: np.ndarray | None = None,
-) -> Tensor:
-    """New coordinates r_i + sum_j phi(|r_i - r_j|) (r_i - r_j), shape [n, 3].
-
-    `rel` and `dist` come from `edge_geometry`.  `edge_scale` [E, 1] rescales
-    each edge's contribution; the forward pass uses 1 / (fragment size - 1)
-    to keep fully connected sums bounded.  `scatter_index`, when given, is
-    the receivers' flat index for width 3 (`EdgeLayout.scatter_index(3)`).
+    `geometry` is `pair_geometry` over `layout`, and phi_e is the MLP
+    `{layer}.node_mlp`.  The sum runs over the edges of `layout`.
     """
-    weight = numcore.mlp_forward(params, f"{layer}.coord_mlp", dist)
-    if edge_scale is not None:
-        weight = numcore.mul(weight, edge_scale)
-    delta = numcore.segment_sum(numcore.mul(weight, rel), receivers, state.n_nodes, scatter_index)
-    return numcore.add(state.coords, delta)
+    f = features.data
+    width = f.shape[1]
+    receivers, senders = layout.receivers, layout.senders
+    mlp = numcore.MLPPass(
+        params, f"{layer}.node_mlp", np.concatenate([f[receivers], f[senders], geometry.data[:, 3:]], axis=1)
+    )
+
+    def bw(g):
+        numcore.accumulate(features, g)
+        g_in = mlp.backward(g[receivers], features.tracked() or geometry.tracked())
+        if geometry.tracked():
+            g_geometry = np.zeros((receivers.size, 4))
+            g_geometry[:, 3:] = g_in[:, 2 * width :]
+            numcore.accumulate(geometry, g_geometry)
+        if features.tracked():
+            numcore.accumulate(features, numcore.scatter_add(layout.scatter_index(width), g_in[:, :width], f.shape))
+            numcore.accumulate(
+                features,
+                numcore.scatter_add(numcore.scatter_index(senders, width), g_in[:, width : 2 * width], f.shape),
+            )
+
+    out = f + numcore.scatter_add(layout.scatter_index(width), mlp.out, f.shape)
+    return numcore.primitive(out, (features, geometry, *mlp.weights), bw)
+
+
+def coord_update(coords: Tensor, geometry: Tensor, params: ParamStore, layer: str, layout: EdgeLayout) -> Tensor:
+    """New coordinates r_i + sum_j s_ij phi_x(|r_i - r_j|) (r_i - r_j), shape [n, 3]; one tape node.
+
+    `geometry` is `pair_geometry` over `layout`, phi_x is the MLP
+    `{layer}.coord_mlp`, and s_ij is `layout.edge_scale`, 1 / (fragment
+    size - 1), which keeps fully connected sums bounded.
+    """
+    c = coords.data
+    rel = geometry.data[:, :3]
+    # a contiguous column: matmul sums a strided one in another order
+    mlp = numcore.MLPPass(params, f"{layer}.coord_mlp", geometry.data[:, 3:].copy())
+    weight = mlp.out * layout.edge_scale
+
+    def bw(g):
+        numcore.accumulate(coords, g)
+        g_shift = g[layout.receivers]
+        g_weight = (g_shift * rel).sum(axis=1, keepdims=True)
+        g_dist = mlp.backward(g_weight * layout.edge_scale, geometry.tracked())
+        if g_dist is not None:
+            numcore.accumulate(geometry, np.concatenate([g_shift * weight, g_dist], axis=1))
+
+    out = c + numcore.scatter_add(layout.scatter_index(3), weight * rel, c.shape)
+    return numcore.primitive(out, (coords, *mlp.weights, geometry), bw)
 
 
 def egnn_forward(state: NodeState, params: ParamStore, layout: EdgeLayout | None = None) -> NodeState:
     """Run the DEFAULT_LAYERS with residual feature sums and coordinate shifts.
 
     Messages pass along the edges of `layout` (default: one fragment holding
-    every node).  Each layer computes the edge geometry once and feeds it to
-    both the messages and the coordinate update.  A graph without edges
-    (every fragment a single atom) passes through every layer unchanged.
+    every node).  Each layer is three tape nodes: `pair_geometry`, then
+    `node_update` and `coord_update`, which both read it.  A graph without
+    edges (every fragment a single atom) passes through every layer
+    unchanged.
     """
     n = state.n_nodes
     if layout is None:
         layout = edge_layout(np.zeros(n, dtype=np.int64))
     elif layout.n_nodes != n:
         raise numcore.ShapeMismatch(f"{n} nodes vs an edge layout of {layout.n_nodes}")
-    receivers, senders = layout.receivers, layout.senders
-    if len(receivers) == 0:
+    if layout.receivers.size == 0:
         return state
-    feature_index = layout.scatter_index(state.features.data.shape[1])
-    coord_index = layout.scatter_index(3)
-
-    current = state
+    features, coords = state.features, state.coords
     for layer in DEFAULT_LAYERS:
-        rel, dist = edge_geometry(current.coords, receivers, senders)
-        messages = compute_messages(current, params, layer, receivers, senders, dist)
-        features = numcore.add(current.features, numcore.segment_sum(messages, receivers, n, feature_index))
-        coords = update_coordinates(
-            current, params, layer, receivers, rel, dist, layout.edge_scale, coord_index
-        )
-        current = NodeState(features=features, coords=coords)
-    return current
+        geometry = pair_geometry(coords, layout)
+        features = node_update(features, geometry, params, layer, layout)
+        coords = coord_update(coords, geometry, params, layer, layout)
+    return NodeState(features=features, coords=coords)
 
 
 def init_egnn_layer(

@@ -1,9 +1,14 @@
 """Dense float64 tensors with tape-based reverse-mode automatic differentiation.
 
-Each operation links its output to its inputs with a backward closure; calling
-`backward` on a scalar loss walks the recorded graph in reverse topological
-order and accumulates gradients on every tracked tensor.  The module also
-provides the parameter store, a two-layer SiLU MLP, the Adam update, and a
+Each primitive links its output to its inputs with a hand-written backward
+closure (`primitive`); calling `backward` on a scalar loss walks the
+recorded graph in reverse topological order and accumulates gradients on
+every tracked tensor.  Besides the elementwise, matrix and row ops, `linear`
+and the two-layer SiLU `mlp_forward` are single primitives: each records one
+tape node, and its backward adds the same terms in the same order as the
+chain of matmul, add and SiLU ops it stands for, so gradients keep their
+bits.  `MLPPass` holds that MLP's arithmetic for other modules' primitives.
+The module also provides the parameter store, the Adam update, and a
 versioned JSON checkpoint format.
 """
 
@@ -75,33 +80,38 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def _tracked(self) -> bool:
+    def tracked(self) -> bool:
+        """Whether `backward` gives this tensor a gradient: it requires one, or the tape recorded it."""
         return self.requires_grad or bool(self._parents)
 
     def __repr__(self) -> str:
-        return f"Tensor(shape={self.data.shape}, tracked={self._tracked()})"
+        return f"Tensor(shape={self.data.shape}, tracked={self.tracked()})"
 
 
 def as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(np.asarray(value, dtype=np.float64))
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    if not t._tracked():
+def accumulate(t: Tensor, g: np.ndarray) -> None:
+    """Add `g` to the gradient of `t`, a copy of `g` if it has none; nothing if `t` is untracked."""
+    if not t.tracked():
         return
     t.grad = g.copy() if t.grad is None else t.grad + g
 
 
-def _make(data: np.ndarray, parents: Sequence[Tensor], backward_fn) -> Tensor:
-    """Wrap an op's result without copying it; every op computes a new array.
+def primitive(data: np.ndarray, parents: Sequence[Tensor], backward_fn) -> Tensor:
+    """An op's result: `data` wrapped without copying, linked to `parents` when recording.
 
-    The result still goes through `Tensor.__init__`, so anything that counts
+    Every op computes a new array.  `backward_fn(g)` receives the result's
+    gradient and calls `accumulate` on each parent that needs a share; it
+    is kept only while the tape records and some parent is tracked.  The
+    result still goes through `Tensor.__init__`, so anything that counts
     tensors by their construction sees every op result.  `exp` and `sqrt`
     read their own output in backward, so the output of a tracked op must
     not be written in place before `backward` has run.
     """
     out = Tensor(data, _owned=True)
-    if _grad_enabled and any(p._tracked() for p in parents):
+    if _grad_enabled and any(p.tracked() for p in parents):
         out._parents = tuple(parents)
         out._backward_fn = backward_fn
     return out
@@ -122,10 +132,10 @@ def add(a: Tensor, b) -> Tensor:
     out_data = a.data + b.data
 
     def bw(g):
-        _accumulate(a, _unbroadcast(g, a.data.shape))
-        _accumulate(b, _unbroadcast(g, b.data.shape))
+        accumulate(a, _unbroadcast(g, a.data.shape))
+        accumulate(b, _unbroadcast(g, b.data.shape))
 
-    return _make(out_data, (a, b), bw)
+    return primitive(out_data, (a, b), bw)
 
 
 def sub(a: Tensor, b) -> Tensor:
@@ -133,10 +143,10 @@ def sub(a: Tensor, b) -> Tensor:
     out_data = a.data - b.data
 
     def bw(g):
-        _accumulate(a, _unbroadcast(g, a.data.shape))
-        _accumulate(b, _unbroadcast(-g, b.data.shape))
+        accumulate(a, _unbroadcast(g, a.data.shape))
+        accumulate(b, _unbroadcast(-g, b.data.shape))
 
-    return _make(out_data, (a, b), bw)
+    return primitive(out_data, (a, b), bw)
 
 
 def mul(a: Tensor, b) -> Tensor:
@@ -144,10 +154,10 @@ def mul(a: Tensor, b) -> Tensor:
     out_data = a.data * b.data
 
     def bw(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
+        accumulate(a, _unbroadcast(g * b.data, a.data.shape))
+        accumulate(b, _unbroadcast(g * a.data, b.data.shape))
 
-    return _make(out_data, (a, b), bw)
+    return primitive(out_data, (a, b), bw)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -159,10 +169,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data @ b.data
 
     def bw(g):
-        _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
+        accumulate(a, g @ b.data.T)
+        accumulate(b, a.data.T @ g)
 
-    return _make(out_data, (a, b), bw)
+    return primitive(out_data, (a, b), bw)
 
 
 def sum_(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
@@ -171,12 +181,12 @@ def sum_(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
 
     def bw(g):
         if axis is None:
-            _accumulate(a, np.broadcast_to(g, a.data.shape).copy())
+            accumulate(a, np.broadcast_to(g, a.data.shape).copy())
         else:
             expanded = g if keepdims else np.expand_dims(g, axis)
-            _accumulate(a, np.broadcast_to(expanded, a.data.shape).copy())
+            accumulate(a, np.broadcast_to(expanded, a.data.shape).copy())
 
-    return _make(out_data, (a,), bw)
+    return primitive(out_data, (a,), bw)
 
 
 def mean_(a: Tensor) -> Tensor:
@@ -190,9 +200,9 @@ def exp(a: Tensor) -> Tensor:
     out_data = np.exp(a.data)
 
     def bw(g):
-        _accumulate(a, g * out_data)
+        accumulate(a, g * out_data)
 
-    return _make(out_data, (a,), bw)
+    return primitive(out_data, (a,), bw)
 
 
 def log(a: Tensor) -> Tensor:
@@ -200,9 +210,9 @@ def log(a: Tensor) -> Tensor:
     out_data = np.log(a.data)
 
     def bw(g):
-        _accumulate(a, g / a.data)
+        accumulate(a, g / a.data)
 
-    return _make(out_data, (a,), bw)
+    return primitive(out_data, (a,), bw)
 
 
 def sqrt(a: Tensor) -> Tensor:
@@ -211,24 +221,35 @@ def sqrt(a: Tensor) -> Tensor:
     out_data = np.sqrt(a.data)
 
     def bw(g):
-        _accumulate(a, g * 0.5 / np.maximum(out_data, 1e-150))
+        accumulate(a, g * 0.5 / np.maximum(out_data, 1e-150))
 
-    return _make(out_data, (a,), bw)
+    return primitive(out_data, (a,), bw)
+
+
+def _silu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """SiLU of `x` and the sigmoid it used.
+
+    Stable sigmoid in one division: exp never sees a positive argument, and
+    the numerator is exp(min(x, 0)), which is 1 or exp(-|x|) by sign.
+    """
+    ex = np.exp(-np.abs(x))
+    sig = np.exp(np.minimum(x, 0.0)) / (1.0 + ex)
+    return x * sig, sig
+
+
+def _silu_grad(g: np.ndarray, x: np.ndarray, sig: np.ndarray) -> np.ndarray:
+    return g * (sig * (1.0 + x * (1.0 - sig)))
 
 
 def silu(a: Tensor) -> Tensor:
     a = as_tensor(a)
-    # Stable sigmoid in one division: exp never sees a positive argument, and
-    # the numerator picks 1 or exp(-|x|) by sign.
     x = a.data
-    ex = np.exp(-np.abs(x))
-    sig = np.where(x >= 0, 1.0, ex) / (1.0 + ex)
-    out_data = x * sig
+    out_data, sig = _silu(x)
 
     def bw(g):
-        _accumulate(a, g * (sig * (1.0 + x * (1.0 - sig))))
+        accumulate(a, _silu_grad(g, x, sig))
 
-    return _make(out_data, (a,), bw)
+    return primitive(out_data, (a,), bw)
 
 
 def concat(parts: Sequence[Tensor], axis: int = 1) -> Tensor:
@@ -241,10 +262,10 @@ def concat(parts: Sequence[Tensor], axis: int = 1) -> Tensor:
         for p, size in zip(parts, sizes):
             index = [slice(None)] * g.ndim
             index[axis] = slice(offset, offset + size)
-            _accumulate(p, g[tuple(index)])
+            accumulate(p, g[tuple(index)])
             offset += size
 
-    return _make(out_data, tuple(parts), bw)
+    return primitive(out_data, tuple(parts), bw)
 
 
 def scatter_index(index: np.ndarray, width: int) -> np.ndarray:
@@ -257,12 +278,13 @@ def scatter_index(index: np.ndarray, width: int) -> np.ndarray:
     return index if width == 1 else (index[:, None] * width + np.arange(width)).reshape(-1)
 
 
-def _scatter_add(flat: np.ndarray, rows: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+def scatter_add(flat: np.ndarray, rows: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Zeros of `shape` plus each element of `rows` added at its position in `flat`.
 
-    `np.bincount` adds each bucket's terms in input order starting from 0.0,
-    as `np.add.at` does, so the sums have the same bits.  A position outside
-    the array raises IndexError.
+    `flat` is `scatter_index` of the rows' destinations.  `np.bincount` adds
+    each bucket's terms in input order starting from 0.0, as `np.add.at`
+    does, so the sums have the same bits.  A position outside the array
+    raises IndexError.
     """
     size = math.prod(shape)
     try:
@@ -286,32 +308,27 @@ def gather(a: Tensor, indices: np.ndarray) -> Tensor:
 
     def bw(g):
         width = math.prod(a.data.shape[1:])
-        _accumulate(a, _scatter_add(scatter_index(idx, width), g, a.data.shape))
+        accumulate(a, scatter_add(scatter_index(idx, width), g, a.data.shape))
 
-    return _make(out_data, (a,), bw)
+    return primitive(out_data, (a,), bw)
 
 
-def segment_sum(
-    a: Tensor, segment_ids: np.ndarray, num_segments: int, flat_index: np.ndarray | None = None
-) -> Tensor:
+def segment_sum(a: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
     """Sum rows of `a` into `num_segments` buckets keyed by `segment_ids`.
 
-    `flat_index`, when given, is `scatter_index(segment_ids, width)` for the
-    row width of `a`, built once by a caller that sums many times over the
-    same ids.  An id outside [0, num_segments) raises IndexError.
+    An id outside [0, num_segments) raises IndexError.
     """
     a = as_tensor(a)
     seg = np.asarray(segment_ids, dtype=np.int64)
     if seg.shape[:1] != a.data.shape[:1]:
         raise ShapeMismatch(f"{seg.shape[0]} segment ids vs {a.data.shape[0]} rows")
-    if flat_index is None:
-        flat_index = scatter_index(seg, math.prod(a.data.shape[1:]))
-    out_data = _scatter_add(flat_index, a.data, (num_segments,) + a.data.shape[1:])
+    flat_index = scatter_index(seg, math.prod(a.data.shape[1:]))
+    out_data = scatter_add(flat_index, a.data, (num_segments,) + a.data.shape[1:])
 
     def bw(g):
-        _accumulate(a, g[seg])
+        accumulate(a, g[seg])
 
-    return _make(out_data, (a,), bw)
+    return primitive(out_data, (a,), bw)
 
 
 def log_softmax_rows(a: Tensor) -> Tensor:
@@ -386,24 +403,69 @@ class ParamStore:
             t.grad = np.zeros_like(t.data)
 
 
+def _affine_backward(g: np.ndarray, x: np.ndarray, w: Tensor, b: Tensor, input_grad: bool) -> np.ndarray | None:
+    """Accumulate the gradients of `x @ w + b` into `w` and `b`; the input's gradient if asked."""
+    accumulate(b, _unbroadcast(g, b.data.shape))
+    g_x = g @ w.data.T if input_grad else None
+    accumulate(w, x.T @ g)
+    return g_x
+
+
 def linear(params: ParamStore, name: str, x: Tensor) -> Tensor:
-    """Affine map x @ w + b using parameters `{name}.w` / `{name}.b`."""
+    """Affine map x @ w + b using parameters `{name}.w` / `{name}.b`; one tape node."""
     w = params[f"{name}.w"]
     b = params[f"{name}.b"]
     x = as_tensor(x)
     if x.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
         raise ShapeMismatch(f"linear {name!r}: input {x.data.shape} vs weight {w.data.shape}")
-    return add(matmul(x, w), b)
+
+    def bw(g):
+        g_x = _affine_backward(g, x.data, w, b, x.tracked())
+        if g_x is not None:
+            accumulate(x, g_x)
+
+    return primitive(x.data @ w.data + b.data, (x, w, b), bw)
+
+
+class MLPPass:
+    """One application of a two-layer SiLU MLP to an array, kept for its backward.
+
+    `out` is affine, SiLU, affine of `x` with parameters `{name}.w1/b1/w2/b2`.
+    Raises `UnknownParam` for a missing parameter and `ShapeMismatch` unless
+    `x` is 2-D with as many columns as `w1` has rows.
+    """
+
+    __slots__ = ("weights", "x", "pre", "sig", "hidden", "out")
+
+    def __init__(self, params: ParamStore, name: str, x: np.ndarray):
+        self.weights = w1, b1, w2, b2 = (
+            params[name + ".w1"], params[name + ".b1"], params[name + ".w2"], params[name + ".b2"]
+        )
+        if x.ndim != 2 or x.shape[1] != w1.data.shape[0]:
+            raise ShapeMismatch(f"mlp {name!r}: input {x.shape} vs weight {w1.data.shape}")
+        self.x = x
+        self.pre = x @ w1.data + b1.data
+        self.hidden, self.sig = _silu(self.pre)
+        self.out = self.hidden @ w2.data + b2.data
+
+    def backward(self, g: np.ndarray, input_grad: bool) -> np.ndarray | None:
+        """Accumulate the parameters' gradients for upstream `g`; the input's gradient if asked."""
+        w1, b1, w2, b2 = self.weights
+        g_hidden = _affine_backward(g, self.hidden, w2, b2, True)
+        return _affine_backward(_silu_grad(g_hidden, self.pre, self.sig), self.x, w1, b1, input_grad)
 
 
 def mlp_forward(params: ParamStore, name: str, x: Tensor) -> Tensor:
-    """Two-layer MLP: affine, SiLU, affine, using `{name}.w1/b1/w2/b2`."""
-    w1, b1, w2, b2 = (params[f"{name}.{suffix}"] for suffix in ("w1", "b1", "w2", "b2"))
+    """Two-layer MLP: affine, SiLU, affine, using `{name}.w1/b1/w2/b2`; one tape node."""
     x = as_tensor(x)
-    if x.data.ndim != 2 or x.data.shape[1] != w1.data.shape[0]:
-        raise ShapeMismatch(f"mlp {name!r}: input {x.data.shape} vs weight {w1.data.shape}")
-    hidden = silu(add(matmul(x, w1), b1))
-    return add(matmul(hidden, w2), b2)
+    mlp = MLPPass(params, name, x.data)
+
+    def bw(g):
+        g_x = mlp.backward(g, x.tracked())
+        if g_x is not None:
+            accumulate(x, g_x)
+
+    return primitive(mlp.out, (x, *mlp.weights), bw)
 
 
 def init_affine(params: ParamStore, name: str, n_in: int, n_out: int, rng: np.random.Generator) -> None:

@@ -369,8 +369,10 @@ SCENARIO_SENSOR = {"id": "A", "detects": ["NO"], "cost": 1.0}
 NOT_UTF8 = b"smiles,descriptors\nCCO,floral\n\xff\xfe\n"
 THROUGH_FILE = "{tmp}/query.json/x"  # a path whose parent is a regular file
 METRICS_ROW = b"epoch,mse_loss,ce_loss,total_loss\n1,1.0,0.5,1.5\n"
+DEEP = b"[" * 100_000  # json raises RecursionError before it finds the file unterminated
 
-# name -> (subcommand and extra arguments, files to write: bytes as they are, anything else as JSON)
+# name -> (subcommand and extra arguments, files to write: bytes as they are, "vocabulary of 5" as a
+# checkpoint of init_params(2) with five vocabulary terms, anything else as JSON)
 BAD_INPUTS = {
     "generate --n-atoms 0": (["generate", "--n-atoms", "0"], {}),
     "generate --tau 0": (["generate", "--tau", "0"], {}),
@@ -461,6 +463,22 @@ BAD_INPUTS = {
     "metrics-plot --out into a missing directory": (
         ["metrics-plot", "{tmp}/m.csv", "--out", "{tmp}/nodir/m.svg"], {"m.csv": METRICS_ROW}
     ),
+    "ingest --out a directory": (["ingest", "{tmp}/tiny.csv", "--out", "{tmp}"], {}),
+    "train --out a directory": (["train", "--out", "{tmp}"], {}),
+    "train --out the working directory": (["train", "--out", "."], {}),
+    "train --metrics a directory": (["train", "--metrics", "{tmp}"], {}),
+    "generate --out a directory": (["generate", "--out", "{tmp}"], {}),
+    "metrics-plot --out a directory": (["metrics-plot", "{tmp}/m.csv", "--out", "{tmp}"], {"m.csv": METRICS_ROW}),
+    "checkpoint nested too deep": (["generate", "--checkpoint", "{tmp}/deep.json"], {"deep.json": DEEP}),
+    "query nested too deep": (["generate", "--query", "{tmp}/deep.json"], {"deep.json": DEEP}),
+    "config nested too deep": (["train", "--config", "{tmp}/deep.json"], {"deep.json": DEEP}),
+    "scenario nested too deep": (["select-sensors", "{tmp}/deep.json"], {"deep.json": DEEP}),
+    "checkpoint without parameters": (
+        ["generate", "--checkpoint", "{tmp}/ckpt.json"], {"ckpt.json": {"format_version": 1, "params": {}}}
+    ),
+    "checkpoint vocabulary longer than its weights": (
+        ["generate", "--checkpoint", "{tmp}/five.json"], {"five.json": "vocabulary of 5"}
+    ),
 }
 
 
@@ -471,7 +489,10 @@ def test_bad_input_exits_2(tmp_path, tiny_csv, capsys, case):
     numcore.save_checkpoint(diffusion.init_params(2), str(checkpoint), {"vocabulary": ["floral", "sweet"]})
     (tmp_path / "query.json").write_text(json.dumps({"descriptors": ["floral"], "count": 1}))
     for name, payload in files.items():
-        if isinstance(payload, bytes):
+        if payload == "vocabulary of 5":  # two conditioning rows under five terms
+            vocabulary = ["floral", "sweet", "fruity", "green", "woody"]
+            numcore.save_checkpoint(diffusion.init_params(2), str(tmp_path / name), {"vocabulary": vocabulary})
+        elif isinstance(payload, bytes):
             (tmp_path / name).write_bytes(payload)
         else:
             (tmp_path / name).write_text(json.dumps(payload))

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from scentgen import dataio, diffusion, numcore
+import composite_layers
+from scentgen import dataio, diffusion, egnn, numcore
 from scentgen.diffusion import (
     DivergedLoss,
     EmptyDataset,
@@ -462,6 +463,27 @@ def test_batch_loss_matches_oracle_on_corpus_batch(fixture_dataset):
     params = init_params(len(vocab), seed=4)
     timesteps = np.random.default_rng(4).integers(1, 1001, size=len(examples)).tolist()
     _assert_matches_oracle(examples, timesteps, params, seed=4, steps=1000)
+
+
+@pytest.mark.parametrize("case", sorted(_mixed_batches()))
+def test_batch_loss_keeps_the_bits_of_the_op_chain(case, monkeypatch):
+    """Loss and every parameter gradient of a batch equal, bit for bit, those of a
+    denoiser whose affine maps and EGNN layers are chains of single ops."""
+    examples = _mixed_batches()[case]
+    params = init_params(vocab_size=5, seed=8)
+    timesteps = np.random.default_rng(9).integers(1, 501, size=len(examples)).tolist()
+
+    def loss_and_gradients():
+        loss, mse, ce = batch_loss(examples, timesteps, NoiseSchedule(500), 0.7, params, np.random.default_rng(3))
+        params.zero_grad()
+        numcore.backward(loss)
+        return [loss.data, mse.data, ce.data] + [params[name].grad for name in params.names()]
+
+    got = loss_and_gradients()
+    monkeypatch.setattr(numcore, "linear", composite_layers.linear)
+    monkeypatch.setattr(egnn, "egnn_forward", composite_layers.egnn_forward)
+    want = loss_and_gradients()
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
 
 def test_train_epoch_metrics_match_oracle_molecule_means():

@@ -3,17 +3,19 @@ import itertools
 import numpy as np
 import pytest
 
+import composite_layers
 from scentgen import egnn, numcore
 from scentgen.egnn import (
+    EdgeLayout,
     NodeState,
-    compute_messages,
-    edge_geometry,
+    coord_update,
     edge_layout,
     egnn_forward,
     fragment_edge_scale,
     fully_connected_edges,
     init_egnn_layer,
-    update_coordinates,
+    node_update,
+    pair_geometry,
 )
 from scentgen.numcore import ParamStore, Tensor
 
@@ -39,14 +41,18 @@ def state_of(features, coords):
     return NodeState(Tensor(features), Tensor(coords))
 
 
-def messages_of(state, params, recv, send):
-    _, dist = edge_geometry(state.coords, recv, send)
-    return compute_messages(state, params, "egnn.0", recv, send, dist)
+def one_fragment(state):
+    return edge_layout(np.zeros(state.n_nodes, dtype=int))
 
 
-def coords_after(state, params, recv, send):
-    rel, dist = edge_geometry(state.coords, recv, send)
-    return update_coordinates(state, params, "egnn.0", recv, rel, dist)
+def features_after(state, params):
+    layout = one_fragment(state)
+    return node_update(state.features, pair_geometry(state.coords, layout), params, "egnn.0", layout)
+
+
+def coords_after(state, params):
+    layout = one_fragment(state)
+    return coord_update(state.coords, pair_geometry(state.coords, layout), params, "egnn.0", layout)
 
 
 def reference_edges(frag):
@@ -144,23 +150,29 @@ def test_messages_zero_distance_twins(rng):
     params = make_params()
     feats = rng.normal(size=(2, D))
     feats[1] = feats[0]
-    coords = np.ones((2, 3))
-    state = state_of(feats, coords)
-    recv, send = fully_connected_edges(np.zeros(2, dtype=int))
-    rel, dist = edge_geometry(state.coords, recv, send)
-    assert np.abs(dist.data).max() == 0.0 and np.abs(rel.data).max() == 0.0
-    messages = compute_messages(state, params, "egnn.0", recv, send, dist)
-    # twin nodes with identical features produce identical messages both ways
-    assert np.abs(messages.data[0] - messages.data[1]).max() < 1e-12
+    state = state_of(feats, np.ones((2, 3)))
+    geometry = pair_geometry(state.coords, one_fragment(state))
+    assert geometry.data.shape == (2, 4) and np.abs(geometry.data).max() == 0.0
+    # twin nodes with identical features receive identical messages both ways
+    out = features_after(state, params)
+    assert np.abs(out.data[0] - out.data[1]).max() < 1e-12
+
+
+def test_pair_geometry_is_relative_position_and_distance(rng):
+    coords = rng.normal(size=(5, 3))
+    layout = edge_layout(np.array([0, 1, 0, 1, 1]))
+    geometry = pair_geometry(Tensor(coords), layout).data
+    rel = coords[layout.receivers] - coords[layout.senders]
+    assert np.array_equal(geometry[:, :3], rel)
+    assert np.abs(geometry[:, 3] - np.linalg.norm(rel, axis=1)).max() < 1e-15
 
 
 def test_messages_rotation_invariant(rng):
     params = make_params()
     feats = rng.normal(size=(4, D))
     coords = rng.normal(size=(4, 3))
-    recv, send = fully_connected_edges(np.zeros(4, dtype=int))
-    base = messages_of(state_of(feats, coords), params, recv, send)
-    rot = messages_of(state_of(feats, coords @ random_rotation(rng).T), params, recv, send)
+    base = features_after(state_of(feats, coords), params)
+    rot = features_after(state_of(feats, coords @ random_rotation(rng).T), params)
     assert np.abs(base.data - rot.data).max() < 1e-12
 
 
@@ -171,36 +183,45 @@ def test_messages_zero_weights(rng):
     ):
         params.add(f"egnn.0.node_mlp.{suffix}", np.zeros(shape))
     feats = rng.normal(size=(3, D))
-    coords = rng.normal(size=(3, 3))
-    recv, send = fully_connected_edges(np.zeros(3, dtype=int))
-    messages = messages_of(state_of(feats, coords), params, recv, send)
-    assert np.abs(messages.data).max() == 0.0
+    out = features_after(state_of(feats, rng.normal(size=(3, 3))), params)
+    assert np.array_equal(out.data, feats)
 
 
-def test_messages_index_out_of_range(rng):
-    params = make_params()
-    state = state_of(rng.normal(size=(2, D)), rng.normal(size=(2, 3)))
-    recv, send = np.array([0]), np.array([5])
-    with pytest.raises(IndexError):
-        edge_geometry(state.coords, recv, send)
-    with pytest.raises(IndexError):
-        compute_messages(state, params, "egnn.0", recv, send, Tensor(np.zeros((1, 1))))
+def test_messages_index_out_of_range():
+    """The layout checks its edges once; the layers then index with them unchecked."""
+    frag, scale = np.zeros(2, dtype=np.int64), np.ones((1, 1))
+    for recv, send in (([0], [5]), ([2], [0]), ([-1], [0]), ([0], [-2])):
+        with pytest.raises(IndexError):
+            EdgeLayout(frag, np.array(recv), np.array(send), scale)
+
+
+def test_node_update_rejects_features_of_another_width(rng):
+    state = state_of(rng.normal(size=(3, D - 1)), rng.normal(size=(3, 3)))
+    with pytest.raises(numcore.ShapeMismatch, match="node_mlp"):
+        features_after(state, make_params())
+    with pytest.raises(numcore.ShapeMismatch):
+        egnn_forward(state, make_params())
+
+
+def test_layers_name_a_missing_parameter(rng):
+    state = state_of(rng.normal(size=(3, D)), rng.normal(size=(3, 3)))
+    with pytest.raises(numcore.UnknownParam, match="egnn.0.node_mlp.w1"):
+        features_after(state, ParamStore())
+    with pytest.raises(numcore.UnknownParam, match="egnn.0.coord_mlp.w1"):
+        coords_after(state, ParamStore())
 
 
 def test_update_coordinates_no_neighbors(rng):
     params = make_params()
     coords = rng.normal(size=(1, 3))
-    state = state_of(rng.normal(size=(1, D)), coords)
-    out = coords_after(state, params, np.array([], dtype=int), np.array([], dtype=int))
+    out = coords_after(state_of(rng.normal(size=(1, D)), coords), params)
     assert np.array_equal(out.data, coords)
 
 
 def test_update_coordinates_antisymmetric_pair(rng):
     params = make_params()
     coords = np.array([[1.0, 0.5, -0.25], [-1.0, -0.5, 0.25]])
-    feats = rng.normal(size=(2, D))
-    recv, send = fully_connected_edges(np.zeros(2, dtype=int))
-    out = coords_after(state_of(feats, coords), params, recv, send)
+    out = coords_after(state_of(rng.normal(size=(2, D)), coords), params)
     delta = out.data - coords
     assert np.abs(delta[0] + delta[1]).max() < 1e-12
 
@@ -210,11 +231,10 @@ def test_update_coordinates_rotation_equivariant(rng):
     params = make_params()
     feats = rng.normal(size=(5, D))
     coords = rng.normal(size=(5, 3))
-    recv, send = fully_connected_edges(np.zeros(5, dtype=int))
-    base = coords_after(state_of(feats, coords), params, recv, send).data
+    base = coords_after(state_of(feats, coords), params).data
     for _ in range(100):
         q = random_rotation(rng)
-        rotated = coords_after(state_of(feats, coords @ q.T), params, recv, send).data
+        rotated = coords_after(state_of(feats, coords @ q.T), params).data
         assert np.abs(rotated - base @ q.T).max() < 1e-6
 
 
@@ -316,3 +336,117 @@ def test_forward_gradient_flows_through_layers(rng):
     numcore.backward(loss)
     # the first layer's node MLP must receive signal
     assert np.abs(params["egnn.0.node_mlp.w1"].grad).max() > 0
+
+
+# ------------------------------------- the layer primitives vs the op chain
+
+
+def kernel_cases():
+    """(fragment ids, coordinates) covering batches, lone atoms, no edges and coincident atoms."""
+    rng = np.random.default_rng(12)
+    coincident = rng.normal(size=(4, 3))
+    coincident[2] = coincident[0]
+    stacked = rng.normal(size=(3, 3))
+    return {
+        "one fragment": (np.zeros(6, dtype=int), rng.normal(size=(6, 3))),
+        "three fragments": (np.array([0, 0, 1, 1, 1, 2, 2, 2, 2]), rng.normal(size=(9, 3)) * 3.0),
+        "unsorted fragments": (np.array([2, 0, 2, 1, 0, 1, 2]), rng.normal(size=(7, 3))),
+        "single-atom fragment": (np.array([0, 0, 1, 2, 2, 2]), rng.normal(size=(6, 3))),
+        "no edges": (np.array([0, 1, 2]), rng.normal(size=(3, 3))),
+        "one atom": (np.array([0]), rng.normal(size=(1, 3))),
+        "coincident atoms": (np.zeros(4, dtype=int), coincident),
+        "all atoms at one point": (np.array([0, 0, 0, 1, 1]), np.vstack([stacked[:1]] * 3 + [stacked[1:2]] * 2)),
+        "tiny and huge scales": (
+            np.array([0, 0, 0, 1, 1]), rng.normal(size=(5, 3)) * np.array([[1e-9], [1e-9], [1e-9], [1e4], [1e4]])
+        ),
+    }
+
+
+def run_layers(forward, params, feats, coords, frag, track, weights):
+    """Outputs, loss and every gradient of a weighted sum of `forward`'s outputs."""
+    features = Tensor(feats, requires_grad=track[0])
+    positions = Tensor(coords, requires_grad=track[1])
+    out = forward(NodeState(features, positions), params, edge_layout(frag))
+    loss = numcore.add(
+        numcore.sum_(numcore.mul(out.features, Tensor(weights[0]))),
+        numcore.sum_(numcore.mul(out.coords, Tensor(weights[1]))),
+    )
+    params.zero_grad()
+    numcore.backward(loss)
+    grads = {name: params[name].grad for name in params.names()}
+    grads.update(features=features.grad, coords=positions.grad)
+    return out.features.data, out.coords.data, loss.data, grads
+
+
+@pytest.mark.parametrize("case", sorted(kernel_cases()))
+@pytest.mark.parametrize("track", [(True, True), (False, False), (True, False), (False, True)],
+                         ids=["both", "neither", "features", "coords"])
+def test_layers_keep_the_bits_of_the_op_chain(case, track):
+    """Every output and every gradient equals that of the single-op chain, bit for bit."""
+    frag, coords = kernel_cases()[case]
+    rng = np.random.default_rng(len(frag))
+    feats = rng.normal(size=(len(frag), D))
+    weights = (rng.normal(size=(len(frag), D)), rng.normal(size=(len(frag), 3)))
+    params = make_params(seed=len(frag))
+    got = run_layers(egnn_forward, params, feats, coords, frag, track, weights)
+    want = run_layers(composite_layers.egnn_forward, params, feats, coords, frag, track, weights)
+    for a, b in zip(got[:3], want[:3]):
+        assert a.tobytes() == b.tobytes()
+    assert got[3].keys() == want[3].keys()
+    for name, grad in want[3].items():
+        if grad is None:
+            assert got[3][name] is None, name
+        else:
+            assert np.array_equal(got[3][name], grad), name
+            assert got[3][name].tobytes() == grad.tobytes(), name  # the signs of zeros too
+    assert all(np.isfinite(g).all() for g in got[3].values() if g is not None)
+
+
+def test_each_layer_records_three_tape_nodes(rng):
+    params = make_params()
+    state = NodeState(Tensor(rng.normal(size=(4, D)), requires_grad=True),
+                      Tensor(rng.normal(size=(4, 3)), requires_grad=True))
+    out = egnn_forward(state, params)
+    recorded, seen, stack = [], set(), [out.features, out.coords]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            recorded += [node] if node._parents else []
+            stack.extend(node._parents)
+    assert len(recorded) == 3 * len(egnn.DEFAULT_LAYERS)
+
+
+def test_forward_gradients_match_central_differences(rng):
+    """Parameter and coordinate gradients through both layers against central differences."""
+    params = make_params(seed=3)
+    frag = np.array([0, 0, 0, 1, 1, 1, 1])
+    feats = rng.normal(size=(7, D))
+    coords = rng.normal(size=(7, 3))
+    weights = (Tensor(rng.normal(size=(7, D))), Tensor(rng.normal(size=(7, 3))))
+    layout = edge_layout(frag)
+
+    def loss_of(positions):
+        out = egnn_forward(NodeState(Tensor(feats), positions), params, layout)
+        return numcore.add(
+            numcore.sum_(numcore.mul(out.features, weights[0])), numcore.sum_(numcore.mul(out.coords, weights[1]))
+        )
+
+    positions = Tensor(coords, requires_grad=True)
+    params.zero_grad()
+    numcore.backward(loss_of(positions))
+    h = 1e-6
+    probes = [(params[name].data, params[name].grad, index)
+              for name in ("egnn.0.node_mlp.w1", "egnn.0.coord_mlp.w1", "egnn.0.coord_mlp.b2",
+                           "egnn.1.node_mlp.b1", "egnn.1.node_mlp.w2", "egnn.1.coord_mlp.w2")
+              for index in [(0,) * params[name].data.ndim, tuple(s - 1 for s in params[name].data.shape)]]
+    probes += [(coords, positions.grad, index) for index in itertools.product(range(7), range(3))]
+    for data, grad, index in probes:
+        keep = data[index]
+        data[index] = keep + h
+        up = loss_of(Tensor(coords)).item()
+        data[index] = keep - h
+        down = loss_of(Tensor(coords)).item()
+        data[index] = keep
+        numeric = (up - down) / (2 * h)
+        assert abs(grad[index] - numeric) <= 1e-6 * max(1.0, abs(numeric)), (index, grad[index], numeric)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import composite_layers
 from scentgen import numcore
 from scentgen.numcore import (
     MissingGradients,
@@ -126,6 +127,51 @@ def test_mlp_bad_width(rng):
     make_mlp(params, "f", 3, 8, 1, rng)
     with pytest.raises(ShapeMismatch):
         mlp_forward(params, "f", Tensor(np.zeros((1, 5))))
+
+
+@pytest.mark.parametrize("op", [numcore.linear, mlp_forward])
+def test_affine_maps_reject_a_bad_width_or_a_missing_param(rng, op):
+    params = ParamStore()
+    numcore.init_affine(params, "f", 3, 2, rng)
+    make_mlp(params, "f", 3, 8, 2, rng)
+    with pytest.raises(ShapeMismatch):
+        op(params, "f", Tensor(np.zeros((2, 4))))
+    with pytest.raises(ShapeMismatch):
+        op(params, "f", Tensor(np.zeros(3)))
+    with pytest.raises(UnknownParam):
+        op(params, "ghost", Tensor(np.zeros((2, 3))))
+
+
+def chain_gradients(op, params, x, track, zero_grad, upstream):
+    """Output and every gradient of sum(op(x) * upstream)."""
+    source = Tensor(x, requires_grad=track)
+    out = op(params, "f", source)
+    for name in params.names():
+        params[name].grad = np.zeros_like(params[name].data) if zero_grad else None
+    backward(numcore.sum_(numcore.mul(out, Tensor(upstream))))
+    return [out.data, source.grad] + [params[name].grad for name in params.names()]
+
+
+@pytest.mark.parametrize("rows", [0, 1, 5, 40])
+@pytest.mark.parametrize("track", [True, False])
+@pytest.mark.parametrize("zero_grad", [True, False])
+def test_linear_and_mlp_keep_the_bits_of_the_op_chain(rows, track, zero_grad):
+    """One tape node each, with the output and gradients of matmul-add and its 5-op MLP."""
+    rng = np.random.default_rng(rows)
+    params = ParamStore()
+    numcore.init_affine(params, "f", 7, 3, rng)
+    make_mlp(params, "f", 7, 9, 3, rng)
+    x = rng.normal(size=(rows, 7)) * 10.0
+    upstream = rng.normal(size=(rows, 3))
+    for op, chain in ((numcore.linear, composite_layers.linear), (mlp_forward, composite_layers.mlp_forward)):
+        got = chain_gradients(op, params, x, track, zero_grad, upstream)
+        want = chain_gradients(chain, params, x, track, zero_grad, upstream)
+        for a, b in zip(got, want):
+            assert (a is None and b is None) or a.tobytes() == b.tobytes()
+    source = Tensor(x, requires_grad=True)
+    assert numcore.linear(params, "f", source)._parents == (source, params["f.w"], params["f.b"])
+    assert mlp_forward(params, "f", source)._parents == (source,) + tuple(
+        params[f"f.{suffix}"] for suffix in ("w1", "b1", "w2", "b2"))
 
 
 # --------------------------------------------------------------- backward
@@ -397,8 +443,7 @@ def test_segment_sum_matches_add_at_bit_for_bit(case, width):
     assert got.data.dtype == np.float64 and got.data.shape == want.shape
     assert got.data.tobytes() == want.tobytes()
     flat = numcore.scatter_index(np.array(ids, dtype=np.int64), max(width, 1))
-    prebuilt = numcore.segment_sum(Tensor(rows), np.array(ids, dtype=np.int64), buckets, flat)
-    assert prebuilt.data.tobytes() == want.tobytes()
+    assert numcore.scatter_add(flat, rows, want.shape).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("case", list(SCATTER_CASES))
