@@ -11,6 +11,7 @@ takes its aromatic systems from `MoleculeGraph.connected_components`.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -119,6 +120,9 @@ def heuristic_bond_type(z_i: int, z_j: int) -> BondType:
     return {1: BondType.SINGLE, 2: BondType.DOUBLE, 3: BondType.TRIPLE}[order]
 
 
+_BOND_TYPE = operator.itemgetter(2)
+
+
 def _lone_pair_donors(graph: MoleculeGraph) -> set[int]:
     """Atoms whose ring participation contributes a lone pair (two pi electrons).
 
@@ -127,6 +131,8 @@ def _lone_pair_donors(graph: MoleculeGraph) -> set[int]:
     a bare two-bond ring nitrogen is pyridine-like and contributes one electron
     through its double bond instead.
     """
+    if BondType.AROMATIC not in map(_BOND_TYPE, graph.bonds):  # no Python frame per bond
+        return set()
     donors: set[int] = set()
     adj = graph.adjacency()
     for idx, atom in enumerate(graph.atoms):
@@ -142,6 +148,11 @@ def _lone_pair_donors(graph: MoleculeGraph) -> set[int]:
     return donors
 
 
+# Integer orders of the non-aromatic bond types, keyed by the member's value:
+# a string hashes in C, where hashing the member runs `Enum.__hash__`.
+_KEKULE_ORDERS = {t.value: int(t.order) for t in (BondType.SINGLE, BondType.DOUBLE, BondType.TRIPLE)}
+
+
 def _order_sums(graph: MoleculeGraph) -> dict[int, int]:
     """Per-atom heavy bond-order sums, with aromatic bonds at their Kekule equivalent.
 
@@ -153,13 +164,15 @@ def _order_sums(graph: MoleculeGraph) -> dict[int, int]:
     sums = {i: 0 for i in range(graph.n_atoms)}
     pi_atoms: set[int] = set()
     for i, j, t in graph.bonds:
-        for end in (i, j):
-            if t is BondType.AROMATIC:
+        if t is BondType.AROMATIC:
+            for end in (i, j):
                 sums[end] += 1
                 if end not in donors:
                     pi_atoms.add(end)
-            else:
-                sums[end] += int(t.order)
+        else:
+            order = _KEKULE_ORDERS[t._value_]
+            sums[i] += order
+            sums[j] += order
     for end in pi_atoms:
         sums[end] += 1
     return sums

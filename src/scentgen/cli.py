@@ -191,12 +191,12 @@ def cmd_train(args) -> int:
 
 
 def _check_fits(params: numcore.ParamStore, vocab: dataio.OdourVocabulary, path: str) -> None:
-    """Bad input (exit 2) unless the checkpoint holds every denoiser part, conditioned on its vocabulary."""
+    """Bad input (exit 2) unless the checkpoint holds exactly the denoiser's parameters, for its vocabulary."""
     try:
         generator._check_trained(params)
-        shape = params["cond.w"].data.shape
-    except (generator.UntrainedParams, numcore.UnknownParam) as exc:
+    except generator.UntrainedParams as exc:
         raise _fail(f"checkpoint {path} does not fit the model: {exc}")
+    shape = params["cond.w"].data.shape
     if shape[:1] != (len(vocab),):
         raise _fail(
             f"checkpoint {path} does not fit the model: {len(vocab)} vocabulary terms"

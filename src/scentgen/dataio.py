@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import chemrules, smiles
+from . import chemrules, numcore, smiles
 from .diffusion import BOND_CLASS_INDEX, EmptyDataset, TrainingExample
 from .molgraph import Atom, MoleculeGraph, UnknownElement
 
@@ -97,13 +97,14 @@ def multi_hot(descriptors: Iterable[str], vocab: OdourVocabulary) -> np.ndarray:
 def load_csv(path: str | Path) -> tuple[OdourVocabulary, list[LabeledMolecule]]:
     """Read the corpus, skipping malformed rows, and build the vocabulary.
 
-    Rows whose SMILES fail to parse or sanitize are skipped and counted.
-    Coordinates are embedded with a per-row seed derived from the SMILES text,
-    so the result is fully deterministic given the file.
+    Rows whose SMILES fail to parse or sanitize, or that no restart of the
+    embedding separates, are skipped and counted.  Coordinates of all rows
+    are embedded in one `embed_all` call, each with a seed derived from its
+    SMILES text, so the result is fully deterministic given the file.
     """
     path = Path(path)
     rows = path.read_text(encoding="utf-8").splitlines()
-    molecules: list[tuple[str, frozenset[str], MoleculeGraph]] = []
+    parsed: list[tuple[str, str, MoleculeGraph]] = []
     skipped = 0
     for line_no, line in enumerate(rows):
         line = line.strip()
@@ -115,19 +116,24 @@ def load_csv(path: str | Path) -> tuple[OdourVocabulary, list[LabeledMolecule]]:
         smiles_text, _, desc_text = line.partition(",")
         smiles_text = smiles_text.strip()
         try:
-            graph = smiles.parse(smiles_text)
-            result = chemrules.sanitize(graph)
+            result = chemrules.sanitize(smiles.parse(smiles_text))
             if not result.report.final_verdict:
                 raise ValueError("failed sanitization")
-            seed = zlib.crc32(smiles_text.encode("utf-8")) & 0x7FFFFFFF
-            embedded = embed_coordinates(result.graph, seed)
-        except (smiles.SmilesSyntaxError, UnknownElement, ValueError, EmbeddingFailed):
+        except (smiles.SmilesSyntaxError, UnknownElement, ValueError):
+            skipped += 1
+            continue
+        parsed.append((smiles_text, desc_text, result.graph))
+    seeds = [zlib.crc32(s.encode("utf-8")) & 0x7FFFFFFF for s, _, _ in parsed]
+    embedded = embed_all([g for _, _, g in parsed], seeds)
+    molecules: list[tuple[str, frozenset[str], MoleculeGraph]] = []
+    for (smiles_text, desc_text, _), graph in zip(parsed, embedded):
+        if graph is None:
             skipped += 1
             continue
         descriptors = frozenset(
             t.strip().lower() for t in desc_text.split(";") if t.strip()
         )
-        molecules.append((smiles_text, descriptors, embedded))
+        molecules.append((smiles_text, descriptors, graph))
     if skipped:
         logger.warning("skipped %d unusable row(s) in %s", skipped, path)
     if not molecules:
@@ -168,72 +174,162 @@ SPRING_REST_LENGTH = 1.5
 REPULSION_RADIUS = 1.0
 MIN_SEPARATION = 0.5
 MAX_RELAX_ITERATIONS = 10_000
+CONVERGED_FORCE = 1e-4
+EMBED_ATTEMPTS = 5
+RESTART_SEED_STRIDE = 7919
 
 
 def embed_coordinates(graph: MoleculeGraph, seed: int) -> MoleculeGraph:
     """Assign positions by relaxing bonded springs plus short-range repulsion.
 
-    Deterministic given the seed; the centroid is moved to the origin.  Raises
-    EmbeddingFailed when no restart reaches the minimum separation within the
-    iteration budget.
+    A batch of one through `embed_all`.  Deterministic given the seed; the
+    centroid is moved to the origin.  Raises EmbeddingFailed when no restart
+    reaches the minimum separation within the iteration budget.
     """
-    n = graph.n_atoms
-    if n == 0:
-        return graph
-    if n == 1:
-        return MoleculeGraph(atoms=(Atom(graph.atoms[0].atomic_number, (0.0, 0.0, 0.0)),), bonds=())
+    (embedded,) = embed_all([graph], [seed])
+    if embedded is None:
+        raise EmbeddingFailed(f"could not separate {graph.n_atoms} atoms by {MIN_SEPARATION} units")
+    return embedded
 
-    bonds = [(i, j) for i, j, _ in graph.bonds]
-    for attempt in range(5):
-        rng = np.random.default_rng(seed + 7919 * attempt)
-        pos = rng.normal(0.0, 0.8 * max(1.0, n ** (1.0 / 3.0)), size=(n, 3))
-        pos = _relax(pos, bonds)
-        if _min_separation(pos) >= MIN_SEPARATION:
-            pos -= pos.mean(axis=0, keepdims=True)
-            atoms = tuple(
-                Atom(a.atomic_number, tuple(pos[i])) for i, a in enumerate(graph.atoms)
+
+def embed_all(graphs: Sequence[MoleculeGraph], seeds: Sequence[int]) -> list[MoleculeGraph | None]:
+    """`embed_coordinates` of every graph, relaxed together; None where it would raise.
+
+    Attempt a of graph k starts from normal positions drawn by
+    `default_rng(seeds[k] + RESTART_SEED_STRIDE * a)`.  Each attempt relaxes
+    all graphs still waiting in one iteration loop, and a graph whose closest
+    atoms end nearer than MIN_SEPARATION waits for the next attempt.  Each
+    graph gets the bits it gets when embedded alone.
+    """
+    out: list[MoleculeGraph | None] = [None] * len(graphs)
+    waiting = []
+    for k, graph in enumerate(graphs):
+        if graph.n_atoms == 0:
+            out[k] = graph
+        elif graph.n_atoms == 1:
+            out[k] = MoleculeGraph(atoms=(Atom(graph.atoms[0].atomic_number, (0.0, 0.0, 0.0)),), bonds=())
+        else:
+            waiting.append(k)
+    for attempt in range(EMBED_ATTEMPTS):
+        by_size: dict[int, list[int]] = {}
+        for k in waiting:
+            by_size.setdefault(graphs[k].n_atoms, []).append(k)
+        groups = [
+            _SizeGroup(
+                np.stack([_start_positions(n, seeds[k] + RESTART_SEED_STRIDE * attempt) for k in members]),
+                [graphs[k].bonds for k in members],
             )
-            return MoleculeGraph(atoms=atoms, bonds=graph.bonds)
-    raise EmbeddingFailed(f"could not separate {n} atoms by {MIN_SEPARATION} units")
+            for n, members in by_size.items()
+        ]
+        _relax(groups)
+        waiting = []
+        for members, group in zip(by_size.values(), groups):
+            separated = _min_separations(group.final) >= MIN_SEPARATION
+            for k, pos, ok in zip(members, group.final, separated):
+                if ok:
+                    out[k] = _centred(graphs[k], pos)
+                else:
+                    waiting.append(k)
+    return out
 
 
-def _min_separation(pos: np.ndarray) -> float:
-    n = pos.shape[0]
-    if n < 2:
-        return np.inf
-    diff = pos[:, None, :] - pos[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=2))
-    return float(dist[np.triu_indices(n, k=1)].min())
+def _start_positions(n: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return rng.normal(0.0, 0.8 * max(1.0, n ** (1.0 / 3.0)), size=(n, 3))
 
 
-def _relax(pos: np.ndarray, bonds: list[tuple[int, int]]) -> np.ndarray:
-    n = pos.shape[0]
-    bond_i = np.asarray([b[0] for b in bonds], dtype=np.int64)
-    bond_j = np.asarray([b[1] for b in bonds], dtype=np.int64)
+def _centred(graph: MoleculeGraph, pos: np.ndarray) -> MoleculeGraph:
+    pos = pos - pos.mean(axis=0, keepdims=True)
+    atoms = tuple([Atom(a.atomic_number, tuple(pos[i])) for i, a in enumerate(graph.atoms)])
+    return MoleculeGraph(atoms=atoms, bonds=graph.bonds)
+
+
+def _pair_geometry(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Differences r_i - r_j [M, n, n, 3] and distances [M, n, n] within each molecule."""
+    diff = pos[:, :, None, :] - pos[:, None, :, :]
+    return diff, np.sqrt((diff**2).sum(axis=3))
+
+
+def _min_separations(pos: np.ndarray) -> np.ndarray:
+    """Each molecule's closest-pair distance, [M] from [M, n, 3] with n >= 2."""
+    upper = np.triu_indices(pos.shape[1], k=1)
+    return _pair_geometry(pos)[1][:, upper[0], upper[1]].min(axis=1)
+
+
+class _SizeGroup:
+    """Molecules of one atom count relaxed as one [M, n, 3] array.
+
+    `final` holds every molecule's relaxed positions once `_relax` returns.
+    The springs of all molecules still moving share one scatter-add over the
+    flat atom index, bond i ends first, then bond j ends.  Every atom belongs
+    to one molecule, so its terms add in the order `np.add.at` over that
+    molecule's bonds added them.
+    """
+
+    def __init__(self, starts: np.ndarray, bonds: Sequence[Sequence[tuple]]):
+        self.final = np.empty_like(starts)
+        self.pos = starts
+        self.moving = np.arange(starts.shape[0])
+        self.owner = np.repeat(self.moving, [len(b) for b in bonds])
+        self.ends = np.asarray([(i, j) for mol in bonds for i, j, _ in mol], dtype=np.int64).reshape(-1, 2)
+        self._index_springs()
+
+    def _index_springs(self) -> None:
+        atoms = self.owner[:, None] * self.pos.shape[1] + self.ends
+        self.bond_i, self.bond_j = atoms[:, 0], atoms[:, 1]
+        self.spring_index = numcore.scatter_index(np.concatenate([self.bond_i, self.bond_j]), 3)
+
+    def advance(self, step: float) -> bool:
+        """One force step; False once no molecule is left moving.
+
+        A molecule whose largest force component is below CONVERGED_FORCE
+        keeps the positions the forces were measured at and stops.
+        """
+        m, n, _ = self.pos.shape
+        flat = self.pos.reshape(-1, 3)
+        # Bonded springs toward the rest length.
+        rel = flat[self.bond_i] - flat[self.bond_j]
+        dist = np.maximum(np.sqrt((rel**2).sum(axis=1, keepdims=True)), 1e-9)
+        pull = (SPRING_REST_LENGTH - dist) * rel / dist
+        forces = numcore.scatter_add(self.spring_index, np.concatenate([pull, -pull]), (m * n, 3)).reshape(m, n, 3)
+        # All-pairs repulsion below the contact radius.
+        diff, dist = _pair_geometry(self.pos)
+        dist[:, np.arange(n), np.arange(n)] = np.inf
+        overlap = np.maximum(REPULSION_RADIUS - dist, 0.0)
+        push = (overlap / np.maximum(dist, 1e-9))[..., None] * diff
+        forces += push.sum(axis=2)
+        moving = ~(np.abs(forces).max(axis=(1, 2)) < CONVERGED_FORCE)
+        if not moving.all():
+            self._stop(moving)
+            forces = forces[moving]
+        self.pos = self.pos + step * forces
+        return self.moving.size > 0
+
+    def _stop(self, moving: np.ndarray) -> None:
+        self.final[self.moving[~moving]] = self.pos[~moving]
+        kept = moving[self.owner]
+        self.owner = (np.cumsum(moving) - 1)[self.owner[kept]]
+        self.ends = self.ends[kept]
+        self.pos = self.pos[moving]
+        self.moving = self.moving[moving]
+        self._index_springs()
+
+    def finish(self) -> None:
+        """Record where the molecules still moving stand."""
+        self.final[self.moving] = self.pos
+
+
+def _relax(groups: list[_SizeGroup]) -> None:
+    """Step every group in one loop with a shared step size, until all stop or the budget ends."""
     step = 0.1
     for iteration in range(MAX_RELAX_ITERATIONS):
-        forces = np.zeros_like(pos)
-        # Bonded springs toward the rest length.
-        if len(bonds):
-            rel = pos[bond_i] - pos[bond_j]
-            dist = np.maximum(np.sqrt((rel**2).sum(axis=1, keepdims=True)), 1e-9)
-            pull = (SPRING_REST_LENGTH - dist) * rel / dist
-            np.add.at(forces, bond_i, pull)
-            np.add.at(forces, bond_j, -pull)
-        # All-pairs repulsion below the contact radius.
-        diff = pos[:, None, :] - pos[None, :, :]
-        dist = np.sqrt((diff**2).sum(axis=2))
-        np.fill_diagonal(dist, np.inf)
-        overlap = np.maximum(REPULSION_RADIUS - dist, 0.0)
-        push = (overlap / np.maximum(dist, 1e-9))[:, :, None] * diff
-        forces += push.sum(axis=1)
-        max_force = float(np.abs(forces).max())
-        if max_force < 1e-4:
-            break
-        pos = pos + step * forces
+        groups = [g for g in groups if g.advance(step)]
+        if not groups:
+            return
         if iteration % 500 == 499:
             step = max(step * 0.7, 0.01)
-    return pos
+    for g in groups:
+        g.finish()
 
 
 def to_training_examples(

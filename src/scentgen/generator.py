@@ -11,6 +11,7 @@ assembled graph through the validity cascade.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -120,14 +121,30 @@ class GenerationReport:
         }
 
 
-REQUIRED_PARAM_PREFIXES = ("cond.", "time.", "input_proj.", "egnn.0.", "egnn.1.", "head.", "bond.")
+@functools.cache
+def _denoiser_shapes() -> tuple[tuple[str, tuple[int, ...]], ...]:
+    """Name and shape of every parameter of a one-term denoiser (`init_params(0)` would divide by zero)."""
+    params = diffusion.init_params(1)
+    return tuple((name, params[name].data.shape) for name in params.names())
 
 
 def _check_trained(params: ParamStore) -> None:
-    names = params.names()
-    missing = [p for p in REQUIRED_PARAM_PREFIXES if not any(n.startswith(p) for n in names)]
-    if missing:
-        raise UntrainedParams(f"parameter store lacks components: {missing}")
+    """Raise UntrainedParams unless `params` holds exactly the denoiser's parameters, each of its shape.
+
+    `cond.w` may have any number of rows: one per vocabulary term.
+    """
+    expected = dict(_denoiser_shapes())
+    if "cond.w" in params:
+        expected["cond.w"] = params["cond.w"].data.shape[:1] + expected["cond.w"][1:]
+    problems = [f"lacks {name}" for name in expected if name not in params]
+    problems += [f"unexpected {name}" for name in params.names() if name not in expected]
+    problems += [
+        f"{name} has shape {params[name].data.shape}, not {shape}"
+        for name, shape in expected.items()
+        if name in params and params[name].data.shape != shape
+    ]
+    if problems:
+        raise UntrainedParams(f"parameter store does not hold the denoiser: {'; '.join(problems)}")
 
 
 COORD_RADIUS_CAP = 100.0
@@ -214,7 +231,8 @@ def sample(
 ) -> GenerationReport:
     """Draw one molecule for a multi-hot descriptor vector; deterministic given the seed.
 
-    Raises `UntrainedParams` when `params` lacks a denoiser component,
+    Raises `UntrainedParams` when `params` lacks a denoiser parameter, holds
+    one the denoiser does not have or one of the wrong shape,
     `TypeError` when `y` is not numeric (a set, strings, ragged nesting) and
     `diffusion.LengthMismatch` when its length differs from the trained
     vocabulary size.

@@ -75,9 +75,12 @@ _BOND_ORDERS = {
 Bond = tuple[int, int, BondType]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Atom:
-    """One heavy atom: proton count plus a 3D position in model-space units."""
+    """One heavy atom: proton count plus a 3D position in model-space units.
+
+    Slotted: `dataio.load_csv` holds every parsed graph of a corpus at once.
+    """
 
     atomic_number: int
     position: tuple[float, float, float] = (0.0, 0.0, 0.0)

@@ -371,8 +371,21 @@ THROUGH_FILE = "{tmp}/query.json/x"  # a path whose parent is a regular file
 METRICS_ROW = b"epoch,mse_loss,ce_loss,total_loss\n1,1.0,0.5,1.5\n"
 DEEP = b"[" * 100_000  # json raises RecursionError before it finds the file unterminated
 
-# name -> (subcommand and extra arguments, files to write: bytes as they are, "vocabulary of 5" as a
-# checkpoint of init_params(2) with five vocabulary terms, anything else as JSON)
+
+def init_checkpoint(edit):
+    """A file payload: the JSON of an init_params(2) checkpoint over two terms, changed in place by `edit`."""
+
+    def write(path):
+        numcore.save_checkpoint(diffusion.init_params(2), str(path), {"vocabulary": ["floral", "sweet"]})
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+
+    return write
+
+
+# name -> (subcommand and extra arguments, files to write: bytes as they are, a callable as it writes
+# the path it is given, anything else as JSON)
 BAD_INPUTS = {
     "generate --n-atoms 0": (["generate", "--n-atoms", "0"], {}),
     "generate --tau 0": (["generate", "--tau", "0"], {}),
@@ -476,8 +489,17 @@ BAD_INPUTS = {
     "checkpoint without parameters": (
         ["generate", "--checkpoint", "{tmp}/ckpt.json"], {"ckpt.json": {"format_version": 1, "params": {}}}
     ),
-    "checkpoint vocabulary longer than its weights": (
-        ["generate", "--checkpoint", "{tmp}/five.json"], {"five.json": "vocabulary of 5"}
+    "checkpoint vocabulary longer than its weights": (  # two conditioning rows under five terms
+        ["generate", "--checkpoint", "{tmp}/five.json"],
+        {"five.json": init_checkpoint(lambda c: c["meta"].update(vocabulary=["floral", "sweet", "a", "b", "c"]))},
+    ),
+    "checkpoint without head.b": (
+        ["generate", "--checkpoint", "{tmp}/ckpt.json"],
+        {"ckpt.json": init_checkpoint(lambda c: c["params"].pop("head.b"))},
+    ),
+    "checkpoint head.b of the wrong shape": (
+        ["generate", "--checkpoint", "{tmp}/ckpt.json"],
+        {"ckpt.json": init_checkpoint(lambda c: c["params"]["head.b"].update(shape=[1, 1]))},
     ),
 }
 
@@ -489,9 +511,8 @@ def test_bad_input_exits_2(tmp_path, tiny_csv, capsys, case):
     numcore.save_checkpoint(diffusion.init_params(2), str(checkpoint), {"vocabulary": ["floral", "sweet"]})
     (tmp_path / "query.json").write_text(json.dumps({"descriptors": ["floral"], "count": 1}))
     for name, payload in files.items():
-        if payload == "vocabulary of 5":  # two conditioning rows under five terms
-            vocabulary = ["floral", "sweet", "fruity", "green", "woody"]
-            numcore.save_checkpoint(diffusion.init_params(2), str(tmp_path / name), {"vocabulary": vocabulary})
+        if callable(payload):
+            payload(tmp_path / name)
         elif isinstance(payload, bytes):
             (tmp_path / name).write_bytes(payload)
         else:

@@ -1,7 +1,12 @@
+import zlib
+
+import embedding_oracle as oracle
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from scentgen import dataio, smiles
+from scentgen import chemrules, dataio, smiles
 from scentgen.dataio import (
     EmbeddingFailed,
     EmptyDataset,
@@ -14,7 +19,7 @@ from scentgen.dataio import (
     split_80_20,
     to_training_examples,
 )
-from scentgen.molgraph import pairwise_distance
+from scentgen.molgraph import Atom, BondType, UnknownElement, new_graph, pairwise_distance
 
 
 def write_csv(tmp_path, rows):
@@ -183,6 +188,103 @@ def test_embed_deterministic():
     assert a == b
     c = embed_coordinates(g, seed=9)
     assert a != c
+
+
+# ------------------------------------------------- batched against the oracle
+
+
+def same_bits(got, want):
+    """Equal graphs whose coordinates have the same bytes; None matches only None."""
+    if got is None or want is None:
+        return got is want
+    return got == want and got.coords().tobytes() == want.coords().tobytes()
+
+
+def oracle_or_none(graph, seed):
+    try:
+        return oracle.embed_coordinates(graph, seed)
+    except EmbeddingFailed:
+        return None
+
+
+def test_corpus_coordinates_match_the_one_molecule_oracle(fixture_dataset):
+    """Every bundled row embeds to the bits the per-molecule loop gave it."""
+    _, mols = fixture_dataset
+    expected = []
+    for line in dataio.bundled_dataset_path().read_text(encoding="utf-8").splitlines()[1:]:
+        text = line.partition(",")[0].strip()
+        try:
+            result = chemrules.sanitize(smiles.parse(text))
+        except (UnknownElement, ValueError):
+            continue
+        if result.report.final_verdict:
+            expected.append((text, oracle_or_none(result.graph, zlib.crc32(text.encode("utf-8")) & 0x7FFFFFFF)))
+    embedded = [(text, want) for text, want in expected if want is not None]
+    assert [m.smiles for m in mols] == [text for text, _ in embedded]
+    for mol, (_, want) in zip(mols, embedded):
+        assert same_bits(mol.graph, want), mol.smiles
+
+
+def collapse_starts(monkeypatch, collapsed):
+    """Start every atom at the origin where `collapsed(n, seed)`: no force moves it, so it fails separation."""
+    drawn = []
+    start = dataio._start_positions
+
+    def patched(n, seed):
+        drawn.append(seed)
+        return np.zeros((n, 3)) if collapsed(n, seed) else start(n, seed)
+
+    monkeypatch.setattr(dataio, "_start_positions", patched)
+    return drawn
+
+
+def test_restarted_molecules_take_the_next_attempts_seed(monkeypatch):
+    texts = ("CCO", "CCC", "c1ccccc1", "CC(C)O", "CCCC", "C", "CC")
+    graphs = [smiles.parse(t) for t in texts]
+    seeds = [11, 12, 13, 14, 15, 16, 17]
+    failing_first = {12, 14, 17}
+    drawn = collapse_starts(monkeypatch, lambda n, seed: seed in failing_first)
+    out = dataio.embed_all(graphs, seeds)
+    assert sorted(drawn) == sorted([11, 12, 13, 14, 15, 17] + [s + 7919 for s in sorted(failing_first)])
+    for text, graph, seed, got in zip(texts, graphs, seeds, out):
+        first_good = seed + 7919 if seed in failing_first else seed
+        assert same_bits(got, oracle.embed_coordinates(graph, first_good)), text
+
+
+def test_row_that_no_restart_separates_is_skipped(monkeypatch, tmp_path, caplog):
+    drawn = collapse_starts(monkeypatch, lambda n, seed: n == 4)
+    path = write_csv(tmp_path, ["CCO,fruity", "CCCC,waxy", "C(C,floral", "CC(C)CO,sweet"])
+    with caplog.at_level("WARNING"):
+        vocab, mols = load_csv(path)
+    assert [m.smiles for m in mols] == ["CCO", "CC(C)CO"]
+    assert vocab.terms == ("fruity", "sweet")
+    assert "skipped 2" in caplog.text
+    butane_seed = zlib.crc32(b"CCCC") & 0x7FFFFFFF
+    assert [s for s in drawn if (s - butane_seed) % 7919 == 0] == [butane_seed + 7919 * a for a in range(5)]
+    for mol in mols:
+        want = oracle.embed_coordinates(smiles.parse(mol.smiles), zlib.crc32(mol.smiles.encode()) & 0x7FFFFFFF)
+        assert same_bits(mol.graph, want)
+    with pytest.raises(EmbeddingFailed):
+        embed_coordinates(smiles.parse("CCCC"), seed=3)
+
+
+@st.composite
+def skeletons(draw):
+    """A carbon tree of 1-11 atoms (chains and branches), sometimes closed into a ring."""
+    n = draw(st.integers(1, 11))
+    bonds = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
+    if n >= 3 and draw(st.booleans()):
+        bonds.add(tuple(sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)))))
+    return new_graph([Atom(6)] * n, [(i, j, BondType.SINGLE) for i, j in sorted(bonds)])
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(st.lists(st.tuples(skeletons(), st.integers(0, 2**31 - 1)), min_size=1, max_size=6))
+def test_batched_embedding_matches_the_oracle_one_by_one(cases):
+    graphs = [g for g, _ in cases]
+    seeds = [s for _, s in cases]
+    for got, graph, seed in zip(dataio.embed_all(graphs, seeds), graphs, seeds):
+        assert same_bits(got, oracle_or_none(graph, seed))
 
 
 # ------------------------------------------------------------ training prep

@@ -221,6 +221,41 @@ def test_sample_requires_params():
         sample(np.zeros(3), constrained(), ParamStore())
 
 
+def denoiser_params(vocab_size=3, drop=(), replace=None, extra=None):
+    """init_params(vocab_size) without the names in `drop`, with `replace` values and `extra` names."""
+    full = diffusion.init_params(vocab_size)
+    params = ParamStore()
+    for name in full.names():
+        if name not in drop:
+            params.add(name, (replace or {}).get(name, full[name].data))
+    for name, value in (extra or {}).items():
+        params.add(name, value)
+    return params
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        denoiser_params(drop=("head.b",)),
+        denoiser_params(replace={"head.b": np.zeros((1, 1))}),
+        denoiser_params(replace={"cond.w": np.zeros((3, diffusion.HIDDEN_DIM + 1))}),
+        denoiser_params(replace={"egnn.1.coord_mlp.w2": np.zeros(diffusion.HIDDEN_DIM)}),
+        denoiser_params(extra={"head.w2": np.zeros((2, 2))}),
+    ],
+    ids=["without head.b", "head.b of shape (1, 1)", "cond.w too wide", "a weight of one axis", "an extra weight"],
+)
+def test_sample_requires_every_parameter_in_its_shape(params):
+    with pytest.raises(UntrainedParams):
+        sample(np.zeros(3), constrained(), params)
+
+
+@pytest.mark.parametrize("vocab_size", [0, 1, 7])
+def test_sample_accepts_any_vocabulary_size(vocab_size):
+    cond = np.random.default_rng(0).normal(size=(vocab_size, diffusion.HIDDEN_DIM))
+    params = denoiser_params(replace={"cond.w": cond})
+    assert sample(np.zeros(vocab_size), constrained(steps=3), params).steps_executed == 3
+
+
 def test_sample_deterministic(quick_trained):
     vocab, params = quick_trained
     y = np.zeros(len(vocab))
