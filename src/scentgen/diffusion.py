@@ -14,9 +14,12 @@ backward pass; sampling passes a single molecule, a batch of one.
 What a pass derives from its descriptors, timesteps and fragment ids does not
 change along a reverse trajectory or within a batch.  `denoiser_constants`
 builds it once: the conditioning projection of `y`, the time embedding of
-every step needed, and the `egnn.EdgeLayout`.  Sampling builds one per
-trajectory over all T steps, `batch_loss` one per minibatch, and every
-`denoiser_forward` reads from it; called without one, a pass builds its own.
+every step needed, and the `egnn.EdgeLayout`.  Given the coordinates, which
+a reverse trajectory holds fixed, it also builds the EGNN's coordinate
+stream (`egnn.CoordStream`), which reads no node feature.  Sampling builds
+one per trajectory over all T steps, `batch_loss` one per minibatch, and
+every `denoiser_forward` reads from it; called without one, a pass builds
+its own.
 """
 
 from __future__ import annotations
@@ -146,12 +149,15 @@ class DenoiserConstants:
     fragment, there is a row per step, and a pass at step t gives every node
     the row of t.  With one descriptor row per fragment (`per_fragment`),
     row f is fragment f's at its own step, and a pass must run at `steps`.
+    `stream` is the coordinate stream of the coordinates every pass must
+    take, or None when the passes bring their own.
     """
 
     layout: egnn.EdgeLayout
     steps: np.ndarray
     context: Tensor
     per_fragment: bool
+    stream: egnn.CoordStream | None = None
     _row_of_step: dict[int, int] = field(default_factory=dict, repr=False, compare=False)
 
     def node_rows(self, t: int | np.ndarray) -> np.ndarray:
@@ -176,15 +182,19 @@ def denoiser_constants(
     y: np.ndarray,
     params: ParamStore,
     fragment_ids: np.ndarray,
+    coords: np.ndarray | None = None,
 ) -> DenoiserConstants:
     """Embed `y` once and `steps` once, and build the edge layout of `fragment_ids`.
 
     `y` is either one descriptor vector shared by every fragment, with
     `steps` one timestep or several (all of 1..T for a reverse trajectory),
     or an [F, L] ndarray of one row per fragment, with `steps` an array of
-    one timestep per fragment.  Raises `StepOutOfRange` for a step outside
-    [1, T], `numcore.ShapeMismatch` when the counts of steps and descriptor
-    rows disagree, and what `condition_embed` raises for a bad `y`.
+    one timestep per fragment.  Given `coords` [n, 3], it also runs the
+    EGNN's coordinate stream over them once, and every pass must then take
+    these coordinates.  Raises `StepOutOfRange` for a step outside [1, T],
+    `numcore.ShapeMismatch` when the counts of steps and descriptor rows
+    disagree or `coords` has not a row per node, and what `condition_embed`
+    raises for a bad `y`.
     """
     step_list = np.asarray(steps, dtype=np.int64).reshape(-1)
     for step in step_list.tolist():
@@ -198,11 +208,19 @@ def denoiser_constants(
             )
         # the one conditioning row, next to every step's time row
         cond_rows = numcore.gather(cond_rows, np.zeros(step_list.size, dtype=np.int64))
+    layout = egnn.edge_layout(fragment_ids)
+    stream = None
+    if coords is not None:
+        coords = np.asarray(coords, dtype=np.float64).reshape(-1, 3)
+        if coords.shape[0] != layout.n_nodes:
+            raise numcore.ShapeMismatch(f"{layout.n_nodes} nodes vs {coords.shape[0]} coordinate rows")
+        stream = egnn.coord_stream(Tensor(coords), params, layout)
     return DenoiserConstants(
-        egnn.edge_layout(fragment_ids),
+        layout,
         step_list,
         numcore.concat([time_rows, cond_rows], axis=1),
         per_fragment,
+        stream,
         {} if per_fragment else {step: row for row, step in enumerate(step_list.tolist())},
     )
 
@@ -227,11 +245,14 @@ def denoiser_forward(
     shared by every fragment, or `t` is an array of one step per fragment and
     `y` an [F, L] array of one row per fragment, picked by fragment ids in
     [0, F).  `constants` is `denoiser_constants` over these steps (or more),
-    `y`, `schedule` and fragment ids; it replaces the embedding of `y` and
-    `t` and the edge build, and without it the pass builds its own.  A step
-    it does not cover raises ValueError (`StepOutOfRange` without it).
-    Outputs that hold a non-finite value are passed through nan_to_num in
-    place; the caller's `x_noisy` and `coords` are never written or aliased.
+    `y`, `schedule` and fragment ids, and perhaps `coords`; it replaces the
+    embedding of `y` and `t`, the edge build and, when it holds a coordinate
+    stream, the EGNN's coordinate pathway.  Without it the pass builds its
+    own.  A step it does not cover raises ValueError (`StepOutOfRange`
+    without it), and so do coordinates whose bits differ from those of its
+    stream.  Outputs that hold a non-finite value are passed through
+    nan_to_num in place; the caller's `x_noisy` and `coords` are never
+    written or aliased.
     """
     x_noisy = np.asarray(x_noisy, dtype=np.float64).reshape(-1, 1)
     coords = np.asarray(coords, dtype=np.float64).reshape(-1, 3)
@@ -248,15 +269,23 @@ def denoiser_forward(
     elif constants.layout.n_nodes != n:
         raise numcore.ShapeMismatch(f"{n} nodes vs constants for {constants.layout.n_nodes}")
 
+    stream = constants.stream
+    if stream is None:
+        positions = Tensor(coords)
+    elif coords.tobytes() == stream.coords.data.tobytes():
+        positions = stream.coords
+    else:
+        raise ValueError("coordinates differ from those the constants' coordinate stream was built from")
+
     context = numcore.gather(constants.context, constants.node_rows(t))
     node_input = numcore.concat([Tensor(x_noisy), context], axis=1)
     hidden = numcore.linear(params, "input_proj", node_input)
-    state = egnn.egnn_forward(NodeState(hidden, Tensor(coords)), params, constants.layout)
+    state = egnn.egnn_forward(NodeState(hidden, positions), params, constants.layout, stream)
     eps_hat = numcore.linear(params, "head", state.features)
     bond_logits = bond_head(state.features, bond_edges, params)
 
-    # Bounded nan_to_num: unchecked infinities would otherwise compound across
-    # sampling steps through the coordinate pathway.
+    # Bounded nan_to_num: unchecked infinities would otherwise reach the next
+    # sampling step's features through eps_hat.
     for tensor in (eps_hat, bond_logits, state.features, state.coords):
         if not np.isfinite(tensor.data).all():
             np.nan_to_num(tensor.data, copy=False, posinf=1e6, neginf=-1e6)

@@ -16,6 +16,13 @@ everything else the layers derive from those ids: the edge scale and the flat
 scatter index of each row width summed over the edges.  A caller that runs
 many passes over one layout, such as a reverse trajectory, builds it once
 with `edge_layout` and passes it to every `egnn_forward`.
+
+The coordinate MLP reads only pair distances, never node features, so the
+coordinate pathway of a pass (each layer's `pair_geometry` and the
+`coord_update`s) depends on the input coordinates and the parameters alone.
+`coord_stream` builds it as a `CoordStream`; a caller that runs many passes
+over the same coordinates builds it once and passes it to every
+`egnn_forward`, which otherwise builds its own.
 """
 
 from __future__ import annotations
@@ -178,28 +185,60 @@ def coord_update(coords: Tensor, geometry: Tensor, params: ParamStore, layer: st
     return numcore.primitive(out, (coords, *mlp.weights, geometry), bw)
 
 
-def egnn_forward(state: NodeState, params: ParamStore, layout: EdgeLayout | None = None) -> NodeState:
+@dataclass(frozen=True)
+class CoordStream:
+    """The coordinate pathway of one `egnn_forward` over the edges of `layout`.
+
+    `coords` is the input, `geometry` the `pair_geometry` each layer of
+    DEFAULT_LAYERS reads (empty when the layout has no edges), and `out` the
+    coordinates after every layer's `coord_update`.
+    """
+
+    layout: EdgeLayout
+    coords: Tensor
+    geometry: tuple[Tensor, ...]
+    out: Tensor
+
+
+def coord_stream(coords: Tensor, params: ParamStore, layout: EdgeLayout) -> CoordStream:
+    """Each layer's `pair_geometry` and `coord_update` over `layout`, starting at `coords`."""
+    geometry: list[Tensor] = []
+    out = coords
+    if layout.receivers.size:
+        for layer in DEFAULT_LAYERS:
+            geometry.append(pair_geometry(out, layout))
+            out = coord_update(out, geometry[-1], params, layer, layout)
+    return CoordStream(layout, coords, tuple(geometry), out)
+
+
+def egnn_forward(
+    state: NodeState, params: ParamStore, layout: EdgeLayout | None = None, stream: CoordStream | None = None
+) -> NodeState:
     """Run the DEFAULT_LAYERS with residual feature sums and coordinate shifts.
 
     Messages pass along the edges of `layout` (default: one fragment holding
-    every node).  Each layer is three tape nodes: `pair_geometry`, then
-    `node_update` and `coord_update`, which both read it.  A graph without
-    edges (every fragment a single atom) passes through every layer
-    unchanged.
+    every node).  Each layer is three tape nodes: `pair_geometry`, and
+    `node_update` and `coord_update`, which both read it.  `stream` is
+    `coord_stream(state.coords, params, layout)`, built before; without it
+    the pass builds its own.  Either way the tape holds the same nodes with
+    the same parents, so `numcore.backward` visits them in the same order.
+    A stream built from another coordinate tensor or another layout raises
+    ValueError.  A graph without edges (every fragment a single atom) passes
+    through every layer unchanged.
     """
     n = state.n_nodes
     if layout is None:
         layout = edge_layout(np.zeros(n, dtype=np.int64))
     elif layout.n_nodes != n:
         raise numcore.ShapeMismatch(f"{n} nodes vs an edge layout of {layout.n_nodes}")
-    if layout.receivers.size == 0:
-        return state
-    features, coords = state.features, state.coords
-    for layer in DEFAULT_LAYERS:
-        geometry = pair_geometry(coords, layout)
+    if stream is None:
+        stream = coord_stream(state.coords, params, layout)
+    elif stream.coords is not state.coords or stream.layout is not layout:
+        raise ValueError("the coordinate stream was built from other coordinates or another layout")
+    features = state.features
+    for layer, geometry in zip(DEFAULT_LAYERS, stream.geometry):
         features = node_update(features, geometry, params, layer, layout)
-        coords = coord_update(coords, geometry, params, layer, layout)
-    return NodeState(features=features, coords=coords)
+    return NodeState(features=features, coords=stream.out)
 
 
 def init_egnn_layer(

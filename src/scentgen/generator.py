@@ -6,6 +6,10 @@ the additive schedule), decodes atoms by rounding and range/allowlist
 filtering, proposes edges by a distance cutoff, types them with the learned
 classifier (or the atomic-number heuristic behind a flag), and pushes the
 assembled graph through the validity cascade.
+
+Training never noises coordinates, so a reverse trajectory holds its drawn
+coordinates fixed: they place the atoms and their edges, and the EGNN's
+coordinate stream over them is built once per trajectory.
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ class Mode(str, enum.Enum):
 DEFAULT_ALLOWLIST = frozenset({6, 7, 8, 9, 15, 16, 17})
 
 EDGE_CUTOFF = 1.8  # spring rest length 1.5 plus margin
+COORD_SCALE = 0.8  # standard deviation of each sample's fixed coordinates
 
 
 class BondSource(str, enum.Enum):
@@ -147,22 +152,6 @@ def _check_trained(params: ParamStore) -> None:
         raise UntrainedParams(f"parameter store does not hold the denoiser: {'; '.join(problems)}")
 
 
-COORD_RADIUS_CAP = 100.0
-
-
-def _rescale_coords(coords: np.ndarray) -> np.ndarray:
-    """Uniformly shrink a runaway point cloud; relative geometry is preserved.
-
-    The coordinate MLP extrapolates linearly in distance, so an untrained or
-    lightly trained model can amplify coordinates super-exponentially across
-    reverse steps.  Capping the cloud keeps every later step finite.
-    """
-    peak = float(np.abs(coords).max(initial=0.0))
-    if peak > COORD_RADIUS_CAP:
-        coords = coords * (COORD_RADIUS_CAP / peak)
-    return coords
-
-
 def decode_atoms(x: Sequence[float], config: GenerationConfig) -> tuple[list[int], list[int]]:
     """Kept node indices and their atomic numbers.
 
@@ -245,20 +234,19 @@ def sample(
     n = config.n_atoms if config.n_atoms is not None else int(rng.choice(config.atom_count_pool))
     schedule = NoiseSchedule(config.steps)
     x = rng.standard_normal((n, 1))
-    coords = rng.standard_normal((n, 3))
+    coords = COORD_SCALE * rng.standard_normal((n, 3))
 
     steps_executed = 0
     embeddings = np.zeros((n, diffusion.HIDDEN_DIM))
     with numcore.no_grad():
         constants = diffusion.denoiser_constants(
-            np.arange(1, config.steps + 1), schedule, y, params, np.zeros(n, dtype=np.int64)
+            np.arange(1, config.steps + 1), schedule, y, params, np.zeros(n, dtype=np.int64), coords
         )
         for t in range(config.steps, 0, -1):
             out = diffusion.denoiser_forward(x, coords, (), t, schedule, y, params, constants=constants)
             sqrt_bt = math.sqrt(beta_at(schedule, t))
             sqrt_bt_prev = math.sqrt(beta_at(schedule, t - 1)) if t > 1 else 0.0
             x = np.clip(x - (sqrt_bt - sqrt_bt_prev) * out.eps_hat.data, -1e4, 1e4)
-            coords = _rescale_coords(out.coords.data)
             embeddings = out.node_embeddings.data
             steps_executed += 1
 
@@ -296,7 +284,12 @@ def validity_rate(reports: Sequence[GenerationReport]) -> float:
 
 
 def summarize(reports: Sequence[GenerationReport], mode: Mode, seed: int) -> dict:
-    """Machine-readable run summary: rate, counts, first-failure histogram."""
+    """Machine-readable run summary: rate, counts, first-failure histogram.
+
+    Next to the validity rate, `valid_multiatom` counts the valid samples
+    with at least two heavy atoms (Z > 1), and `valid_connected` the valid
+    samples of one fragment, a lone atom included.
+    """
     failure_stages: dict[str, int] = {}
     for r in reports:
         if r.valid:
@@ -309,6 +302,8 @@ def summarize(reports: Sequence[GenerationReport], mode: Mode, seed: int) -> dic
         "samples": len(reports),
         "valid": sum(1 for r in reports if r.valid),
         "validity_rate": (validity_rate(reports) if reports else None),
+        "valid_multiatom": sum(1 for r in reports if r.valid and sum(z > 1 for z in r.decoded_atoms) >= 2),
+        "valid_connected": sum(1 for r in reports if r.valid and r.fragments == 1),
         "corpus_matches": sum(1 for r in reports if r.corpus_match),
         "failure_stages": dict(sorted(failure_stages.items())),
         "mode": mode.value,

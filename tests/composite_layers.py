@@ -55,8 +55,10 @@ def update_coordinates(state, params, layer, receivers, rel, dist, edge_scale) -
     return numcore.add(state.coords, delta)
 
 
-def egnn_forward(state: NodeState, params: ParamStore, layout: EdgeLayout | None = None) -> NodeState:
-    """The DEFAULT_LAYERS as chains of single ops, one edge geometry per layer."""
+def egnn_forward(state: NodeState, params: ParamStore, layout: EdgeLayout | None = None, stream=None) -> NodeState:
+    """The DEFAULT_LAYERS as chains of single ops, one edge geometry per layer; no prebuilt coordinate stream."""
+    if stream is not None:
+        raise ValueError("the op chain builds its own coordinate stream")
     n = state.n_nodes
     if layout is None:
         layout = egnn.edge_layout(np.zeros(n, dtype=np.int64))

@@ -153,7 +153,8 @@ def test_generate_reports_and_summary(tmp_path, trained_checkpoint, capsys):
     assert {"smiles", "validation", "decoded_atoms", "corpus_match"} <= set(report)
     summary = json.loads(stdout)
     assert summary["samples"] == 4
-    assert "validity_rate" in summary
+    assert {"validity_rate", "valid_multiatom", "valid_connected"} <= set(summary)
+    assert summary["valid_connected"] <= summary["valid"] and summary["valid_multiatom"] <= summary["valid"]
 
 
 def test_generate_unknown_descriptor_warns(tmp_path, trained_checkpoint, capsys):

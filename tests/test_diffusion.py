@@ -590,6 +590,42 @@ def test_denoiser_constants_give_the_bits_of_a_pass_that_builds_its_own(rng):
                          constants=constants)
 
 
+@pytest.mark.parametrize("n", [1, 2, 6])
+def test_constants_with_coordinates_give_the_bits_of_a_pass_that_builds_its_own(rng, n):
+    """A coordinate stream built once gives every pass the bits of one that runs the stream itself."""
+    params = init_params(vocab_size=4, seed=2)
+    sched = NoiseSchedule(40)
+    y = np.array([0.0, 1, 1, 0])
+    x, coords = rng.normal(size=(n, 1)), 0.8 * rng.normal(size=(n, 3))
+    edges = tuple((i, i + 1) for i in range(n - 1))
+    constants = denoiser_constants(np.arange(1, 41), sched, y, params, np.zeros(n, dtype=np.int64), coords)
+    for t in (40, 17, 1):
+        got = denoiser_forward(x, coords, edges, t, sched, y, params, constants=constants)
+        assert _same_bits(got, denoiser_forward(x, coords, edges, t, sched, y, params))
+        x = x - 0.1 * got.eps_hat.data
+    moved = coords.copy()
+    moved[0, 0] = np.nextafter(moved[0, 0], np.inf)
+    with pytest.raises(ValueError, match="coordinate stream"):
+        denoiser_forward(x, moved, (), 5, sched, y, params, constants=constants)
+    with pytest.raises(ShapeMismatch):
+        denoiser_constants(5, sched, y, params, np.zeros(n, dtype=np.int64), rng.normal(size=(n + 1, 3)))
+
+
+def test_a_pass_over_a_coordinate_stream_runs_no_coordinate_primitive(rng, monkeypatch):
+    params = init_params(vocab_size=3, seed=0)
+    sched = NoiseSchedule(10)
+    x, coords = rng.normal(size=(5, 1)), rng.normal(size=(5, 3))
+    constants = denoiser_constants(np.arange(1, 11), sched, np.ones(3), params, np.zeros(5, dtype=np.int64), coords)
+
+    def refuse(*args):
+        raise AssertionError("the coordinate pathway ran again")
+
+    monkeypatch.setattr(egnn, "pair_geometry", refuse)
+    monkeypatch.setattr(egnn, "coord_update", refuse)
+    out = denoiser_forward(x, coords, (), 3, sched, np.ones(3), params, constants=constants)
+    assert out.coords is constants.stream.out
+
+
 def test_per_fragment_constants_run_only_at_their_steps(rng):
     params = init_params(vocab_size=4, seed=1)
     sched = NoiseSchedule(100)

@@ -8,6 +8,7 @@ from scentgen import egnn, numcore
 from scentgen.egnn import (
     EdgeLayout,
     NodeState,
+    coord_stream,
     coord_update,
     edge_layout,
     egnn_forward,
@@ -450,3 +451,71 @@ def test_forward_gradients_match_central_differences(rng):
         data[index] = keep
         numeric = (up - down) / (2 * h)
         assert abs(grad[index] - numeric) <= 1e-6 * max(1.0, abs(numeric)), (index, grad[index], numeric)
+
+
+# ------------------------------------------------------ the coordinate stream
+
+
+@pytest.mark.parametrize("case", sorted(kernel_cases()))
+def test_coordinates_never_read_features(case):
+    """Two feature sets over the same coordinates give the same output coordinates, bit for bit."""
+    frag, coords = kernel_cases()[case]
+    rng = np.random.default_rng(len(frag))
+    params = make_params(seed=len(frag))
+    layout = edge_layout(frag)
+    first = egnn_forward(state_of(rng.normal(size=(len(frag), D)), coords), params, layout)
+    second = egnn_forward(state_of(rng.normal(size=(len(frag), D)) * 1e3, coords), params, layout)
+    assert first.coords.data.tobytes() == second.coords.data.tobytes()
+    if len(frag) > 1 and case != "no edges":
+        assert first.features.data.tobytes() != second.features.data.tobytes()
+
+
+def with_prebuilt_stream(state, params, layout):
+    return egnn_forward(state, params, layout, coord_stream(state.coords, params, layout))
+
+
+@pytest.mark.parametrize("case", sorted(kernel_cases()))
+@pytest.mark.parametrize("track", [(True, True), (False, False), (True, False), (False, True)],
+                         ids=["both", "neither", "features", "coords"])
+def test_forward_with_a_prebuilt_stream_keeps_the_bits(case, track):
+    """A stream built before the pass gives every output and every gradient of a pass that builds its own."""
+    frag, coords = kernel_cases()[case]
+    rng = np.random.default_rng(len(frag) + 1)
+    feats = rng.normal(size=(len(frag), D))
+    weights = (rng.normal(size=(len(frag), D)), rng.normal(size=(len(frag), 3)))
+    params = make_params(seed=len(frag) + 1)
+    got = run_layers(with_prebuilt_stream, params, feats, coords, frag, track, weights)
+    want = run_layers(egnn_forward, params, feats, coords, frag, track, weights)
+    for a, b in zip(got[:3], want[:3]):
+        assert a.tobytes() == b.tobytes()
+    assert got[3].keys() == want[3].keys()
+    for name, grad in want[3].items():
+        if grad is None:
+            assert got[3][name] is None, name
+        else:
+            assert got[3][name].tobytes() == grad.tobytes(), name
+
+
+def test_stream_holds_each_layers_geometry_and_the_output_coordinates(rng):
+    params = make_params()
+    coords = Tensor(rng.normal(size=(5, 3)))
+    layout = edge_layout(np.array([0, 0, 1, 1, 1]))
+    stream = coord_stream(coords, params, layout)
+    assert stream.coords is coords and stream.layout is layout
+    assert len(stream.geometry) == len(egnn.DEFAULT_LAYERS)
+    assert stream.geometry[0].data.tobytes() == pair_geometry(coords, layout).data.tobytes()
+    moved = coord_update(coords, stream.geometry[0], params, "egnn.0", layout)
+    assert stream.geometry[1].data.tobytes() == pair_geometry(moved, layout).data.tobytes()
+    assert stream.out.data.tobytes() == coord_update(moved, stream.geometry[1], params, "egnn.1", layout).data.tobytes()
+    lone = coord_stream(coords, params, edge_layout(np.arange(5)))
+    assert lone.geometry == () and lone.out is coords
+
+
+def test_forward_rejects_a_stream_of_other_coordinates_or_layout(rng):
+    params = make_params()
+    state = state_of(rng.normal(size=(4, D)), rng.normal(size=(4, 3)))
+    layout = edge_layout(np.zeros(4, dtype=int))
+    with pytest.raises(ValueError, match="coordinate stream"):
+        egnn_forward(state, params, layout, coord_stream(Tensor(state.coords.data), params, layout))
+    with pytest.raises(ValueError, match="coordinate stream"):
+        egnn_forward(state, params, layout, coord_stream(state.coords, params, edge_layout(np.zeros(4, dtype=int))))

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scentgen import chemrules, dataio, diffusion, generator, numcore, smiles
 from scentgen.diffusion import NoiseSchedule, beta_at
@@ -160,17 +162,19 @@ def test_finalize_novel_molecule_not_failure():
 
 
 def reference_sample(y, config, params, seed):
-    """`sample` as it was before the trajectory's constants were built once.
+    """`sample` as a plain loop over the reverse steps, on coordinates held fixed.
 
-    Every reverse step embeds its own timestep and descriptor and builds its
-    own edges: `denoiser_forward` is called without prepared constants.
+    Every reverse step embeds its own timestep and descriptor, builds its own
+    edges and runs the EGNN's whole coordinate stream anew:
+    `denoiser_forward` is called without prepared constants.  The output
+    coordinates are read and dropped; the drawn ones place the atoms.
     """
     y = diffusion.descriptor_vector(y, params)
     rng = np.random.default_rng(seed)
     n = config.n_atoms if config.n_atoms is not None else int(rng.choice(config.atom_count_pool))
     schedule = NoiseSchedule(config.steps)
     x = rng.standard_normal((n, 1))
-    coords = rng.standard_normal((n, 3))
+    coords = 0.8 * rng.standard_normal((n, 3))
     steps_executed = 0
     embeddings = np.zeros((n, diffusion.HIDDEN_DIM))
     with numcore.no_grad():
@@ -179,7 +183,6 @@ def reference_sample(y, config, params, seed):
             sqrt_bt = math.sqrt(beta_at(schedule, t))
             sqrt_bt_prev = math.sqrt(beta_at(schedule, t - 1)) if t > 1 else 0.0
             x = np.clip(x - (sqrt_bt - sqrt_bt_prev) * out.eps_hat.data, -1e4, 1e4)
-            coords = generator._rescale_coords(out.coords.data)
             embeddings = out.node_embeddings.data
             steps_executed += 1
     raw = [float(v) for v in x.reshape(-1)]
@@ -208,7 +211,7 @@ def reference_sample(y, config, params, seed):
 @pytest.mark.parametrize("mode", list(Mode))
 @pytest.mark.parametrize("bonds", list(BondSource))
 def test_sample_equals_the_per_step_reverse_loop(quick_trained, n_atoms, mode, bonds):
-    """Constants built once per trajectory give the bits of embedding every step anew."""
+    """Constants and a coordinate stream built once per trajectory give the bits of building them every step."""
     vocab, params = quick_trained
     y = dataio.multi_hot({"fruity", "sweet"}, vocab)
     cfg = GenerationConfig(mode=mode, n_atoms=n_atoms, steps=12, bond_source=bonds)
@@ -338,6 +341,68 @@ def test_sample_valid_reports_reparse(quick_trained, fixture_corpus):
     assert seen_valid >= 1
 
 
+# ----------------------------------------- sample as a library entry point
+
+PROPERTY_VOCAB = 4
+PROPERTY_PARAMS = diffusion.init_params(PROPERTY_VOCAB, seed=3)
+
+
+def descriptor_cases():
+    """(kind, descriptor) pairs: vectors `sample` takes, and the ones it must refuse."""
+    number = st.floats() | st.booleans() | st.integers(-3, 3)
+    good = st.lists(number, min_size=PROPERTY_VOCAB, max_size=PROPERTY_VOCAB)
+    wrong_length = st.lists(st.floats(-2, 2), max_size=9).filter(lambda v: len(v) != PROPERTY_VOCAB)
+    non_numeric = (
+        st.lists(st.text(max_size=3), min_size=1, max_size=PROPERTY_VOCAB)
+        | st.sets(st.integers(0, 3), min_size=1)
+        | st.sampled_from([None, "fruity", [1j, 0j, 0j, 1j]])
+    )
+    ragged = st.tuples(
+        st.lists(st.floats(-1, 1), min_size=1, max_size=2), st.lists(st.floats(-1, 1), min_size=3, max_size=4)
+    ).map(list)
+    return (
+        st.tuples(st.just("good"), good)
+        | st.tuples(st.just("good"), good.map(np.array))
+        | st.tuples(st.just("length"), wrong_length)
+        | st.tuples(st.just("non-numeric"), non_numeric)
+        | st.tuples(st.just("ragged"), ragged)
+    )
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(
+    case=descriptor_cases(),
+    n_atoms=st.integers(1, 11),
+    steps=st.integers(1, 4),
+    mode=st.sampled_from(list(Mode)),
+    allowlist=st.just(generator.DEFAULT_ALLOWLIST) | st.frozensets(st.integers(-1, 120), max_size=3),
+    seed=st.integers(0, 2**63),
+    trained=st.sampled_from([True, True, True, False]),
+)
+def test_sample_returns_a_report_or_raises_a_documented_error(case, n_atoms, steps, mode, allowlist, seed, trained):
+    """A config ValueError, UntrainedParams, TypeError or LengthMismatch, each for its cause; else a report."""
+    kind, y = case
+    try:
+        config = GenerationConfig(mode=mode, allowlist=allowlist, n_atoms=n_atoms, steps=steps, seed=seed)
+    except ValueError:
+        assert mode is Mode.CONSTRAINED and (not allowlist or min(allowlist) < 1 or max(allowlist) > 118)
+        return
+    params = PROPERTY_PARAMS if trained else ParamStore()
+    expected = {"length": diffusion.LengthMismatch, "non-numeric": TypeError, "ragged": TypeError}.get(kind)
+    if not trained:
+        expected = UntrainedParams
+    if expected is not None:
+        with pytest.raises(expected):
+            sample(y, config, params)
+        return
+    report = sample(y, config, params)
+    assert report.steps_executed == steps and report.seed == seed
+    assert len(report.raw_features) == n_atoms
+    assert all(math.isfinite(v) and abs(v) <= 1e4 for v in report.raw_features)
+    if mode is Mode.CONSTRAINED:
+        assert set(report.decoded_atoms) <= allowlist
+
+
 # ---------------------------------------------------------------- reporting
 
 
@@ -363,3 +428,28 @@ def test_summarize_counts(quick_trained):
     assert summary["valid"] == sum(1 for r in reports if r.valid)
     assert summary["mode"] == "constrained"
     assert 0.0 <= summary["validity_rate"] <= 1.0
+
+
+def report_of(atoms, fragments, passed=True):
+    validation = chemrules.ValidationReport([chemrules.StageResult("valence", passed)])
+    return generator.GenerationReport(
+        raw_features=[float(z) for z in atoms], decoded_atoms=atoms, proposed_edges=[], typed_edges=[],
+        validation=validation, smiles="C" if passed else None, corpus_match=False, fragments=fragments,
+        steps_executed=1, seed=0,
+    )
+
+
+def test_summarize_counts_multiatom_and_connected_valid_samples():
+    reports = [
+        report_of([1], 1),          # a lone [H]: connected, not multi-atom
+        report_of([1, 1], 1),       # two atoms, neither heavy
+        report_of([6, 1], 1),       # one heavy atom
+        report_of([6, 8], 2),       # two heavy atoms, two fragments
+        report_of([6, 8, 1], 1),    # two heavy atoms, one fragment
+        report_of([6, 6], 1, passed=False),
+    ]
+    summary = summarize(reports, Mode.UNCONSTRAINED, seed=0)
+    assert summary["valid"] == 5
+    assert summary["valid_multiatom"] == 2
+    assert summary["valid_connected"] == 4
+    assert summary["failure_stages"] == {"valence": 1}
