@@ -20,6 +20,16 @@ stream (`egnn.CoordStream`), which reads no node feature.  Sampling builds
 one per trajectory over all T steps, `batch_loss` one per minibatch, and
 every `denoiser_forward` reads from it; called without one, a pass builds
 its own.
+
+A pass runs in one of two ways, chosen by whether `numcore` records the
+tape.  With recording on, as in training, it is a chain of tape nodes that
+`numcore.backward` walks.  Inside `numcore.no_grad`, as in every reverse
+step of `generator.sample`, it runs the same array kernels (`numcore.affine`,
+`numcore.mlp`, `egnn.node_update_arrays`) in the same order on plain arrays:
+the context-row lookup, `input_proj`, a node update per layer, `head` and
+the nan_to_num guard.  Constants built with recording off hold what those
+kernels read (`PassArrays`: the parameter arrays, the gather and scatter
+indices; and each layer's edge lengths), and the outputs keep their bits.
 """
 
 from __future__ import annotations
@@ -43,6 +53,10 @@ class StepOutOfRange(ValueError):
 
 class LengthMismatch(ValueError):
     """Descriptor vector length differs from the trained vocabulary size."""
+
+
+class NonFiniteDescriptor(ValueError):
+    """A descriptor vector or row holds NaN or an infinity."""
 
 
 class NonPositiveTemperature(ValueError):
@@ -93,7 +107,8 @@ def descriptor_vector(y, params: ParamStore) -> np.ndarray:
     """`y` as a float64 vector of the trained vocabulary's length.
 
     Raises `TypeError` unless `y` holds only bool, integer or float numbers,
-    and `LengthMismatch` when its length differs from the vocabulary size.
+    `LengthMismatch` when its length differs from the vocabulary size and
+    `NonFiniteDescriptor` when an entry is NaN or infinite.
     """
     try:
         values = np.asarray(y)
@@ -105,7 +120,13 @@ def descriptor_vector(y, params: ParamStore) -> np.ndarray:
     size = params["cond.w"].data.shape[0]
     if values.shape[0] != size:
         raise LengthMismatch(f"descriptor vector length {values.shape[0]} != vocabulary size {size}")
+    _check_finite(values)
     return values
+
+
+def _check_finite(values: np.ndarray) -> None:
+    if not np.isfinite(values).all():
+        raise NonFiniteDescriptor("descriptor entries must be finite, got NaN or an infinity")
 
 
 def condition_embed(y: np.ndarray, params: ParamStore) -> Tensor:
@@ -113,7 +134,7 @@ def condition_embed(y: np.ndarray, params: ParamStore) -> Tensor:
 
     `y` is one descriptor vector, giving one row, or an [F, L] ndarray with
     one descriptor row per fragment.  Raises `LengthMismatch` when L differs from
-    the vocabulary size.
+    the vocabulary size and `NonFiniteDescriptor` for a NaN or infinite entry.
     """
     if not (isinstance(y, np.ndarray) and y.ndim == 2):
         return numcore.linear(params, "cond", Tensor(descriptor_vector(y, params).reshape(1, -1)))
@@ -121,6 +142,7 @@ def condition_embed(y: np.ndarray, params: ParamStore) -> Tensor:
     size = params["cond.w"].data.shape[0]
     if rows.shape[1] != size:
         raise LengthMismatch(f"descriptor rows of length {rows.shape[1]} != vocabulary size {size}")
+    _check_finite(rows)
     return numcore.linear(params, "cond", Tensor(rows))
 
 
@@ -141,6 +163,25 @@ class DenoiserOutput:
 
 
 @dataclass(frozen=True)
+class PassArrays:
+    """The parameter arrays and indices that a pass with recording off reads.
+
+    `input_proj`, `head` and `bond` are (w, b) pairs and `node_mlps` holds
+    each layer's (w1, b1, w2, b2), none when the layout has no edges.
+    `input_index` and `scatter` are the layout's node-input and scatter
+    indices of the feature width.  The arrays are the parameters as they
+    were when resolved.
+    """
+
+    input_proj: tuple[np.ndarray, np.ndarray]
+    node_mlps: tuple[tuple[np.ndarray, ...], ...]
+    head: tuple[np.ndarray, np.ndarray]
+    bond: tuple[np.ndarray, np.ndarray]
+    input_index: np.ndarray
+    scatter: np.ndarray
+
+
+@dataclass(frozen=True)
 class DenoiserConstants:
     """What every denoiser pass of one trajectory, or of one training batch, shares.
 
@@ -151,17 +192,28 @@ class DenoiserConstants:
     row f is fragment f's at its own step, and a pass must run at `steps`.
     `stream` is the coordinate stream of the coordinates every pass must
     take, or None when the passes bring their own.
+
+    A pass with recording off reads the rest: `distances` holds each layer's
+    E edge lengths in `stream` (none without one), and `arrays` the
+    `PassArrays`, resolved when the constants are built with recording off
+    (None otherwise: a pass then resolves its own).
     """
 
     layout: egnn.EdgeLayout
     steps: np.ndarray
     context: Tensor
     per_fragment: bool
-    stream: egnn.CoordStream | None = None
+    stream: egnn.CoordStream | None
+    distances: tuple[np.ndarray, ...]
+    arrays: PassArrays | None
     _row_of_step: dict[int, int] = field(default_factory=dict, repr=False, compare=False)
 
-    def node_rows(self, t: int | np.ndarray) -> np.ndarray:
-        """The context row of every node in a pass at `t`, which `denoiser_constants` covered."""
+    def row_of(self, t: int | np.ndarray) -> int | np.ndarray:
+        """The context row of a pass at `t`, which `denoiser_constants` covered.
+
+        One row index shared by every node, or with `per_fragment` rows the
+        row of each node.
+        """
         if self.per_fragment:
             if not np.array_equal(np.reshape(t, -1), self.steps):
                 raise ValueError("a pass over per-fragment descriptor rows must run at the prepared steps")
@@ -173,7 +225,49 @@ class DenoiserConstants:
         row = self._row_of_step.get(t)
         if row is None:
             raise ValueError(f"step {t} was not prepared")
-        return np.full(self.layout.n_nodes, row, dtype=np.int64)
+        return row
+
+
+def _arrays(params: ParamStore, name: str, suffixes: tuple[str, ...], n_in: int) -> tuple[np.ndarray, ...]:
+    """The arrays of `{name}.{suffix}`; `ShapeMismatch` unless the first is a weight of `n_in` rows."""
+    arrays = tuple(params[f"{name}.{suffix}"].data for suffix in suffixes)
+    if arrays[0].ndim != 2 or arrays[0].shape[0] != n_in:
+        raise numcore.ShapeMismatch(f"{name}: input width {n_in} vs weight {arrays[0].shape}")
+    return arrays
+
+
+def _pass_arrays(params: ParamStore, context_width: int, layout: egnn.EdgeLayout) -> PassArrays:
+    """The `PassArrays` of `params` over `layout`, for context rows of `context_width` columns.
+
+    Raises `numcore.UnknownParam` for a missing parameter and
+    `numcore.ShapeMismatch` for a weight whose rows do not match its input.
+    """
+    input_proj = _arrays(params, "input_proj", ("w", "b"), 1 + context_width)
+    width = input_proj[0].shape[1]
+    node_mlps = ()
+    if layout.receivers.size:
+        node_mlps = tuple(
+            _arrays(params, f"{layer}.node_mlp", ("w1", "b1", "w2", "b2"), 2 * width + 1) for layer in DEFAULT_LAYERS
+        )
+    return PassArrays(
+        input_proj,
+        node_mlps,
+        _arrays(params, "head", ("w", "b"), width),
+        _arrays(params, "bond", ("w", "b"), 2 * width),
+        layout.node_input_index(width),
+        layout.scatter_index(width),
+    )
+
+
+def _finite(*arrays: np.ndarray) -> None:
+    """Bounded nan_to_num, in place, of each array that holds a non-finite value.
+
+    Unchecked infinities would otherwise reach the next sampling step's
+    features through eps_hat.
+    """
+    for a in arrays:
+        if not np.isfinite(a).all():
+            np.nan_to_num(a, copy=False, posinf=1e6, neginf=-1e6)
 
 
 def denoiser_constants(
@@ -190,11 +284,15 @@ def denoiser_constants(
     `steps` one timestep or several (all of 1..T for a reverse trajectory),
     or an [F, L] ndarray of one row per fragment, with `steps` an array of
     one timestep per fragment.  Given `coords` [n, 3], it also runs the
-    EGNN's coordinate stream over them once, and every pass must then take
-    these coordinates.  Raises `StepOutOfRange` for a step outside [1, T],
+    EGNN's coordinate stream over them once (its output coordinates passed
+    through the bounded nan_to_num), and every pass must then take these
+    coordinates.  With recording off it also resolves the `PassArrays`.
+    Raises `StepOutOfRange` for a step outside [1, T],
     `numcore.ShapeMismatch` when the counts of steps and descriptor rows
     disagree or `coords` has not a row per node, and what `condition_embed`
-    raises for a bad `y`.
+    raises for a bad `y`.  With recording off it also raises
+    `numcore.UnknownParam` for a missing parameter and
+    `numcore.ShapeMismatch` for a weight whose rows do not match its input.
     """
     step_list = np.asarray(steps, dtype=np.int64).reshape(-1)
     for step in step_list.tolist():
@@ -208,6 +306,7 @@ def denoiser_constants(
             )
         # the one conditioning row, next to every step's time row
         cond_rows = numcore.gather(cond_rows, np.zeros(step_list.size, dtype=np.int64))
+    context = numcore.concat([time_rows, cond_rows], axis=1)
     layout = egnn.edge_layout(fragment_ids)
     stream = None
     if coords is not None:
@@ -215,14 +314,22 @@ def denoiser_constants(
         if coords.shape[0] != layout.n_nodes:
             raise numcore.ShapeMismatch(f"{layout.n_nodes} nodes vs {coords.shape[0]} coordinate rows")
         stream = egnn.coord_stream(Tensor(coords), params, layout)
+        _finite(stream.out.data)
     return DenoiserConstants(
         layout,
         step_list,
-        numcore.concat([time_rows, cond_rows], axis=1),
+        context,
         per_fragment,
         stream,
+        () if stream is None else _distances(stream),
+        None if numcore.recording() else _pass_arrays(params, context.data.shape[1], layout),
         {} if per_fragment else {step: row for row, step in enumerate(step_list.tolist())},
     )
+
+
+def _distances(stream: egnn.CoordStream) -> tuple[np.ndarray, ...]:
+    """The E distances of each layer's pair geometry in `stream`."""
+    return tuple(geometry.data[:, 3].copy() for geometry in stream.geometry)
 
 
 def denoiser_forward(
@@ -253,6 +360,11 @@ def denoiser_forward(
     stream.  Outputs that hold a non-finite value are passed through
     nan_to_num in place; the caller's `x_noisy` and `coords` are never
     written or aliased.
+
+    With recording on, the pass is a chain of tape nodes that `backward`
+    can walk.  With it off (`numcore.no_grad`) the same arithmetic runs on
+    plain arrays, reading the `PassArrays` of `constants`, and gives the
+    same bits; only the three outputs it computes become `Tensor`s.
     """
     x_noisy = np.asarray(x_noisy, dtype=np.float64).reshape(-1, 1)
     coords = np.asarray(coords, dtype=np.float64).reshape(-1, 3)
@@ -270,26 +382,64 @@ def denoiser_forward(
         raise numcore.ShapeMismatch(f"{n} nodes vs constants for {constants.layout.n_nodes}")
 
     stream = constants.stream
-    if stream is None:
-        positions = Tensor(coords)
-    elif coords.tobytes() == stream.coords.data.tobytes():
-        positions = stream.coords
-    else:
+    if stream is not None and coords.tobytes() != stream.coords.data.tobytes():
         raise ValueError("coordinates differ from those the constants' coordinate stream was built from")
+    if not numcore.recording():
+        return _forward_on_arrays(x_noisy, coords, bond_edges, t, params, constants)
 
-    context = numcore.gather(constants.context, constants.node_rows(t))
+    row = constants.row_of(t)
+    context = numcore.gather(constants.context, row if constants.per_fragment else np.full(n, row, dtype=np.int64))
     node_input = numcore.concat([Tensor(x_noisy), context], axis=1)
     hidden = numcore.linear(params, "input_proj", node_input)
+    positions = Tensor(coords) if stream is None else stream.coords
     state = egnn.egnn_forward(NodeState(hidden, positions), params, constants.layout, stream)
     eps_hat = numcore.linear(params, "head", state.features)
     bond_logits = bond_head(state.features, bond_edges, params)
-
-    # Bounded nan_to_num: unchecked infinities would otherwise reach the next
-    # sampling step's features through eps_hat.
-    for tensor in (eps_hat, bond_logits, state.features, state.coords):
-        if not np.isfinite(tensor.data).all():
-            np.nan_to_num(tensor.data, copy=False, posinf=1e6, neginf=-1e6)
+    _finite(eps_hat.data, bond_logits.data, state.features.data, state.coords.data)
     return DenoiserOutput(eps_hat, bond_logits, state.features, state.coords)
+
+
+def _forward_on_arrays(
+    x_noisy: np.ndarray,
+    coords: np.ndarray,
+    bond_edges: Sequence[tuple[int, int]] | np.ndarray,
+    t: int | np.ndarray,
+    params: ParamStore,
+    constants: DenoiserConstants,
+) -> DenoiserOutput:
+    """`denoiser_forward`'s pass on plain arrays: the ops of the taped pass, in its order.
+
+    The context-row lookup, `input_proj`, a node update per layer, `head`
+    and the bond head.  Without a coordinate stream in `constants`, the pass
+    first runs its own over `coords`, and without `PassArrays` it resolves
+    its own.
+    """
+    stream, distances, arrays = constants.stream, constants.distances, constants.arrays
+    if stream is None:
+        stream = egnn.coord_stream(Tensor(coords), params, constants.layout)
+        distances = _distances(stream)
+        _finite(stream.out.data)
+    context = constants.context.data
+    if arrays is None:
+        arrays = _pass_arrays(params, context.shape[1], constants.layout)
+    node_input = np.empty((x_noisy.shape[0], 1 + context.shape[1]))
+    node_input[:, :1] = x_noisy
+    node_input[:, 1:] = context[constants.row_of(t)]
+    features = numcore.affine(node_input, *arrays.input_proj)
+    for dist, node_mlp in zip(distances, arrays.node_mlps):
+        features = egnn.node_update_arrays(features, dist, node_mlp, arrays.input_index, arrays.scatter)
+    eps_hat = numcore.affine(features, *arrays.head)
+    if len(bond_edges) == 0:
+        bond_logits = np.zeros((0, len(BOND_CLASSES)))
+    else:
+        edges = np.asarray(bond_edges, dtype=np.int64).reshape(-1, 2)
+        ends = [numcore.take_rows(features, edges[:, 0]), numcore.take_rows(features, edges[:, 1])]
+        bond_logits = numcore.affine(np.concatenate(ends, axis=1), *arrays.bond)
+        _finite(bond_logits)
+    _finite(eps_hat, features)
+    return DenoiserOutput(
+        Tensor(eps_hat, _owned=True), Tensor(bond_logits, _owned=True), Tensor(features, _owned=True), stream.out
+    )
 
 
 def bond_head(

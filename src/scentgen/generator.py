@@ -9,7 +9,9 @@ assembled graph through the validity cascade.
 
 Training never noises coordinates, so a reverse trajectory holds its drawn
 coordinates fixed: they place the atoms and their edges, and the EGNN's
-coordinate stream over them is built once per trajectory.
+coordinate stream over them is built once per trajectory, as are the step
+sizes.  The steps run inside `numcore.no_grad`, so each denoiser pass runs on
+plain arrays.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from . import chemrules, diffusion, numcore, smiles
 from .chemrules import ValidationReport
-from .diffusion import BOND_CLASSES, NoiseSchedule, beta_at
+from .diffusion import BOND_CLASSES, NoiseSchedule
 from .molgraph import (
     MAX_ATOMIC_NUMBER,
     Atom,
@@ -222,9 +224,10 @@ def sample(
 
     Raises `UntrainedParams` when `params` lacks a denoiser parameter, holds
     one the denoiser does not have or one of the wrong shape,
-    `TypeError` when `y` is not numeric (a set, strings, ragged nesting) and
+    `TypeError` when `y` is not numeric (a set, strings, ragged nesting),
     `diffusion.LengthMismatch` when its length differs from the trained
-    vocabulary size.
+    vocabulary size and `diffusion.NonFiniteDescriptor` when an entry is NaN
+    or infinite.
     """
     _check_trained(params)
     y = diffusion.descriptor_vector(y, params)
@@ -238,15 +241,17 @@ def sample(
 
     steps_executed = 0
     embeddings = np.zeros((n, diffusion.HIDDEN_DIM))
+    # sqrt(beta_t) - sqrt(beta_{t-1}) at t = 1..T, with beta_0 = 0: the noise
+    # increment each step removes
+    roots = np.sqrt(diffusion.BETA_MAX * np.arange(config.steps + 1) / config.steps)
+    increments = (roots[1:] - roots[:-1]).tolist()
     with numcore.no_grad():
         constants = diffusion.denoiser_constants(
             np.arange(1, config.steps + 1), schedule, y, params, np.zeros(n, dtype=np.int64), coords
         )
         for t in range(config.steps, 0, -1):
             out = diffusion.denoiser_forward(x, coords, (), t, schedule, y, params, constants=constants)
-            sqrt_bt = math.sqrt(beta_at(schedule, t))
-            sqrt_bt_prev = math.sqrt(beta_at(schedule, t - 1)) if t > 1 else 0.0
-            x = np.clip(x - (sqrt_bt - sqrt_bt_prev) * out.eps_hat.data, -1e4, 1e4)
+            x = np.clip(x - increments[t - 1] * out.eps_hat.data, -1e4, 1e4)
             embeddings = out.node_embeddings.data
             steps_executed += 1
 

@@ -8,8 +8,13 @@ and the two-layer SiLU `mlp_forward` are single primitives: each records one
 tape node, and its backward adds the same terms in the same order as the
 chain of matmul, add and SiLU ops it stands for, so gradients keep their
 bits.  `MLPPass` holds that MLP's arithmetic for other modules' primitives.
-The module also provides the parameter store, the Adam update, and a
-versioned JSON checkpoint format.
+
+The forward arithmetic of these primitives lives in array kernels (`affine`,
+`mlp`, `take_rows`, `scatter_add`): a primitive calls its kernel and adds
+only the `Tensor` wrapper and the backward.  Code that records nothing, such
+as a denoiser pass inside `no_grad`, calls the kernels on plain arrays and
+gets the same bits.  The module also provides the parameter store, the Adam
+update, and a versioned JSON checkpoint format.
 """
 
 from __future__ import annotations
@@ -43,7 +48,11 @@ _grad_enabled = True
 
 @contextmanager
 def no_grad():
-    """Disable tape recording inside the block (used by the sampling loop)."""
+    """Disable tape recording inside the block.
+
+    Inside it a denoiser pass runs on plain arrays (`diffusion.denoiser_forward`),
+    as every reverse step of `generator.sample` does.
+    """
     global _grad_enabled
     previous = _grad_enabled
     _grad_enabled = False
@@ -51,6 +60,11 @@ def no_grad():
         yield
     finally:
         _grad_enabled = previous
+
+
+def recording() -> bool:
+    """Whether ops record the tape: False inside `no_grad`."""
+    return _grad_enabled
 
 
 class Tensor:
@@ -297,14 +311,19 @@ def scatter_add(flat: np.ndarray, rows: np.ndarray, shape: tuple[int, ...]) -> n
     return summed.reshape(shape) if flat.size else np.zeros(shape)
 
 
+def take_rows(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Rows `idx` (int64) of `a`; an index outside [0, len(a)) raises IndexError."""
+    # one reduction: a negative index is a huge unsigned one
+    if idx.size and idx.view(np.uint64).max() >= a.shape[0]:
+        raise IndexError(f"gather index outside [0, {a.shape[0]})")
+    return a[idx]
+
+
 def gather(a: Tensor, indices: np.ndarray) -> Tensor:
-    """Select rows; the gradient scatter-adds back into the source."""
+    """Select rows (`take_rows`); the gradient scatter-adds back into the source."""
     a = as_tensor(a)
     idx = np.asarray(indices, dtype=np.int64)
-    # one reduction: a negative index is a huge unsigned one
-    if idx.size and idx.view(np.uint64).max() >= a.data.shape[0]:
-        raise IndexError(f"gather index outside [0, {a.data.shape[0]})")
-    out_data = a.data[idx]
+    out_data = take_rows(a.data, idx)
 
     def bw(g):
         width = math.prod(a.data.shape[1:])
@@ -411,6 +430,11 @@ def _affine_backward(g: np.ndarray, x: np.ndarray, w: Tensor, b: Tensor, input_g
     return g_x
 
 
+def affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x @ w + b on arrays: the arithmetic of `linear`."""
+    return x @ w + b
+
+
 def linear(params: ParamStore, name: str, x: Tensor) -> Tensor:
     """Affine map x @ w + b using parameters `{name}.w` / `{name}.b`; one tape node."""
     w = params[f"{name}.w"]
@@ -424,15 +448,24 @@ def linear(params: ParamStore, name: str, x: Tensor) -> Tensor:
         if g_x is not None:
             accumulate(x, g_x)
 
-    return primitive(x.data @ w.data + b.data, (x, w, b), bw)
+    return primitive(affine(x.data, w.data, b.data), (x, w, b), bw)
+
+
+def mlp(
+    x: np.ndarray, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray, b2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Affine, SiLU, affine of `x` on arrays: (pre-activation, hidden, sigmoid, output)."""
+    pre = affine(x, w1, b1)
+    hidden, sig = _silu(pre)
+    return pre, hidden, sig, affine(hidden, w2, b2)
 
 
 class MLPPass:
     """One application of a two-layer SiLU MLP to an array, kept for its backward.
 
-    `out` is affine, SiLU, affine of `x` with parameters `{name}.w1/b1/w2/b2`.
-    Raises `UnknownParam` for a missing parameter and `ShapeMismatch` unless
-    `x` is 2-D with as many columns as `w1` has rows.
+    `out` is `mlp` of `x` with parameters `{name}.w1/b1/w2/b2`.  Raises
+    `UnknownParam` for a missing parameter and `ShapeMismatch` unless `x` is
+    2-D with as many columns as `w1` has rows.
     """
 
     __slots__ = ("weights", "x", "pre", "sig", "hidden", "out")
@@ -444,9 +477,7 @@ class MLPPass:
         if x.ndim != 2 or x.shape[1] != w1.data.shape[0]:
             raise ShapeMismatch(f"mlp {name!r}: input {x.shape} vs weight {w1.data.shape}")
         self.x = x
-        self.pre = x @ w1.data + b1.data
-        self.hidden, self.sig = _silu(self.pre)
-        self.out = self.hidden @ w2.data + b2.data
+        self.pre, self.hidden, self.sig, self.out = mlp(x, w1.data, b1.data, w2.data, b2.data)
 
     def backward(self, g: np.ndarray, input_grad: bool) -> np.ndarray | None:
         """Accumulate the parameters' gradients for upstream `g`; the input's gradient if asked."""

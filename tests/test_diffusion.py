@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import composite_layers
 from scentgen import dataio, diffusion, egnn, numcore
@@ -10,6 +12,7 @@ from scentgen.diffusion import (
     EmptyDataset,
     LengthMismatch,
     NoiseSchedule,
+    NonFiniteDescriptor,
     NonPositiveTemperature,
     StepOutOfRange,
     TrainConfig,
@@ -20,6 +23,7 @@ from scentgen.diffusion import (
     bond_probabilities,
     condition_embed,
     denoiser_constants,
+    descriptor_vector,
     denoiser_forward,
     forward_noise,
     init_params,
@@ -130,6 +134,21 @@ def test_condition_embed_length_mismatch():
     params = init_params(vocab_size=6, seed=0)
     with pytest.raises(LengthMismatch):
         condition_embed(np.zeros(9), params)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_descriptors_with_a_non_finite_entry_are_refused(bad):
+    params = init_params(vocab_size=4, seed=0)
+    with pytest.raises(NonFiniteDescriptor):
+        descriptor_vector([0.0, 1.0, bad, 0.0], params)
+    with pytest.raises(NonFiniteDescriptor):
+        condition_embed(np.array([0.0, 1.0, 0.0, bad]), params)
+    rows = np.zeros((3, 4))
+    rows[2, 1] = bad
+    with pytest.raises(NonFiniteDescriptor):
+        condition_embed(rows, params)
+    with pytest.raises(NonFiniteDescriptor):
+        denoiser_constants(np.array([1, 2, 3]), NoiseSchedule(10), rows, params, np.arange(3))
 
 
 def test_time_embed_affine_in_fraction():
@@ -668,3 +687,120 @@ def test_metrics_csv_rejects_missing_columns(tmp_path):
     path.write_text("epoch,mse_loss\n1,0.5\n")
     with pytest.raises(ValueError):
         diffusion.read_metrics_csv(str(path))
+
+
+# ------------------------------------------------- passes with recording off
+
+
+def _scaled_params(scale):
+    """init_params(4, seed=7) plus N(0, 0.01) on every entry, biases included, all times `scale`."""
+    base = init_params(vocab_size=4, seed=7)
+    rng = np.random.default_rng(7)
+    params = numcore.ParamStore()
+    for name in base.names():
+        params.add(name, (base[name].data + 0.1 * rng.normal(size=base[name].data.shape)) * scale)
+    return params
+
+
+PASS_PARAMS = {"perturbed": _scaled_params(1.0), "overflowing": _scaled_params(1e120)}
+
+
+def test_the_overflowing_parameters_need_nan_to_num():
+    x, coords = np.ones((3, 1)), np.arange(9.0).reshape(3, 3)
+    with np.errstate(all="ignore"):
+        out = denoiser_forward(x, coords, ((0, 1),), 5, NoiseSchedule(50), np.ones(4), PASS_PARAMS["overflowing"])
+    for key in ("eps_hat", "bond_logits", "node_embeddings", "coords"):
+        assert (getattr(out, key).data == 0.0).all(), key  # every entry was NaN
+    with np.errstate(all="ignore"):
+        out = denoiser_forward(
+            x[:1], coords[:1], ((0, 0),), 5, NoiseSchedule(50), np.ones(4), PASS_PARAMS["overflowing"]
+        )
+    assert np.abs(out.eps_hat.data).max() == 1e6  # an infinity
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    fragments=st.integers(1, 4),
+    per_fragment=st.booleans(),
+    constants=st.sampled_from(["none", "without coordinates", "with coordinates"]),
+    shared=st.booleans(),
+    bonds=st.integers(0, 4),
+    params=st.sampled_from(sorted(PASS_PARAMS)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_pass_with_recording_off_has_the_bits_of_the_taped_pass(
+    n, fragments, per_fragment, constants, shared, bonds, params, seed
+):
+    """Every output of a pass inside `no_grad` equals, byte for byte, that of the same pass with recording on.
+
+    Each pass builds its own constants in its own mode, or with `shared`
+    both take the ones built with recording on.
+    """
+    params = PASS_PARAMS[params]
+    rng = np.random.default_rng(seed)
+    schedule = NoiseSchedule(50)
+    frag = rng.integers(0, fragments, size=n)
+    x, coords = rng.normal(size=(n, 1)), 0.8 * rng.normal(size=(n, 3))
+    edges = rng.integers(0, n, size=(bonds, 2))
+    if per_fragment:
+        y, t = (rng.random((fragments, 4)) < 0.5).astype(np.float64), rng.integers(1, 51, size=fragments)
+        prepared = t
+    else:
+        y, t = (rng.random(4) < 0.5).astype(np.float64), int(rng.integers(1, 51))
+        prepared = np.arange(1, 51)
+
+    def build():
+        if constants == "none":
+            return None
+        return denoiser_constants(
+            prepared, schedule, y, params, frag, coords if constants == "with coordinates" else None
+        )
+
+    with np.errstate(all="ignore"):
+        taped_constants = build()
+        taped = denoiser_forward(x, coords, edges, t, schedule, y, params, frag, taped_constants)
+        with numcore.no_grad():
+            plain_constants = taped_constants if shared else build()
+            plain = denoiser_forward(x, coords, edges, t, schedule, y, params, frag, plain_constants)
+    assert taped.eps_hat.tracked() and not plain.eps_hat.tracked()
+    for key in ("eps_hat", "bond_logits", "node_embeddings", "coords"):
+        want, got = getattr(taped, key).data, getattr(plain, key).data
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), key
+
+
+@pytest.mark.parametrize(
+    "name, shape", [("input_proj.w", (18, 8)), ("egnn.1.node_mlp.w1", (16, 8)), ("head.w", (9, 1))]
+)
+@pytest.mark.parametrize("recording", [True, False])
+def test_a_weight_of_the_wrong_width_is_a_shape_mismatch_in_either_mode(rng, name, shape, recording):
+    params = init_params(vocab_size=4, seed=0)
+    params.add(name, np.zeros(shape))
+    x, coords = rng.normal(size=(3, 1)), rng.normal(size=(3, 3))
+    with pytest.raises(ShapeMismatch):
+        if recording:
+            denoiser_forward(x, coords, (), 5, NoiseSchedule(50), np.ones(4), params)
+        else:
+            with numcore.no_grad():
+                denoiser_forward(x, coords, (), 5, NoiseSchedule(50), np.ones(4), params)
+
+
+def test_a_pass_with_recording_off_makes_only_its_output_tensors(rng, monkeypatch):
+    params = init_params(vocab_size=3, seed=0)
+    schedule = NoiseSchedule(10)
+    x, coords = rng.normal(size=(5, 1)), rng.normal(size=(5, 3))
+    with numcore.no_grad():
+        constants = denoiser_constants(
+            np.arange(1, 11), schedule, np.ones(3), params, np.zeros(5, dtype=np.int64), coords
+        )
+        made = []
+        init = Tensor.__init__
+
+        def counted(self, *args, **kwargs):
+            made.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Tensor, "__init__", counted)
+        out = denoiser_forward(x, coords, (), 3, schedule, np.ones(3), params, constants=constants)
+    assert [id(t) for t in made] == [id(out.eps_hat), id(out.bond_logits), id(out.node_embeddings)]
+    assert out.coords is constants.stream.out

@@ -166,8 +166,10 @@ def reference_sample(y, config, params, seed):
 
     Every reverse step embeds its own timestep and descriptor, builds its own
     edges and runs the EGNN's whole coordinate stream anew:
-    `denoiser_forward` is called without prepared constants.  The output
-    coordinates are read and dropped; the drawn ones place the atoms.
+    `denoiser_forward` is called without prepared constants, and with
+    recording on, so each pass is the taped chain of primitives.  The step
+    size is worked out from `beta_at` at every step.  The output coordinates
+    are read and dropped; the drawn ones place the atoms.
     """
     y = diffusion.descriptor_vector(y, params)
     rng = np.random.default_rng(seed)
@@ -177,14 +179,13 @@ def reference_sample(y, config, params, seed):
     coords = 0.8 * rng.standard_normal((n, 3))
     steps_executed = 0
     embeddings = np.zeros((n, diffusion.HIDDEN_DIM))
-    with numcore.no_grad():
-        for t in range(config.steps, 0, -1):
-            out = diffusion.denoiser_forward(x, coords, (), t, schedule, y, params)
-            sqrt_bt = math.sqrt(beta_at(schedule, t))
-            sqrt_bt_prev = math.sqrt(beta_at(schedule, t - 1)) if t > 1 else 0.0
-            x = np.clip(x - (sqrt_bt - sqrt_bt_prev) * out.eps_hat.data, -1e4, 1e4)
-            embeddings = out.node_embeddings.data
-            steps_executed += 1
+    for t in range(config.steps, 0, -1):
+        out = diffusion.denoiser_forward(x, coords, (), t, schedule, y, params)
+        sqrt_bt = math.sqrt(beta_at(schedule, t))
+        sqrt_bt_prev = math.sqrt(beta_at(schedule, t - 1)) if t > 1 else 0.0
+        x = np.clip(x - (sqrt_bt - sqrt_bt_prev) * out.eps_hat.data, -1e4, 1e4)
+        embeddings = out.node_embeddings.data
+        steps_executed += 1
     raw = [float(v) for v in x.reshape(-1)]
     keep, decoded = decode_atoms(x, config)
     kept_coords = coords[keep]
@@ -211,7 +212,7 @@ def reference_sample(y, config, params, seed):
 @pytest.mark.parametrize("mode", list(Mode))
 @pytest.mark.parametrize("bonds", list(BondSource))
 def test_sample_equals_the_per_step_reverse_loop(quick_trained, n_atoms, mode, bonds):
-    """Constants and a coordinate stream built once per trajectory give the bits of building them every step."""
+    """Tape-free passes over constants built once per trajectory give the bits of taped passes that build their own."""
     vocab, params = quick_trained
     y = dataio.multi_hot({"fruity", "sweet"}, vocab)
     cfg = GenerationConfig(mode=mode, n_atoms=n_atoms, steps=12, bond_source=bonds)
@@ -306,6 +307,13 @@ def test_sample_wrong_length_raises_length_mismatch(quick_trained):
             sample(y, constrained(steps=2), params)
 
 
+def test_sample_refuses_a_non_finite_descriptor():
+    """NaN or an infinity would turn the conditioning row NaN and leave the features at their draw."""
+    params = diffusion.init_params(vocab_size=4)
+    with pytest.raises(diffusion.NonFiniteDescriptor):
+        sample([math.nan, 1, 0, math.inf], constrained(steps=2), params)
+
+
 def test_sample_numeric_descriptor_forms_agree(quick_trained):
     """A list, a bool array and an int array sample exactly like the float vector."""
     vocab, params = quick_trained
@@ -349,8 +357,11 @@ PROPERTY_PARAMS = diffusion.init_params(PROPERTY_VOCAB, seed=3)
 
 def descriptor_cases():
     """(kind, descriptor) pairs: vectors `sample` takes, and the ones it must refuse."""
-    number = st.floats() | st.booleans() | st.integers(-3, 3)
+    number = st.floats(allow_nan=False, allow_infinity=False) | st.booleans() | st.integers(-3, 3)
     good = st.lists(number, min_size=PROPERTY_VOCAB, max_size=PROPERTY_VOCAB)
+    non_finite = st.tuples(
+        good, st.integers(0, PROPERTY_VOCAB - 1), st.sampled_from([math.nan, math.inf, -math.inf])
+    ).map(lambda case: case[0][: case[1]] + [case[2]] + case[0][case[1] + 1 :])
     wrong_length = st.lists(st.floats(-2, 2), max_size=9).filter(lambda v: len(v) != PROPERTY_VOCAB)
     non_numeric = (
         st.lists(st.text(max_size=3), min_size=1, max_size=PROPERTY_VOCAB)
@@ -364,6 +375,8 @@ def descriptor_cases():
         st.tuples(st.just("good"), good)
         | st.tuples(st.just("good"), good.map(np.array))
         | st.tuples(st.just("length"), wrong_length)
+        | st.tuples(st.just("non-finite"), non_finite)
+        | st.tuples(st.just("non-finite"), non_finite.map(np.array))
         | st.tuples(st.just("non-numeric"), non_numeric)
         | st.tuples(st.just("ragged"), ragged)
     )
@@ -380,7 +393,10 @@ def descriptor_cases():
     trained=st.sampled_from([True, True, True, False]),
 )
 def test_sample_returns_a_report_or_raises_a_documented_error(case, n_atoms, steps, mode, allowlist, seed, trained):
-    """A config ValueError, UntrainedParams, TypeError or LengthMismatch, each for its cause; else a report."""
+    """A config ValueError, UntrainedParams, TypeError, LengthMismatch or NonFiniteDescriptor.
+
+    Each for its cause; else a report.
+    """
     kind, y = case
     try:
         config = GenerationConfig(mode=mode, allowlist=allowlist, n_atoms=n_atoms, steps=steps, seed=seed)
@@ -388,7 +404,12 @@ def test_sample_returns_a_report_or_raises_a_documented_error(case, n_atoms, ste
         assert mode is Mode.CONSTRAINED and (not allowlist or min(allowlist) < 1 or max(allowlist) > 118)
         return
     params = PROPERTY_PARAMS if trained else ParamStore()
-    expected = {"length": diffusion.LengthMismatch, "non-numeric": TypeError, "ragged": TypeError}.get(kind)
+    expected = {
+        "length": diffusion.LengthMismatch,
+        "non-finite": diffusion.NonFiniteDescriptor,
+        "non-numeric": TypeError,
+        "ragged": TypeError,
+    }.get(kind)
     if not trained:
         expected = UntrainedParams
     if expected is not None:

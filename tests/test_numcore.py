@@ -174,6 +174,36 @@ def test_linear_and_mlp_keep_the_bits_of_the_op_chain(rows, track, zero_grad):
         params[f"f.{suffix}"] for suffix in ("w1", "b1", "w2", "b2"))
 
 
+def test_no_grad_switches_recording_off_and_back(rng):
+    w = Tensor(rng.normal(size=(2, 2)), requires_grad=True)
+    assert numcore.recording()
+    with numcore.no_grad():
+        assert not numcore.recording()
+        with numcore.no_grad():
+            assert not numcore.recording()
+        assert not numcore.recording()
+        assert not matmul(w, w).tracked()
+    assert numcore.recording() and matmul(w, w).tracked()
+
+
+def test_kernels_give_the_bits_of_their_primitives(rng):
+    """`affine`, `mlp` and `take_rows` on arrays are the forwards of `linear`, `mlp_forward` and `gather`."""
+    params = ParamStore()
+    numcore.init_affine(params, "f", 7, 3, rng)
+    make_mlp(params, "f", 7, 9, 3, rng)
+    x = rng.normal(size=(5, 7)) * 10.0
+    w1, b1, w2, b2 = (params[f"f.{suffix}"].data for suffix in ("w1", "b1", "w2", "b2"))
+    assert numcore.affine(x, params["f.w"].data, params["f.b"].data).tobytes() == (
+        numcore.linear(params, "f", Tensor(x)).data.tobytes()
+    )
+    assert numcore.mlp(x, w1, b1, w2, b2)[3].tobytes() == mlp_forward(params, "f", Tensor(x)).data.tobytes()
+    idx = np.array([4, 0, 0, 2], dtype=np.int64)
+    assert numcore.take_rows(x, idx).tobytes() == numcore.gather(Tensor(x), idx).data.tobytes()
+    for bad in ([5], [-1]):
+        with pytest.raises(IndexError):
+            numcore.take_rows(x, np.array(bad, dtype=np.int64))
+
+
 # --------------------------------------------------------------- backward
 
 
