@@ -25,11 +25,12 @@ A pass runs in one of two ways, chosen by whether `numcore` records the
 tape.  With recording on, as in training, it is a chain of tape nodes that
 `numcore.backward` walks.  Inside `numcore.no_grad`, as in every reverse
 step of `generator.sample`, it runs the same array kernels (`numcore.affine`,
-`numcore.mlp`, `egnn.node_update_arrays`) in the same order on plain arrays:
-the context-row lookup, `input_proj`, a node update per layer, `head` and
-the nan_to_num guard.  Constants built with recording off hold what those
-kernels read (`PassArrays`: the parameter arrays, the gather and scatter
-indices; and each layer's edge lengths), and the outputs keep their bits.
+`numcore.mlp`, `egnn.node_update_arrays`, `bond_logits_arrays`) in the same
+order on plain arrays: the context-row lookup, `input_proj`, a node update
+per layer, `head`, the bond head and the nan_to_num guard.  Constants built
+with recording off hold what those kernels read (`PassArrays`: the
+parameter arrays and the scatter index; and each layer's edge lengths), and
+the outputs keep their bits.
 """
 
 from __future__ import annotations
@@ -168,16 +169,14 @@ class PassArrays:
 
     `input_proj`, `head` and `bond` are (w, b) pairs and `node_mlps` holds
     each layer's (w1, b1, w2, b2), none when the layout has no edges.
-    `input_index` and `scatter` are the layout's node-input and scatter
-    indices of the feature width.  The arrays are the parameters as they
-    were when resolved.
+    `scatter` is the layout's scatter index of the feature width.  The
+    arrays are the parameters as they were when resolved.
     """
 
     input_proj: tuple[np.ndarray, np.ndarray]
     node_mlps: tuple[tuple[np.ndarray, ...], ...]
     head: tuple[np.ndarray, np.ndarray]
     bond: tuple[np.ndarray, np.ndarray]
-    input_index: np.ndarray
     scatter: np.ndarray
 
 
@@ -194,7 +193,7 @@ class DenoiserConstants:
     take, or None when the passes bring their own.
 
     A pass with recording off reads the rest: `distances` holds each layer's
-    E edge lengths in `stream` (none without one), and `arrays` the
+    [E, 1] edge lengths in `stream` (none without one), and `arrays` the
     `PassArrays`, resolved when the constants are built with recording off
     (None otherwise: a pass then resolves its own).
     """
@@ -212,7 +211,7 @@ class DenoiserConstants:
         """The context row of a pass at `t`, which `denoiser_constants` covered.
 
         One row index shared by every node, or with `per_fragment` rows the
-        row of each node.
+        row of each node, its fragment id, which the caller checks.
         """
         if self.per_fragment:
             if not np.array_equal(np.reshape(t, -1), self.steps):
@@ -228,12 +227,12 @@ class DenoiserConstants:
         return row
 
 
-def _arrays(params: ParamStore, name: str, suffixes: tuple[str, ...], n_in: int) -> tuple[np.ndarray, ...]:
-    """The arrays of `{name}.{suffix}`; `ShapeMismatch` unless the first is a weight of `n_in` rows."""
-    arrays = tuple(params[f"{name}.{suffix}"].data for suffix in suffixes)
-    if arrays[0].ndim != 2 or arrays[0].shape[0] != n_in:
-        raise numcore.ShapeMismatch(f"{name}: input width {n_in} vs weight {arrays[0].shape}")
-    return arrays
+def _affine_arrays(params: ParamStore, name: str, n_in: int) -> tuple[np.ndarray, np.ndarray]:
+    """The arrays of `{name}.w` and `{name}.b`; `ShapeMismatch` unless `w` is 2-D with `n_in` rows."""
+    w, b = params[f"{name}.w"].data, params[f"{name}.b"].data
+    if w.ndim != 2 or w.shape[0] != n_in:
+        raise numcore.ShapeMismatch(f"{name}: input width {n_in} vs weight {w.shape}")
+    return w, b
 
 
 def _pass_arrays(params: ParamStore, context_width: int, layout: egnn.EdgeLayout) -> PassArrays:
@@ -242,19 +241,19 @@ def _pass_arrays(params: ParamStore, context_width: int, layout: egnn.EdgeLayout
     Raises `numcore.UnknownParam` for a missing parameter and
     `numcore.ShapeMismatch` for a weight whose rows do not match its input.
     """
-    input_proj = _arrays(params, "input_proj", ("w", "b"), 1 + context_width)
+    input_proj = _affine_arrays(params, "input_proj", 1 + context_width)
     width = input_proj[0].shape[1]
     node_mlps = ()
     if layout.receivers.size:
         node_mlps = tuple(
-            _arrays(params, f"{layer}.node_mlp", ("w1", "b1", "w2", "b2"), 2 * width + 1) for layer in DEFAULT_LAYERS
+            tuple(w.data for w in numcore.mlp_params(params, f"{layer}.node_mlp", 2 * width + 1))
+            for layer in DEFAULT_LAYERS
         )
     return PassArrays(
         input_proj,
         node_mlps,
-        _arrays(params, "head", ("w", "b"), width),
-        _arrays(params, "bond", ("w", "b"), 2 * width),
-        layout.node_input_index(width),
+        _affine_arrays(params, "head", width),
+        _affine_arrays(params, "bond", 2 * width),
         layout.scatter_index(width),
     )
 
@@ -328,8 +327,8 @@ def denoiser_constants(
 
 
 def _distances(stream: egnn.CoordStream) -> tuple[np.ndarray, ...]:
-    """The E distances of each layer's pair geometry in `stream`."""
-    return tuple(geometry.data[:, 3].copy() for geometry in stream.geometry)
+    """The [E, 1] distances of each layer's pair geometry in `stream`."""
+    return tuple(geometry.data[:, 3:] for geometry in stream.geometry)
 
 
 def denoiser_forward(
@@ -414,44 +413,62 @@ def _forward_on_arrays(
     first runs its own over `coords`, and without `PassArrays` it resolves
     its own.
     """
-    stream, distances, arrays = constants.stream, constants.distances, constants.arrays
+    stream, distances, arrays, layout = constants.stream, constants.distances, constants.arrays, constants.layout
     if stream is None:
-        stream = egnn.coord_stream(Tensor(coords), params, constants.layout)
+        stream = egnn.coord_stream(Tensor(coords), params, layout)
         distances = _distances(stream)
         _finite(stream.out.data)
     context = constants.context.data
     if arrays is None:
-        arrays = _pass_arrays(params, context.shape[1], constants.layout)
+        arrays = _pass_arrays(params, context.shape[1], layout)
+    row = constants.row_of(t)
     node_input = np.empty((x_noisy.shape[0], 1 + context.shape[1]))
     node_input[:, :1] = x_noisy
-    node_input[:, 1:] = context[constants.row_of(t)]
+    node_input[:, 1:] = numcore.take_rows(context, row) if constants.per_fragment else context[row]
     features = numcore.affine(node_input, *arrays.input_proj)
     for dist, node_mlp in zip(distances, arrays.node_mlps):
-        features = egnn.node_update_arrays(features, dist, node_mlp, arrays.input_index, arrays.scatter)
+        features = egnn.node_update_arrays(
+            features, dist, node_mlp, layout.receivers, layout.senders, arrays.scatter
+        )[2]
     eps_hat = numcore.affine(features, *arrays.head)
+    bond_logits = bond_logits_arrays(features, bond_edges, *arrays.bond)
+    _finite(eps_hat, bond_logits, features)
+    return DenoiserOutput(numcore.wrap(eps_hat), numcore.wrap(bond_logits), numcore.wrap(features), stream.out)
+
+
+def _bond_ends(bond_edges: Sequence[tuple[int, int]] | np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The first and second end nodes of `bond_edges` as int64 arrays; None when there is no edge."""
     if len(bond_edges) == 0:
-        bond_logits = np.zeros((0, len(BOND_CLASSES)))
-    else:
-        edges = np.asarray(bond_edges, dtype=np.int64).reshape(-1, 2)
-        ends = [numcore.take_rows(features, edges[:, 0]), numcore.take_rows(features, edges[:, 1])]
-        bond_logits = numcore.affine(np.concatenate(ends, axis=1), *arrays.bond)
-        _finite(bond_logits)
-    _finite(eps_hat, features)
-    return DenoiserOutput(
-        Tensor(eps_hat, _owned=True), Tensor(bond_logits, _owned=True), Tensor(features, _owned=True), stream.out
-    )
+        return None
+    edges = np.asarray(bond_edges, dtype=np.int64).reshape(-1, 2)
+    return edges[:, 0], edges[:, 1]
+
+
+def _no_bond_logits() -> np.ndarray:
+    return np.zeros((0, len(BOND_CLASSES)))
+
+
+def bond_logits_arrays(
+    features: np.ndarray, bond_edges: Sequence[tuple[int, int]] | np.ndarray, w: np.ndarray, b: np.ndarray
+) -> np.ndarray:
+    """`bond_head` on plain arrays, with the `bond.w` and `bond.b` arrays `w` and `b`."""
+    ends = _bond_ends(bond_edges)
+    if ends is None:
+        return _no_bond_logits()
+    return numcore.affine(np.concatenate([numcore.take_rows(features, end) for end in ends], axis=1), w, b)
 
 
 def bond_head(
     node_features: Tensor, bond_edges: Sequence[tuple[int, int]] | np.ndarray, params: ParamStore
 ) -> Tensor:
-    """Four-way bond-type logits [E, 4] from the concatenated end-node features of each edge."""
-    if len(bond_edges) == 0:
-        return Tensor(np.zeros((0, len(BOND_CLASSES))))
-    edges = np.asarray(bond_edges, dtype=np.int64).reshape(-1, 2)
-    pair_features = numcore.concat(
-        [numcore.gather(node_features, edges[:, 0]), numcore.gather(node_features, edges[:, 1])], axis=1
-    )
+    """Four-way bond-type logits [E, 4] from the concatenated end-node features of each edge.
+
+    `bond_logits_arrays` is the same map on plain arrays.
+    """
+    ends = _bond_ends(bond_edges)
+    if ends is None:
+        return Tensor(_no_bond_logits())
+    pair_features = numcore.concat([numcore.gather(node_features, end) for end in ends], axis=1)
     return numcore.linear(params, "bond", pair_features)
 
 

@@ -12,11 +12,10 @@ backwards add the same terms in the same order as the chain of single ops
 they replace, so outputs and gradients keep their bits.
 
 The edges depend only on the fragment ids, so an `EdgeLayout` holds them with
-everything else the layers derive from those ids: the edge scale, the flat
-scatter index of each row width summed over the edges, and the flat index
-that gathers each edge's node-MLP input.  A caller that runs
-many passes over one layout, such as a reverse trajectory, builds it once
-with `edge_layout` and passes it to every `egnn_forward`.
+everything else the layers derive from those ids: the edge scale and the
+flat scatter index of each row width summed over the edges.  A caller that
+runs many passes over one layout, such as a reverse trajectory, builds it
+once with `edge_layout` and passes it to every `egnn_forward`.
 
 The coordinate MLP reads only pair distances, never node features, so the
 coordinate pathway of a pass (each layer's `pair_geometry` and the
@@ -25,11 +24,12 @@ coordinate pathway of a pass (each layer's `pair_geometry` and the
 over the same coordinates builds it once and passes it to every
 `egnn_forward`, which otherwise builds its own.
 
-`node_update_arrays` is `node_update`'s forward on plain arrays: the same MLP
-input, gathered with one flat index, then `numcore.mlp` and the receiver
-sum, so it gives the same bits.  A pass that records nothing
-(a reverse step inside `numcore.no_grad`) calls it with the stream's edge
-lengths and the layout's indices, and makes no `Tensor`.
+`node_update_arrays` is `node_update`'s forward on plain arrays: the MLP
+input gathered from the receivers, the senders and the edge lengths,
+`numcore.mlp` and the receiver sum.  `node_update` calls it and adds only
+the tape node and the backward.  A pass that records nothing (a reverse
+step inside `numcore.no_grad`) calls it with the stream's edge lengths and
+the layout's indices, and makes no `Tensor`.
 """
 
 from __future__ import annotations
@@ -80,8 +80,7 @@ class EdgeLayout:
 
     `edge_scale` is `fragment_edge_scale(receivers)`.  `scatter_index(width)`
     gives the flat index that sums rows of `width` columns into their
-    receivers, and `node_input_index(width)` the one that gathers the node
-    MLP's input; each width's index is built on first use and kept.  A
+    receivers; each width's index is built on first use and kept.  A
     receiver or sender outside [0, n_nodes) raises IndexError here, once, so
     the layers index with them unchecked.
     """
@@ -91,7 +90,6 @@ class EdgeLayout:
     senders: np.ndarray
     edge_scale: np.ndarray
     _scatter: dict[int, np.ndarray] = field(default_factory=dict, repr=False, compare=False)
-    _node_input: dict[int, np.ndarray] = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("receivers", "senders"):
@@ -107,21 +105,6 @@ class EdgeLayout:
         index = self._scatter.get(width)
         if index is None:
             index = self._scatter[width] = numcore.scatter_index(self.receivers, width)
-        return index
-
-    def node_input_index(self, width: int) -> np.ndarray:
-        """Where each edge's [x_i | x_j | d_ij] lies in the row-major [n, width] features followed by the E distances.
-
-        Shape [E, 2 * width + 1]: row e is edge e's receiver row, its sender
-        row, then position n * width + e.
-        """
-        index = self._node_input.get(width)
-        if index is None:
-            edges = self.receivers.size
-            index = self._node_input[width] = np.empty((edges, 2 * width + 1), dtype=np.int64)
-            index[:, :width] = self.scatter_index(width).reshape(-1, width)
-            index[:, width : 2 * width] = numcore.scatter_index(self.senders, width).reshape(-1, width)
-            index[:, 2 * width] = np.arange(self.n_nodes * width, self.n_nodes * width + edges)
         return index
 
 
@@ -162,21 +145,20 @@ def node_update_arrays(
     f: np.ndarray,
     dist: np.ndarray,
     node_mlp: tuple[np.ndarray, ...],
-    input_index: np.ndarray,
+    receivers: np.ndarray,
+    senders: np.ndarray,
     scatter: np.ndarray,
-) -> np.ndarray:
-    """`node_update` on plain arrays, for passes that record nothing.
+) -> tuple[np.ndarray, tuple[np.ndarray, ...], np.ndarray]:
+    """`node_update`'s forward on plain arrays: (MLP input, `numcore.mlp` of it, new features).
 
-    `f` is [n, d], `dist` the E distances of `pair_geometry` over a layout,
-    `node_mlp` the arrays (w1, b1, w2, b2) of `{layer}.node_mlp`, and
-    `input_index` and `scatter` are the layout's `node_input_index(d)` and
-    `scatter_index(d)`.  Shapes are not checked.  The MLP input is the
-    array `node_update` builds, gathered in one `take`: a caller that runs
-    many passes over one layout builds the index once, while `node_update`,
-    whose layout in training serves one pass, gathers row by row.
+    `f` is [n, d], `dist` the [E, 1] distances of `pair_geometry` over a
+    layout, `node_mlp` the arrays (w1, b1, w2, b2) of `{layer}.node_mlp`,
+    and `receivers`, `senders` and `scatter` are the layout's edges and its
+    `scatter_index(d)`.  Shapes are not checked.
     """
-    x = np.concatenate((f.reshape(-1), dist)).take(input_index)
-    return _receiver_sum(f, numcore.mlp(x, *node_mlp)[3], scatter)
+    x = np.concatenate([f.take(receivers, axis=0), f.take(senders, axis=0), dist], axis=1)
+    forward = numcore.mlp(x, *node_mlp)
+    return x, forward, _receiver_sum(f, forward[3], scatter)
 
 
 def node_update(features: Tensor, geometry: Tensor, params: ParamStore, layer: str, layout: EdgeLayout) -> Tensor:
@@ -184,13 +166,16 @@ def node_update(features: Tensor, geometry: Tensor, params: ParamStore, layer: s
 
     `geometry` is `pair_geometry` over `layout`, and phi_e is the MLP
     `{layer}.node_mlp`.  The sum runs over the edges of `layout`.  The
-    forward runs the ops of `node_update_arrays` on the same MLP input.
+    forward is `node_update_arrays`.
     """
     f = features.data
     width = f.shape[1]
     receivers, senders = layout.receivers, layout.senders
-    x = np.concatenate([f.take(receivers, axis=0), f.take(senders, axis=0), geometry.data[:, 3:]], axis=1)
-    mlp = numcore.MLPPass(params, f"{layer}.node_mlp", x)
+    weights = numcore.mlp_params(params, f"{layer}.node_mlp", 2 * width + 1)
+    x, forward, out = node_update_arrays(
+        f, geometry.data[:, 3:], tuple(w.data for w in weights), receivers, senders, layout.scatter_index(width)
+    )
+    mlp = numcore.MLPPass(weights, x, forward)
 
     def bw(g):
         numcore.accumulate(features, g)
@@ -206,7 +191,6 @@ def node_update(features: Tensor, geometry: Tensor, params: ParamStore, layer: s
                 numcore.scatter_add(numcore.scatter_index(senders, width), g_in[:, width : 2 * width], f.shape),
             )
 
-    out = _receiver_sum(f, mlp.out, layout.scatter_index(width))
     return numcore.primitive(out, (features, geometry, *mlp.weights), bw)
 
 
@@ -220,7 +204,7 @@ def coord_update(coords: Tensor, geometry: Tensor, params: ParamStore, layer: st
     c = coords.data
     rel = geometry.data[:, :3]
     # a contiguous column: matmul sums a strided one in another order
-    mlp = numcore.MLPPass(params, f"{layer}.coord_mlp", geometry.data[:, 3:].copy())
+    mlp = numcore.MLPPass.run(params, f"{layer}.coord_mlp", geometry.data[:, 3:].copy())
     weight = mlp.out * layout.edge_scale
 
     def bw(g):

@@ -243,7 +243,7 @@ def sample(
     embeddings = np.zeros((n, diffusion.HIDDEN_DIM))
     # sqrt(beta_t) - sqrt(beta_{t-1}) at t = 1..T, with beta_0 = 0: the noise
     # increment each step removes
-    roots = np.sqrt(diffusion.BETA_MAX * np.arange(config.steps + 1) / config.steps)
+    roots = np.sqrt([0.0] + [diffusion.beta_at(schedule, t) for t in range(1, config.steps + 1)])
     increments = (roots[1:] - roots[:-1]).tolist()
     with numcore.no_grad():
         constants = diffusion.denoiser_constants(

@@ -71,8 +71,8 @@ class Tensor:
     """A float64 array plus an optional link into the recorded computation.
 
     `Tensor(x)` copies `x`, so a tensor never aliases its caller's array.
-    Only `_make` passes `_owned=True`: an op's freshly computed result has no
-    other owner and is wrapped as it is.
+    Only `wrap` passes `_owned=True`: a freshly computed array has no other
+    owner and is wrapped as it is.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
@@ -113,6 +113,11 @@ def accumulate(t: Tensor, g: np.ndarray) -> None:
     t.grad = g.copy() if t.grad is None else t.grad + g
 
 
+def wrap(data: np.ndarray) -> Tensor:
+    """An untracked tensor around `data`, a freshly computed array that no one else holds, without copying."""
+    return Tensor(data, _owned=True)
+
+
 def primitive(data: np.ndarray, parents: Sequence[Tensor], backward_fn) -> Tensor:
     """An op's result: `data` wrapped without copying, linked to `parents` when recording.
 
@@ -124,7 +129,7 @@ def primitive(data: np.ndarray, parents: Sequence[Tensor], backward_fn) -> Tenso
     read their own output in backward, so the output of a tracked op must
     not be written in place before `backward` has run.
     """
-    out = Tensor(data, _owned=True)
+    out = wrap(data)
     if _grad_enabled and any(p.tracked() for p in parents):
         out._parents = tuple(parents)
         out._backward_fn = backward_fn
@@ -460,24 +465,41 @@ def mlp(
     return pre, hidden, sig, affine(hidden, w2, b2)
 
 
+def mlp_params(params: ParamStore, name: str, n_in: int) -> tuple[Tensor, Tensor, Tensor, Tensor]:
+    """The tensors `{name}.w1/b1/w2/b2` of an MLP that reads rows of `n_in` columns.
+
+    Raises `UnknownParam` for a missing parameter and `ShapeMismatch` unless
+    `w1` is 2-D with `n_in` rows.
+    """
+    weights = params[name + ".w1"], params[name + ".b1"], params[name + ".w2"], params[name + ".b2"]
+    w1 = weights[0].data
+    if w1.ndim != 2 or w1.shape[0] != n_in:
+        raise ShapeMismatch(f"mlp {name!r}: input width {n_in} vs weight {w1.shape}")
+    return weights
+
+
 class MLPPass:
     """One application of a two-layer SiLU MLP to an array, kept for its backward.
 
-    `out` is `mlp` of `x` with parameters `{name}.w1/b1/w2/b2`.  Raises
-    `UnknownParam` for a missing parameter and `ShapeMismatch` unless `x` is
-    2-D with as many columns as `w1` has rows.
+    `weights` are the `mlp_params` tensors, `x` the 2-D input and `forward`
+    what `mlp` returned for them; `out` is the MLP's output.  `run` looks
+    the weights up and computes `forward`.
     """
 
     __slots__ = ("weights", "x", "pre", "sig", "hidden", "out")
 
-    def __init__(self, params: ParamStore, name: str, x: np.ndarray):
-        self.weights = w1, b1, w2, b2 = (
-            params[name + ".w1"], params[name + ".b1"], params[name + ".w2"], params[name + ".b2"]
-        )
-        if x.ndim != 2 or x.shape[1] != w1.data.shape[0]:
-            raise ShapeMismatch(f"mlp {name!r}: input {x.shape} vs weight {w1.data.shape}")
+    def __init__(self, weights: tuple[Tensor, ...], x: np.ndarray, forward: tuple[np.ndarray, ...]):
+        self.weights = weights
         self.x = x
-        self.pre, self.hidden, self.sig, self.out = mlp(x, w1.data, b1.data, w2.data, b2.data)
+        self.pre, self.hidden, self.sig, self.out = forward
+
+    @classmethod
+    def run(cls, params: ParamStore, name: str, x: np.ndarray) -> "MLPPass":
+        """`mlp` of `x` with `mlp_params(params, name, ...)`; `ShapeMismatch` unless `x` is 2-D and fits `w1`."""
+        if x.ndim != 2:
+            raise ShapeMismatch(f"mlp {name!r}: input of shape {x.shape} is not 2-D")
+        weights = mlp_params(params, name, x.shape[1])
+        return cls(weights, x, mlp(x, *(w.data for w in weights)))
 
     def backward(self, g: np.ndarray, input_grad: bool) -> np.ndarray | None:
         """Accumulate the parameters' gradients for upstream `g`; the input's gradient if asked."""
@@ -489,7 +511,7 @@ class MLPPass:
 def mlp_forward(params: ParamStore, name: str, x: Tensor) -> Tensor:
     """Two-layer MLP: affine, SiLU, affine, using `{name}.w1/b1/w2/b2`; one tape node."""
     x = as_tensor(x)
-    mlp = MLPPass(params, name, x.data)
+    mlp = MLPPass.run(params, name, x.data)
 
     def bw(g):
         g_x = mlp.backward(g, x.tracked())

@@ -785,6 +785,21 @@ def test_a_weight_of_the_wrong_width_is_a_shape_mismatch_in_either_mode(rng, nam
                 denoiser_forward(x, coords, (), 5, NoiseSchedule(50), np.ones(4), params)
 
 
+@pytest.mark.parametrize("bad_id", [-1, -2, 2])
+@pytest.mark.parametrize("recording", [True, False])
+def test_a_fragment_id_without_a_descriptor_row_is_an_index_error_in_either_mode(rng, bad_id, recording):
+    """Two descriptor rows: a fragment id outside [0, 2) picks no row, negative ids included."""
+    params = init_params(vocab_size=4, seed=0)
+    x, coords = rng.normal(size=(3, 1)), rng.normal(size=(3, 3))
+    frag = np.array([0, bad_id, 1])
+    with pytest.raises(IndexError):
+        if recording:
+            denoiser_forward(x, coords, (), np.array([5, 6]), NoiseSchedule(50), np.ones((2, 4)), params, frag)
+        else:
+            with numcore.no_grad():
+                denoiser_forward(x, coords, (), np.array([5, 6]), NoiseSchedule(50), np.ones((2, 4)), params, frag)
+
+
 def test_a_pass_with_recording_off_makes_only_its_output_tensors(rng, monkeypatch):
     params = init_params(vocab_size=3, seed=0)
     schedule = NoiseSchedule(10)

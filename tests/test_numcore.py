@@ -204,6 +204,25 @@ def test_kernels_give_the_bits_of_their_primitives(rng):
             numcore.take_rows(x, np.array(bad, dtype=np.int64))
 
 
+def test_wrap_keeps_the_array_and_records_nothing(rng):
+    data = rng.normal(size=(3, 2))
+    wrapped = numcore.wrap(data)
+    assert wrapped.data is data and not wrapped.tracked()
+    assert Tensor(data).data is not data
+
+
+def test_mlp_params_checks_the_input_width(rng):
+    params = ParamStore()
+    make_mlp(params, "f", 7, 9, 3, rng)
+    assert numcore.mlp_params(params, "f", 7) == tuple(params[f"f.{s}"] for s in ("w1", "b1", "w2", "b2"))
+    with pytest.raises(numcore.ShapeMismatch, match="'f'"):
+        numcore.mlp_params(params, "f", 6)
+    with pytest.raises(numcore.UnknownParam):
+        numcore.mlp_params(params, "g", 7)
+    with pytest.raises(numcore.ShapeMismatch):
+        numcore.MLPPass.run(params, "f", np.ones(7))
+
+
 # --------------------------------------------------------------- backward
 
 
