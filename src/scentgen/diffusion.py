@@ -11,15 +11,14 @@ one block-diagonal graph, each with its own timestep and descriptor row.
 Training runs every minibatch that way, as one forward, one loss and one
 backward pass; sampling passes a single molecule, a batch of one.
 
-What a pass derives from its descriptors, timesteps and fragment ids does not
-change along a reverse trajectory or within a batch.  `denoiser_constants`
-builds it once: the conditioning projection of `y`, the time embedding of
-every step needed, and the `egnn.EdgeLayout`.  Given the coordinates, which
-a reverse trajectory holds fixed, it also builds the EGNN's coordinate
-stream (`egnn.CoordStream`), which reads no node feature.  Sampling builds
-one per trajectory over all T steps, `batch_loss` one per minibatch, and
-every `denoiser_forward` reads from it; called without one, a pass builds
-its own.
+What a pass derives from its descriptors, timesteps, fragment ids and
+coordinates does not change along a reverse trajectory or within a batch.
+`denoiser_constants` builds it once: the conditioning projection of `y`, the
+time embedding of every step needed, the `egnn.EdgeLayout`, the EGNN's
+coordinate stream (`egnn.CoordStream`, which reads no node feature) over the
+coordinates, and the `PassArrays`.  Sampling builds one per trajectory over
+all T steps, holding the coordinates fixed; a pass called without one, as in
+`batch_loss`, builds its own.
 
 A pass runs in one of two ways, chosen by whether `numcore` records the
 tape.  With recording on, as in training, it is a chain of tape nodes that
@@ -27,17 +26,16 @@ tape.  With recording on, as in training, it is a chain of tape nodes that
 step of `generator.sample`, it runs the same array kernels (`numcore.affine`,
 `numcore.mlp`, `egnn.node_update_arrays`, `bond_logits_arrays`) in the same
 order on plain arrays: the context-row lookup, `input_proj`, a node update
-per layer, `head`, the bond head and the nan_to_num guard.  Constants built
-with recording off hold what those kernels read (`PassArrays`: the
-parameter arrays and the scatter index; and each layer's edge lengths), and
-the outputs keep their bits.
+per layer, `head`, the bond head and the nan_to_num guard.  It reads the
+parameter arrays and the scatter index from the `PassArrays` and each
+layer's edge lengths from the stream, and the outputs keep their bits.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -190,21 +188,17 @@ class DenoiserConstants:
     the row of t.  With one descriptor row per fragment (`per_fragment`),
     row f is fragment f's at its own step, and a pass must run at `steps`.
     `stream` is the coordinate stream of the coordinates every pass must
-    take, or None when the passes bring their own.
-
-    A pass with recording off reads the rest: `distances` holds each layer's
-    [E, 1] edge lengths in `stream` (none without one), and `arrays` the
-    `PassArrays`, resolved when the constants are built with recording off
-    (None otherwise: a pass then resolves its own).
+    take, and `arrays` the `PassArrays` that a pass with recording off
+    reads.  Built with recording on, `context` and `stream` are on the tape,
+    and a taped pass gives every parameter its gradient.
     """
 
     layout: egnn.EdgeLayout
     steps: np.ndarray
     context: Tensor
     per_fragment: bool
-    stream: egnn.CoordStream | None
-    distances: tuple[np.ndarray, ...]
-    arrays: PassArrays | None
+    stream: egnn.CoordStream
+    arrays: PassArrays
     _row_of_step: dict[int, int] = field(default_factory=dict, repr=False, compare=False)
 
     def row_of(self, t: int | np.ndarray) -> int | np.ndarray:
@@ -275,23 +269,23 @@ def denoiser_constants(
     y: np.ndarray,
     params: ParamStore,
     fragment_ids: np.ndarray,
-    coords: np.ndarray | None = None,
+    coords: np.ndarray,
 ) -> DenoiserConstants:
-    """Embed `y` once and `steps` once, and build the edge layout of `fragment_ids`.
+    """Embed `y` and `steps` once, and build the edge layout of `fragment_ids`,
+    the coordinate stream over `coords` [n, 3] and the `PassArrays`.
 
     `y` is either one descriptor vector shared by every fragment, with
     `steps` one timestep or several (all of 1..T for a reverse trajectory),
     or an [F, L] ndarray of one row per fragment, with `steps` an array of
-    one timestep per fragment.  Given `coords` [n, 3], it also runs the
-    EGNN's coordinate stream over them once (its output coordinates passed
-    through the bounded nan_to_num), and every pass must then take these
-    coordinates.  With recording off it also resolves the `PassArrays`.
-    Raises `StepOutOfRange` for a step outside [1, T],
-    `numcore.ShapeMismatch` when the counts of steps and descriptor rows
-    disagree or `coords` has not a row per node, and what `condition_embed`
-    raises for a bad `y`.  With recording off it also raises
-    `numcore.UnknownParam` for a missing parameter and
-    `numcore.ShapeMismatch` for a weight whose rows do not match its input.
+    one timestep per fragment.  The stream's output coordinates go through
+    the bounded nan_to_num, and every pass must take the bits of `coords`.
+    The constants are the same in either recording mode, except that with
+    recording on the embeddings and the stream are on the tape.  Raises
+    `StepOutOfRange` for a step outside [1, T], `numcore.ShapeMismatch` when
+    the counts of steps and descriptor rows disagree, `coords` has not a row
+    per node or a weight's rows do not match its input,
+    `numcore.UnknownParam` for a missing parameter, and what
+    `condition_embed` raises for a bad `y`.
     """
     step_list = np.asarray(steps, dtype=np.int64).reshape(-1)
     for step in step_list.tolist():
@@ -307,28 +301,22 @@ def denoiser_constants(
         cond_rows = numcore.gather(cond_rows, np.zeros(step_list.size, dtype=np.int64))
     context = numcore.concat([time_rows, cond_rows], axis=1)
     layout = egnn.edge_layout(fragment_ids)
-    stream = None
-    if coords is not None:
-        coords = np.asarray(coords, dtype=np.float64).reshape(-1, 3)
-        if coords.shape[0] != layout.n_nodes:
-            raise numcore.ShapeMismatch(f"{layout.n_nodes} nodes vs {coords.shape[0]} coordinate rows")
-        stream = egnn.coord_stream(Tensor(coords), params, layout)
-        _finite(stream.out.data)
+    coords = np.asarray(coords, dtype=np.float64).reshape(-1, 3)
+    if coords.shape[0] != layout.n_nodes:
+        raise numcore.ShapeMismatch(f"{layout.n_nodes} nodes vs {coords.shape[0]} coordinate rows")
+    stream = egnn.coord_stream(Tensor(coords), params, layout)
+    if stream.out is stream.coords:  # no edges: the guard must leave the input's bits for the check
+        stream = replace(stream, out=Tensor(coords))
+    _finite(stream.out.data)
     return DenoiserConstants(
         layout,
         step_list,
         context,
         per_fragment,
         stream,
-        () if stream is None else _distances(stream),
-        None if numcore.recording() else _pass_arrays(params, context.data.shape[1], layout),
+        _pass_arrays(params, context.data.shape[1], layout),
         {} if per_fragment else {step: row for row, step in enumerate(step_list.tolist())},
     )
-
-
-def _distances(stream: egnn.CoordStream) -> tuple[np.ndarray, ...]:
-    """The [E, 1] distances of each layer's pair geometry in `stream`."""
-    return tuple(geometry.data[:, 3:] for geometry in stream.geometry)
 
 
 def denoiser_forward(
@@ -351,19 +339,21 @@ def denoiser_forward(
     shared by every fragment, or `t` is an array of one step per fragment and
     `y` an [F, L] array of one row per fragment, picked by fragment ids in
     [0, F).  `constants` is `denoiser_constants` over these steps (or more),
-    `y`, `schedule` and fragment ids, and perhaps `coords`; it replaces the
-    embedding of `y` and `t`, the edge build and, when it holds a coordinate
-    stream, the EGNN's coordinate pathway.  Without it the pass builds its
-    own.  A step it does not cover raises ValueError (`StepOutOfRange`
-    without it), and so do coordinates whose bits differ from those of its
-    stream.  Outputs that hold a non-finite value are passed through
-    nan_to_num in place; the caller's `x_noisy` and `coords` are never
-    written or aliased.
+    `y`, `schedule`, fragment ids and `coords`; it replaces the embedding of
+    `y` and `t`, the edge build and the EGNN's coordinate pathway.  Without
+    it the pass builds its own.  A step it does not cover raises ValueError
+    (`StepOutOfRange` without it), and so do coordinates whose bits differ
+    from those it was built from.  Outputs that hold a non-finite value are
+    passed through nan_to_num in place; the caller's `x_noisy` and `coords`
+    are never written or aliased.
 
     With recording on, the pass is a chain of tape nodes that `backward`
-    can walk.  With it off (`numcore.no_grad`) the same arithmetic runs on
-    plain arrays, reading the `PassArrays` of `constants`, and gives the
-    same bits; only the three outputs it computes become `Tensor`s.
+    can walk, and `constants` built with recording off, whose embeddings
+    and stream are off the tape, raise ValueError: the pass would silently
+    give their parameters no gradient.  With recording off
+    (`numcore.no_grad`) the same arithmetic runs on plain arrays, reading
+    the `PassArrays` of `constants`, and gives the same bits; only the three
+    outputs it computes become `Tensor`s.
     """
     x_noisy = np.asarray(x_noisy, dtype=np.float64).reshape(-1, 1)
     coords = np.asarray(coords, dtype=np.float64).reshape(-1, 3)
@@ -376,22 +366,22 @@ def denoiser_forward(
         frag = np.zeros(n, dtype=np.int64) if fragment_ids is None else np.asarray(fragment_ids, dtype=np.int64)
         if frag.shape != (n,):
             raise numcore.ShapeMismatch(f"{n} nodes vs fragment ids of shape {frag.shape}")
-        constants = denoiser_constants(t, schedule, y, params, frag)
+        constants = denoiser_constants(t, schedule, y, params, frag, coords)
     elif constants.layout.n_nodes != n:
         raise numcore.ShapeMismatch(f"{n} nodes vs constants for {constants.layout.n_nodes}")
-
-    stream = constants.stream
-    if stream is not None and coords.tobytes() != stream.coords.data.tobytes():
+    elif coords.tobytes() != constants.stream.coords.data.tobytes():
         raise ValueError("coordinates differ from those the constants' coordinate stream was built from")
+    elif numcore.recording() and not constants.context.tracked():
+        raise ValueError("a taped pass needs constants built with recording on, or none")
     if not numcore.recording():
-        return _forward_on_arrays(x_noisy, coords, bond_edges, t, params, constants)
+        return _forward_on_arrays(x_noisy, bond_edges, t, constants)
 
     row = constants.row_of(t)
     context = numcore.gather(constants.context, row if constants.per_fragment else np.full(n, row, dtype=np.int64))
     node_input = numcore.concat([Tensor(x_noisy), context], axis=1)
     hidden = numcore.linear(params, "input_proj", node_input)
-    positions = Tensor(coords) if stream is None else stream.coords
-    state = egnn.egnn_forward(NodeState(hidden, positions), params, constants.layout, stream)
+    stream = constants.stream
+    state = egnn.egnn_forward(NodeState(hidden, stream.coords), params, constants.layout, stream)
     eps_hat = numcore.linear(params, "head", state.features)
     bond_logits = bond_head(state.features, bond_edges, params)
     _finite(eps_hat.data, bond_logits.data, state.features.data, state.coords.data)
@@ -400,35 +390,26 @@ def denoiser_forward(
 
 def _forward_on_arrays(
     x_noisy: np.ndarray,
-    coords: np.ndarray,
     bond_edges: Sequence[tuple[int, int]] | np.ndarray,
     t: int | np.ndarray,
-    params: ParamStore,
     constants: DenoiserConstants,
 ) -> DenoiserOutput:
     """`denoiser_forward`'s pass on plain arrays: the ops of the taped pass, in its order.
 
-    The context-row lookup, `input_proj`, a node update per layer, `head`
-    and the bond head.  Without a coordinate stream in `constants`, the pass
-    first runs its own over `coords`, and without `PassArrays` it resolves
-    its own.
+    The context-row lookup, `input_proj`, a node update per layer over the
+    edge lengths of the constants' stream, `head` and the bond head, with
+    the parameter arrays of the constants' `PassArrays`.
     """
-    stream, distances, arrays, layout = constants.stream, constants.distances, constants.arrays, constants.layout
-    if stream is None:
-        stream = egnn.coord_stream(Tensor(coords), params, layout)
-        distances = _distances(stream)
-        _finite(stream.out.data)
+    stream, arrays, layout = constants.stream, constants.arrays, constants.layout
     context = constants.context.data
-    if arrays is None:
-        arrays = _pass_arrays(params, context.shape[1], layout)
     row = constants.row_of(t)
     node_input = np.empty((x_noisy.shape[0], 1 + context.shape[1]))
     node_input[:, :1] = x_noisy
     node_input[:, 1:] = numcore.take_rows(context, row) if constants.per_fragment else context[row]
     features = numcore.affine(node_input, *arrays.input_proj)
-    for dist, node_mlp in zip(distances, arrays.node_mlps):
+    for geometry, node_mlp in zip(stream.geometry, arrays.node_mlps):
         features = egnn.node_update_arrays(
-            features, dist, node_mlp, layout.receivers, layout.senders, arrays.scatter
+            features, geometry.data[:, 3:], node_mlp, layout.receivers, layout.senders, arrays.scatter
         )[2]
     eps_hat = numcore.affine(features, *arrays.head)
     bond_logits = bond_logits_arrays(features, bond_edges, *arrays.bond)

@@ -245,7 +245,8 @@ def sample(
     # increment each step removes
     roots = np.sqrt([0.0] + [diffusion.beta_at(schedule, t) for t in range(1, config.steps + 1)])
     increments = (roots[1:] - roots[:-1]).tolist()
-    with numcore.no_grad():
+    # a huge descriptor entry may overflow inside a pass, whose nan_to_num guard bounds the outputs
+    with numcore.no_grad(), np.errstate(over="ignore", invalid="ignore"):
         constants = diffusion.denoiser_constants(
             np.arange(1, config.steps + 1), schedule, y, params, np.zeros(n, dtype=np.int64), coords
         )

@@ -148,7 +148,7 @@ def test_descriptors_with_a_non_finite_entry_are_refused(bad):
     with pytest.raises(NonFiniteDescriptor):
         condition_embed(rows, params)
     with pytest.raises(NonFiniteDescriptor):
-        denoiser_constants(np.array([1, 2, 3]), NoiseSchedule(10), rows, params, np.arange(3))
+        denoiser_constants(np.array([1, 2, 3]), NoiseSchedule(10), rows, params, np.arange(3), np.zeros((3, 3)))
 
 
 def test_time_embed_affine_in_fraction():
@@ -218,16 +218,27 @@ def test_denoiser_bond_logit_shapes(rng):
 
 @pytest.mark.parametrize("n", [1, 4])
 def test_denoiser_never_writes_or_aliases_caller_arrays(n):
-    """Outputs that need nan_to_num are cleaned in arrays the caller does not own."""
+    """Outputs that need nan_to_num are cleaned in arrays the caller does not own.
+
+    A pass over constants built from the caller's coordinates gives the bits
+    of one that builds its own, also when a single atom's output
+    coordinates, its input coordinates, needed the guard.
+    """
     params = init_params(vocab_size=4, seed=0)
     x = np.full((n, 1), 1e308)
     # a single atom's output coordinates are its input coordinates
     coords = np.full((1, 3), np.inf) if n == 1 else np.arange(3.0 * n).reshape(n, 3)
     bond_edges = () if n == 1 else ((0, 1), (2, 3))
     x_before, coords_before = x.copy(), coords.copy()
+    schedule = NoiseSchedule(50)
     with np.errstate(all="ignore"):
-        out = denoiser_forward(x, coords, bond_edges, 5, NoiseSchedule(50), np.ones(4), params)
-    outputs = [out.eps_hat.data, out.bond_logits.data, out.node_embeddings.data, out.coords.data]
+        out = denoiser_forward(x, coords, bond_edges, 5, schedule, np.ones(4), params)
+        constants = denoiser_constants(5, schedule, np.ones(4), params, np.zeros(n, dtype=np.int64), coords)
+        built = denoiser_forward(x, coords, bond_edges, 5, schedule, np.ones(4), params, constants=constants)
+    assert _same_bits(built, out)
+    outputs = [
+        a for o in (out, built) for a in (o.eps_hat.data, o.bond_logits.data, o.node_embeddings.data, o.coords.data)
+    ]
     assert all(np.isfinite(a).all() for a in outputs)
     assert any((np.abs(a) == 1e6).any() for a in outputs), "no output needed nan_to_num"
     assert np.array_equal(x, x_before) and np.array_equal(coords, coords_before)
@@ -593,7 +604,7 @@ def test_denoiser_constants_give_the_bits_of_a_pass_that_builds_its_own(rng):
     sched = NoiseSchedule(50)
     y = np.array([1.0, 0, 1, 0])
     x, coords = rng.normal(size=(3, 1)), rng.normal(size=(3, 3))
-    constants = denoiser_constants(np.arange(10, 21), sched, y, params, np.zeros(3, dtype=np.int64))
+    constants = denoiser_constants(np.arange(10, 21), sched, y, params, np.zeros(3, dtype=np.int64), coords)
     for t in (10, 15, 20):
         with_constants = denoiser_forward(x, coords, ((0, 1),), t, sched, y, params, constants=constants)
         assert _same_bits(with_constants, denoiser_forward(x, coords, ((0, 1),), t, sched, y, params))
@@ -645,22 +656,51 @@ def test_a_pass_over_a_coordinate_stream_runs_no_coordinate_primitive(rng, monke
     assert out.coords is constants.stream.out
 
 
+def test_taped_constants_give_every_gradient_and_untaped_ones_are_refused(rng):
+    """Constants built with recording on give a taped pass the gradients of one that builds its own,
+    bit for bit; constants built with recording off would give some parameters none."""
+    params = init_params(vocab_size=4, seed=3)
+    sched = NoiseSchedule(50)
+    y = np.array([1.0, 0, 1, 0])
+    x, coords, eps = rng.normal(size=(5, 1)), rng.normal(size=(5, 3)), rng.normal(size=(5, 1))
+    edges, labels = ((0, 1), (1, 2), (3, 4)), np.array([0, 1, 3])
+
+    def gradients(constants):
+        out = denoiser_forward(x, coords, edges, 20, sched, y, params, constants=constants)
+        params.zero_grad()
+        numcore.backward(loss_total(out.eps_hat, eps, out.bond_logits, labels, 1.0))
+        return [params[name].grad for name in params.names()]
+
+    def build():
+        return denoiser_constants(np.arange(1, 51), sched, y, params, np.zeros(5, dtype=np.int64), coords)
+
+    want = gradients(None)
+    for name in ("cond.w", "time.w", "egnn.0.coord_mlp.w1"):
+        assert np.abs(params[name].grad).max() > 0, name
+    got = gradients(build())
+    assert [g.tobytes() for g in got] == [g.tobytes() for g in want]
+    with numcore.no_grad():
+        untaped = build()
+    with pytest.raises(ValueError, match="recording on"):
+        denoiser_forward(x, coords, edges, 20, sched, y, params, constants=untaped)
+
+
 def test_per_fragment_constants_run_only_at_their_steps(rng):
     params = init_params(vocab_size=4, seed=1)
     sched = NoiseSchedule(100)
     ys = (rng.random((2, 4)) < 0.5).astype(np.float64)
     frag = np.array([0, 0, 1])
     x, coords = rng.normal(size=(3, 1)), rng.normal(size=(3, 3))
-    constants = denoiser_constants(np.array([5, 60]), sched, ys, params, frag)
+    constants = denoiser_constants(np.array([5, 60]), sched, ys, params, frag, coords)
     out = denoiser_forward(x, coords, (), np.array([5, 60]), sched, ys, params, frag, constants)
     assert _same_bits(out, denoiser_forward(x, coords, (), np.array([5, 60]), sched, ys, params, frag))
     for wrong in (np.array([5, 61]), np.array([5]), 5):
         with pytest.raises(ValueError, match="prepared steps"):
             denoiser_forward(x, coords, (), wrong, sched, ys, params, frag, constants)
     with pytest.raises(ShapeMismatch):
-        denoiser_constants(np.array([5, 60, 7]), sched, ys, params, frag)
+        denoiser_constants(np.array([5, 60, 7]), sched, ys, params, frag, coords)
     with pytest.raises(StepOutOfRange):
-        denoiser_constants(np.array([0, 60]), sched, ys, params, frag)
+        denoiser_constants(np.array([0, 60]), sched, ys, params, frag, coords)
 
 
 def test_condition_embed_rows_length_mismatch():
@@ -723,7 +763,7 @@ def test_the_overflowing_parameters_need_nan_to_num():
     n=st.integers(1, 12),
     fragments=st.integers(1, 4),
     per_fragment=st.booleans(),
-    constants=st.sampled_from(["none", "without coordinates", "with coordinates"]),
+    constants=st.sampled_from(["none", "built"]),
     shared=st.booleans(),
     bonds=st.integers(0, 4),
     params=st.sampled_from(sorted(PASS_PARAMS)),
@@ -753,9 +793,7 @@ def test_a_pass_with_recording_off_has_the_bits_of_the_taped_pass(
     def build():
         if constants == "none":
             return None
-        return denoiser_constants(
-            prepared, schedule, y, params, frag, coords if constants == "with coordinates" else None
-        )
+        return denoiser_constants(prepared, schedule, y, params, frag, coords)
 
     with np.errstate(all="ignore"):
         taped_constants = build()
