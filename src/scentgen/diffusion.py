@@ -14,11 +14,12 @@ backward pass; sampling passes a single molecule, a batch of one.
 What a pass derives from its descriptors, timesteps, fragment ids and
 coordinates does not change along a reverse trajectory or within a batch.
 `denoiser_constants` builds it once: the conditioning projection of `y`, the
-time embedding of every step needed, the `egnn.EdgeLayout`, the EGNN's
-coordinate stream (`egnn.CoordStream`, which reads no node feature) over the
-coordinates, and the `PassArrays`.  Sampling builds one per trajectory over
-all T steps, holding the coordinates fixed; a pass called without one, as in
-`batch_loss`, builds its own.
+time embedding of every step needed, the EGNN's coordinate stream
+(`egnn.CoordStream`, which reads no node feature) over the coordinates and
+the `egnn.EdgeLayout` of the fragment ids, which the stream holds, and the
+`PassArrays`.  Sampling builds one per trajectory over all T steps, holding
+the coordinates fixed; a pass called without one, as in `batch_loss`, builds
+its own.
 
 A pass runs in one of two ways, chosen by whether `numcore` records the
 tape.  With recording on, as in training, it is a chain of tape nodes that
@@ -27,8 +28,9 @@ step of `generator.sample`, it runs the same array kernels (`numcore.affine`,
 `numcore.mlp`, `egnn.node_update_arrays`, `bond_logits_arrays`) in the same
 order on plain arrays: the context-row lookup, `input_proj`, a node update
 per layer, `head`, the bond head and the nan_to_num guard.  It reads the
-parameter arrays and the scatter index from the `PassArrays` and each
-layer's edge lengths from the stream, and the outputs keep their bits.
+parameter arrays from the `PassArrays`, each layer's edge lengths from the
+stream and the scatter index from the stream's layout, and the outputs keep
+their bits.
 """
 
 from __future__ import annotations
@@ -102,47 +104,49 @@ def forward_noise(
     return x0 + np.sqrt(beta) * eps, eps
 
 
+def _descriptors(y, params: ParamStore, flat: bool) -> np.ndarray:
+    """`y` as float64, flattened if `flat`: the one check of descriptors.
+
+    It raises what `descriptor_vector` documents; the length checked is
+    that of the last axis, the vector's or each row's.
+    """
+    try:
+        values = np.asarray(y)
+    except ValueError as exc:  # ragged nesting
+        raise TypeError(f"descriptors are not numeric: {exc}") from None
+    if values.dtype.kind not in "biuf":
+        raise TypeError(f"descriptors must hold numbers, got dtype {values.dtype}")
+    values = values.astype(np.float64, copy=False)
+    if flat:
+        values = values.reshape(-1)
+    size = params["cond.w"].data.shape[0]
+    if values.shape[-1] != size:
+        raise LengthMismatch(f"descriptor length {values.shape[-1]} != vocabulary size {size}")
+    if not np.isfinite(values).all():
+        raise NonFiniteDescriptor("descriptor entries must be finite, got NaN or an infinity")
+    return values
+
+
 def descriptor_vector(y, params: ParamStore) -> np.ndarray:
-    """`y` as a float64 vector of the trained vocabulary's length.
+    """`y`, flattened, as a float64 vector of the trained vocabulary's length.
 
     Raises `TypeError` unless `y` holds only bool, integer or float numbers,
     `LengthMismatch` when its length differs from the vocabulary size and
     `NonFiniteDescriptor` when an entry is NaN or infinite.
     """
-    try:
-        values = np.asarray(y)
-    except ValueError as exc:  # ragged nesting
-        raise TypeError(f"descriptor vector is not numeric: {exc}") from None
-    if values.dtype.kind not in "biuf":
-        raise TypeError(f"descriptor vector must hold numbers, got dtype {values.dtype}")
-    values = values.astype(np.float64, copy=False).reshape(-1)
-    size = params["cond.w"].data.shape[0]
-    if values.shape[0] != size:
-        raise LengthMismatch(f"descriptor vector length {values.shape[0]} != vocabulary size {size}")
-    _check_finite(values)
-    return values
-
-
-def _check_finite(values: np.ndarray) -> None:
-    if not np.isfinite(values).all():
-        raise NonFiniteDescriptor("descriptor entries must be finite, got NaN or an infinity")
+    return _descriptors(y, params, flat=True)
 
 
 def condition_embed(y: np.ndarray, params: ParamStore) -> Tensor:
     """Project multi-hot descriptors into the conditioning space, one row per descriptor.
 
     `y` is one descriptor vector, giving one row, or an [F, L] ndarray with
-    one descriptor row per fragment.  Raises `LengthMismatch` when L differs from
-    the vocabulary size and `NonFiniteDescriptor` for a NaN or infinite entry.
+    one descriptor row per fragment.  Either is checked as `descriptor_vector`
+    checks a vector.
     """
-    if not (isinstance(y, np.ndarray) and y.ndim == 2):
-        return numcore.linear(params, "cond", Tensor(descriptor_vector(y, params).reshape(1, -1)))
-    rows = np.asarray(y, dtype=np.float64)
-    size = params["cond.w"].data.shape[0]
-    if rows.shape[1] != size:
-        raise LengthMismatch(f"descriptor rows of length {rows.shape[1]} != vocabulary size {size}")
-    _check_finite(rows)
-    return numcore.linear(params, "cond", Tensor(rows))
+    per_fragment = isinstance(y, np.ndarray) and y.ndim == 2
+    rows = _descriptors(y, params, flat=not per_fragment)
+    return numcore.linear(params, "cond", Tensor(rows if per_fragment else rows.reshape(1, -1)))
 
 
 def time_embed(t: int | np.ndarray, steps: int, params: ParamStore) -> Tensor:
@@ -166,8 +170,7 @@ class PassArrays:
     """The parameter arrays and indices that a pass with recording off reads.
 
     `input_proj`, `head` and `bond` are (w, b) pairs and `node_mlps` holds
-    each layer's (w1, b1, w2, b2), none when the layout has no edges.
-    `scatter` is the layout's scatter index of the feature width.  The
+    each layer's (w1, b1, w2, b2), none when the layout has no edges.  The
     arrays are the parameters as they were when resolved.
     """
 
@@ -175,7 +178,6 @@ class PassArrays:
     node_mlps: tuple[tuple[np.ndarray, ...], ...]
     head: tuple[np.ndarray, np.ndarray]
     bond: tuple[np.ndarray, np.ndarray]
-    scatter: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -188,12 +190,12 @@ class DenoiserConstants:
     the row of t.  With one descriptor row per fragment (`per_fragment`),
     row f is fragment f's at its own step, and a pass must run at `steps`.
     `stream` is the coordinate stream of the coordinates every pass must
-    take, and `arrays` the `PassArrays` that a pass with recording off
-    reads.  Built with recording on, `context` and `stream` are on the tape,
-    and a taped pass gives every parameter its gradient.
+    take, over the pass's edge layout (`stream.layout`), and `arrays` the
+    `PassArrays` that a pass with recording off reads.  Built with recording
+    on, `context` and `stream` are on the tape, and a taped pass gives every
+    parameter its gradient.
     """
 
-    layout: egnn.EdgeLayout
     steps: np.ndarray
     context: Tensor
     per_fragment: bool
@@ -210,7 +212,7 @@ class DenoiserConstants:
         if self.per_fragment:
             if not np.array_equal(np.reshape(t, -1), self.steps):
                 raise ValueError("a pass over per-fragment descriptor rows must run at the prepared steps")
-            return self.layout.fragment_ids
+            return self.stream.layout.fragment_ids
         if isinstance(t, np.ndarray):
             if t.size != 1:
                 raise numcore.ShapeMismatch(f"{t.size} timesteps vs 1 descriptor row")
@@ -221,34 +223,27 @@ class DenoiserConstants:
         return row
 
 
-def _affine_arrays(params: ParamStore, name: str, n_in: int) -> tuple[np.ndarray, np.ndarray]:
-    """The arrays of `{name}.w` and `{name}.b`; `ShapeMismatch` unless `w` is 2-D with `n_in` rows."""
-    w, b = params[f"{name}.w"].data, params[f"{name}.b"].data
-    if w.ndim != 2 or w.shape[0] != n_in:
-        raise numcore.ShapeMismatch(f"{name}: input width {n_in} vs weight {w.shape}")
-    return w, b
-
-
 def _pass_arrays(params: ParamStore, context_width: int, layout: egnn.EdgeLayout) -> PassArrays:
     """The `PassArrays` of `params` over `layout`, for context rows of `context_width` columns.
 
     Raises `numcore.UnknownParam` for a missing parameter and
     `numcore.ShapeMismatch` for a weight whose rows do not match its input.
     """
-    input_proj = _affine_arrays(params, "input_proj", 1 + context_width)
+    def arrays(tensors: tuple[Tensor, ...]) -> tuple[np.ndarray, ...]:
+        return tuple(t.data for t in tensors)
+
+    input_proj = arrays(numcore.affine_params(params, "input_proj", 1 + context_width))
     width = input_proj[0].shape[1]
     node_mlps = ()
     if layout.receivers.size:
         node_mlps = tuple(
-            tuple(w.data for w in numcore.mlp_params(params, f"{layer}.node_mlp", 2 * width + 1))
-            for layer in DEFAULT_LAYERS
+            arrays(numcore.mlp_params(params, f"{layer}.node_mlp", 2 * width + 1)) for layer in DEFAULT_LAYERS
         )
     return PassArrays(
         input_proj,
         node_mlps,
-        _affine_arrays(params, "head", width),
-        _affine_arrays(params, "bond", 2 * width),
-        layout.scatter_index(width),
+        arrays(numcore.affine_params(params, "head", width)),
+        arrays(numcore.affine_params(params, "bond", 2 * width)),
     )
 
 
@@ -309,7 +304,6 @@ def denoiser_constants(
         stream = replace(stream, out=Tensor(coords))
     _finite(stream.out.data)
     return DenoiserConstants(
-        layout,
         step_list,
         context,
         per_fragment,
@@ -367,8 +361,8 @@ def denoiser_forward(
         if frag.shape != (n,):
             raise numcore.ShapeMismatch(f"{n} nodes vs fragment ids of shape {frag.shape}")
         constants = denoiser_constants(t, schedule, y, params, frag, coords)
-    elif constants.layout.n_nodes != n:
-        raise numcore.ShapeMismatch(f"{n} nodes vs constants for {constants.layout.n_nodes}")
+    elif constants.stream.layout.n_nodes != n:
+        raise numcore.ShapeMismatch(f"{n} nodes vs constants for {constants.stream.layout.n_nodes}")
     elif coords.tobytes() != constants.stream.coords.data.tobytes():
         raise ValueError("coordinates differ from those the constants' coordinate stream was built from")
     elif numcore.recording() and not constants.context.tracked():
@@ -381,7 +375,7 @@ def denoiser_forward(
     node_input = numcore.concat([Tensor(x_noisy), context], axis=1)
     hidden = numcore.linear(params, "input_proj", node_input)
     stream = constants.stream
-    state = egnn.egnn_forward(NodeState(hidden, stream.coords), params, constants.layout, stream)
+    state = egnn.egnn_forward(NodeState(hidden, stream.coords), params, stream.layout, stream)
     eps_hat = numcore.linear(params, "head", state.features)
     bond_logits = bond_head(state.features, bond_edges, params)
     _finite(eps_hat.data, bond_logits.data, state.features.data, state.coords.data)
@@ -400,7 +394,8 @@ def _forward_on_arrays(
     edge lengths of the constants' stream, `head` and the bond head, with
     the parameter arrays of the constants' `PassArrays`.
     """
-    stream, arrays, layout = constants.stream, constants.arrays, constants.layout
+    stream, arrays = constants.stream, constants.arrays
+    layout = stream.layout
     context = constants.context.data
     row = constants.row_of(t)
     node_input = np.empty((x_noisy.shape[0], 1 + context.shape[1]))
@@ -409,7 +404,8 @@ def _forward_on_arrays(
     features = numcore.affine(node_input, *arrays.input_proj)
     for geometry, node_mlp in zip(stream.geometry, arrays.node_mlps):
         features = egnn.node_update_arrays(
-            features, geometry.data[:, 3:], node_mlp, layout.receivers, layout.senders, arrays.scatter
+            features, geometry.data[:, 3:], node_mlp, layout.receivers, layout.senders,
+            layout.scatter_index(features.shape[1]),
         )[2]
     eps_hat = numcore.affine(features, *arrays.head)
     bond_logits = bond_logits_arrays(features, bond_edges, *arrays.bond)

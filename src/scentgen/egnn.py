@@ -8,8 +8,8 @@ tape node with a hand-written backward: `pair_geometry` computes the
 relative positions and distances of the edges once, and `node_update`
 (gather, concat, node MLP, receiver sum, residual) and `coord_update`
 (coordinate MLP, edge scale, receiver sum, shift) both read them.  Their
-backwards add the same terms in the same order as the chain of single ops
-they replace, so outputs and gradients keep their bits.
+backwards add the same terms in the same order as the chain of single ops in
+`tests/composite_layers.py`, so outputs and gradients have its bits.
 
 The edges depend only on the fragment ids, so an `EdgeLayout` holds them with
 everything else the layers derive from those ids: the edge scale and the
@@ -204,7 +204,9 @@ def coord_update(coords: Tensor, geometry: Tensor, params: ParamStore, layer: st
     c = coords.data
     rel = geometry.data[:, :3]
     # a contiguous column: matmul sums a strided one in another order
-    mlp = numcore.MLPPass.run(params, f"{layer}.coord_mlp", geometry.data[:, 3:].copy())
+    dist = geometry.data[:, 3:].copy()
+    weights = numcore.mlp_params(params, f"{layer}.coord_mlp", 1)
+    mlp = numcore.MLPPass(weights, dist, numcore.mlp(dist, *(w.data for w in weights)))
     weight = mlp.out * layout.edge_scale
 
     def bw(g):

@@ -191,15 +191,15 @@ def assign_bond_types(
     tau: float,
     source: BondSource = BondSource.CLASSIFIER,
 ) -> list[tuple[int, int, BondType]]:
-    """Type each proposed edge via `diffusion.bond_head` or the numeric heuristic."""
+    """Type each proposed edge via `diffusion.bond_head`, run with recording off, or the numeric heuristic."""
     if source is BondSource.HEURISTIC:
         return [
             (i, j, chemrules.heuristic_bond_type(decoded_atoms[i], decoded_atoms[j]))
             for i, j in edges
         ]
-    h = numcore.Tensor(np.asarray(node_embeddings, dtype=np.float64))
-    logits = diffusion.bond_head(h, edges, params)
-    probs = diffusion.bond_probabilities(logits, tau)
+    with numcore.no_grad():
+        logits = diffusion.bond_head(numcore.Tensor(np.asarray(node_embeddings, dtype=np.float64)), edges, params)
+        probs = diffusion.bond_probabilities(logits, tau)
     classes = np.argmax(probs.data, axis=1)
     return [(i, j, BOND_CLASSES[int(c)]) for (i, j), c in zip(edges, classes)]
 

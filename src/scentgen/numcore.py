@@ -3,11 +3,11 @@
 Each primitive links its output to its inputs with a hand-written backward
 closure (`primitive`); calling `backward` on a scalar loss walks the
 recorded graph in reverse topological order and accumulates gradients on
-every tracked tensor.  Besides the elementwise, matrix and row ops, `linear`
-and the two-layer SiLU `mlp_forward` are single primitives: each records one
-tape node, and its backward adds the same terms in the same order as the
-chain of matmul, add and SiLU ops it stands for, so gradients keep their
-bits.  `MLPPass` holds that MLP's arithmetic for other modules' primitives.
+every tracked tensor.  Besides the elementwise, reduction and row ops,
+`linear` is a single primitive for the affine map, and `MLPPass` holds one
+application of a two-layer SiLU MLP with its backward for the primitives of
+other modules (`egnn`).  `affine_params` and `mlp_params` are the one lookup
+and shape check of those maps' parameters.
 
 The forward arithmetic of these primitives lives in array kernels (`affine`,
 `mlp`, `take_rows`, `scatter_add`): a primitive calls its kernel and adds
@@ -125,9 +125,9 @@ def primitive(data: np.ndarray, parents: Sequence[Tensor], backward_fn) -> Tenso
     gradient and calls `accumulate` on each parent that needs a share; it
     is kept only while the tape records and some parent is tracked.  The
     result still goes through `Tensor.__init__`, so anything that counts
-    tensors by their construction sees every op result.  `exp` and `sqrt`
-    read their own output in backward, so the output of a tracked op must
-    not be written in place before `backward` has run.
+    tensors by their construction sees every op result.  An op such as
+    `exp` reads its own output in backward, so the output of a tracked op
+    must not be written in place before `backward` has run.
     """
     out = wrap(data)
     if _grad_enabled and any(p.tracked() for p in parents):
@@ -179,21 +179,6 @@ def mul(a: Tensor, b) -> Tensor:
     return primitive(out_data, (a, b), bw)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeMismatch(f"matmul expects 2-D operands, got {a.data.shape} and {b.data.shape}")
-    if a.data.shape[1] != b.data.shape[0]:
-        raise ShapeMismatch(f"inner dimensions disagree: {a.data.shape} x {b.data.shape}")
-    out_data = a.data @ b.data
-
-    def bw(g):
-        accumulate(a, g @ b.data.T)
-        accumulate(b, a.data.T @ g)
-
-    return primitive(out_data, (a, b), bw)
-
-
 def sum_(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
     out_data = a.data.sum(axis=axis, keepdims=keepdims)
@@ -234,17 +219,6 @@ def log(a: Tensor) -> Tensor:
     return primitive(out_data, (a,), bw)
 
 
-def sqrt(a: Tensor) -> Tensor:
-    """Elementwise square root; the derivative is clamped at zero input."""
-    a = as_tensor(a)
-    out_data = np.sqrt(a.data)
-
-    def bw(g):
-        accumulate(a, g * 0.5 / np.maximum(out_data, 1e-150))
-
-    return primitive(out_data, (a,), bw)
-
-
 def _silu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """SiLU of `x` and the sigmoid it used.
 
@@ -258,17 +232,6 @@ def _silu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _silu_grad(g: np.ndarray, x: np.ndarray, sig: np.ndarray) -> np.ndarray:
     return g * (sig * (1.0 + x * (1.0 - sig)))
-
-
-def silu(a: Tensor) -> Tensor:
-    a = as_tensor(a)
-    x = a.data
-    out_data, sig = _silu(x)
-
-    def bw(g):
-        accumulate(a, _silu_grad(g, x, sig))
-
-    return primitive(out_data, (a,), bw)
 
 
 def concat(parts: Sequence[Tensor], axis: int = 1) -> Tensor:
@@ -441,12 +404,11 @@ def affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def linear(params: ParamStore, name: str, x: Tensor) -> Tensor:
-    """Affine map x @ w + b using parameters `{name}.w` / `{name}.b`; one tape node."""
-    w = params[f"{name}.w"]
-    b = params[f"{name}.b"]
+    """Affine map x @ w + b of the rows of the 2-D `x` using `affine_params`; one tape node."""
     x = as_tensor(x)
-    if x.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
-        raise ShapeMismatch(f"linear {name!r}: input {x.data.shape} vs weight {w.data.shape}")
+    if x.data.ndim != 2:
+        raise ShapeMismatch(f"linear {name!r}: input of shape {x.data.shape} is not 2-D")
+    w, b = affine_params(params, name, x.data.shape[1])
 
     def bw(g):
         g_x = _affine_backward(g, x.data, w, b, x.tracked())
@@ -463,6 +425,18 @@ def mlp(
     pre = affine(x, w1, b1)
     hidden, sig = _silu(pre)
     return pre, hidden, sig, affine(hidden, w2, b2)
+
+
+def affine_params(params: ParamStore, name: str, n_in: int) -> tuple[Tensor, Tensor]:
+    """The tensors `{name}.w/b` of an affine map that reads rows of `n_in` columns.
+
+    Raises `UnknownParam` for a missing parameter and `ShapeMismatch` unless
+    `w` is 2-D with `n_in` rows.
+    """
+    w, b = params[name + ".w"], params[name + ".b"]
+    if w.data.ndim != 2 or w.data.shape[0] != n_in:
+        raise ShapeMismatch(f"affine {name!r}: input width {n_in} vs weight {w.data.shape}")
+    return w, b
 
 
 def mlp_params(params: ParamStore, name: str, n_in: int) -> tuple[Tensor, Tensor, Tensor, Tensor]:
@@ -482,8 +456,7 @@ class MLPPass:
     """One application of a two-layer SiLU MLP to an array, kept for its backward.
 
     `weights` are the `mlp_params` tensors, `x` the 2-D input and `forward`
-    what `mlp` returned for them; `out` is the MLP's output.  `run` looks
-    the weights up and computes `forward`.
+    what `mlp` returned for them; `out` is the MLP's output.
     """
 
     __slots__ = ("weights", "x", "pre", "sig", "hidden", "out")
@@ -493,32 +466,11 @@ class MLPPass:
         self.x = x
         self.pre, self.hidden, self.sig, self.out = forward
 
-    @classmethod
-    def run(cls, params: ParamStore, name: str, x: np.ndarray) -> "MLPPass":
-        """`mlp` of `x` with `mlp_params(params, name, ...)`; `ShapeMismatch` unless `x` is 2-D and fits `w1`."""
-        if x.ndim != 2:
-            raise ShapeMismatch(f"mlp {name!r}: input of shape {x.shape} is not 2-D")
-        weights = mlp_params(params, name, x.shape[1])
-        return cls(weights, x, mlp(x, *(w.data for w in weights)))
-
     def backward(self, g: np.ndarray, input_grad: bool) -> np.ndarray | None:
         """Accumulate the parameters' gradients for upstream `g`; the input's gradient if asked."""
         w1, b1, w2, b2 = self.weights
         g_hidden = _affine_backward(g, self.hidden, w2, b2, True)
         return _affine_backward(_silu_grad(g_hidden, self.pre, self.sig), self.x, w1, b1, input_grad)
-
-
-def mlp_forward(params: ParamStore, name: str, x: Tensor) -> Tensor:
-    """Two-layer MLP: affine, SiLU, affine, using `{name}.w1/b1/w2/b2`; one tape node."""
-    x = as_tensor(x)
-    mlp = MLPPass.run(params, name, x.data)
-
-    def bw(g):
-        g_x = mlp.backward(g, x.tracked())
-        if g_x is not None:
-            accumulate(x, g_x)
-
-    return primitive(mlp.out, (x, *mlp.weights), bw)
 
 
 def init_affine(params: ParamStore, name: str, n_in: int, n_out: int, rng: np.random.Generator) -> None:

@@ -74,12 +74,6 @@ class SensorCatalog:
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate sensor ids in catalog")
 
-    def by_id(self, sensor_id: str) -> Sensor:
-        for s in self.sensors:
-            if s.id == sensor_id:
-                return s
-        raise UnknownSensorId(sensor_id)
-
     @classmethod
     def from_dict(cls, payload: dict) -> "SensorCatalog":
         entries = [_object(e, "sensor entry") for e in _list(payload["sensors"], "sensors")]

@@ -47,6 +47,7 @@ _TYPE_TO_BOND_CHAR = {
     BondType.AROMATIC: ":",
 }
 
+_DIGITS = frozenset("0123456789")  # ring closures take ASCII digits only; str.isdigit also accepts "²" and "١"
 _BRACKET_SYMBOL = re.compile(r"^([A-Z][a-z]{0,2}|[bcnops])$")
 
 
@@ -188,12 +189,12 @@ def parse(text: str) -> MoleculeGraph:
             anchor = branch_stack.pop()
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             handle_ring(int(ch), i)
             i += 1
             continue
         if ch == "%":
-            if i + 2 >= n or not s[i + 1 : i + 3].isdigit():
+            if i + 2 >= n or not (s[i + 1] in _DIGITS and s[i + 2] in _DIGITS):
                 raise SmilesSyntaxError(i, "%% ring closure needs two digits")
             handle_ring(int(s[i + 1 : i + 3]), i)
             i += 3

@@ -1,9 +1,11 @@
 """The affine map, the MLP and the EGNN layer as chains of single numcore ops.
 
-This is how `numcore.linear`, `numcore.mlp_forward` and each layer of
-`egnn.egnn_forward` were built before they became primitives with a
-hand-written backward.  The tests run both and require the same bits in
-every output and every gradient.
+The library runs each of these as one primitive with a hand-written backward
+(`numcore.linear`, `numcore.MLPPass` inside `egnn.node_update` and
+`egnn.coord_update`, `egnn.pair_geometry`).  The tests run both and require
+the same bits in every output and every gradient.  `matmul`, `sqrt` and
+`silu` are single ops that only these chains use, so they live here; each is
+a `numcore.primitive` with its own backward.
 """
 
 from __future__ import annotations
@@ -12,47 +14,50 @@ import numpy as np
 
 from scentgen import egnn, numcore
 from scentgen.egnn import DEFAULT_LAYERS, EdgeLayout, NodeState
-from scentgen.numcore import ParamStore, ShapeMismatch, Tensor
+from scentgen.numcore import ParamStore, ShapeMismatch, Tensor, accumulate, as_tensor, primitive
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    a, b = as_tensor(a), as_tensor(b)
+    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
+        raise ShapeMismatch(f"matmul of {a.data.shape} by {b.data.shape}")
+
+    def bw(g):
+        accumulate(a, g @ b.data.T)
+        accumulate(b, a.data.T @ g)
+
+    return primitive(a.data @ b.data, (a, b), bw)
+
+
+def sqrt(a: Tensor) -> Tensor:
+    """Elementwise square root; the derivative is clamped at zero input."""
+    a = as_tensor(a)
+    out_data = np.sqrt(a.data)
+    return primitive(out_data, (a,), lambda g: accumulate(a, g * 0.5 / np.maximum(out_data, 1e-150)))
+
+
+def silu(a: Tensor) -> Tensor:
+    """x * sigmoid(x) with `numcore`'s stable sigmoid and its gradient."""
+    a = as_tensor(a)
+    x = a.data
+    out_data, sig = numcore._silu(x)
+    return primitive(out_data, (a,), lambda g: accumulate(a, numcore._silu_grad(g, x, sig)))
 
 
 def linear(params: ParamStore, name: str, x: Tensor) -> Tensor:
     """x @ w + b as matmul then add."""
-    w = params[f"{name}.w"]
-    b = params[f"{name}.b"]
-    x = numcore.as_tensor(x)
-    if x.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
-        raise ShapeMismatch(f"linear {name!r}: input {x.data.shape} vs weight {w.data.shape}")
-    return numcore.add(numcore.matmul(x, w), b)
+    x = as_tensor(x)
+    if x.data.ndim != 2:
+        raise ShapeMismatch(f"linear {name!r}: input of shape {x.data.shape} is not 2-D")
+    w, b = numcore.affine_params(params, name, x.data.shape[1])
+    return numcore.add(matmul(x, w), b)
 
 
 def mlp_forward(params: ParamStore, name: str, x: Tensor) -> Tensor:
-    """Affine, SiLU, affine as five ops."""
-    w1, b1, w2, b2 = (params[f"{name}.{suffix}"] for suffix in ("w1", "b1", "w2", "b2"))
-    x = numcore.as_tensor(x)
-    if x.data.ndim != 2 or x.data.shape[1] != w1.data.shape[0]:
-        raise ShapeMismatch(f"mlp {name!r}: input {x.data.shape} vs weight {w1.data.shape}")
-    hidden = numcore.silu(numcore.add(numcore.matmul(x, w1), b1))
-    return numcore.add(numcore.matmul(hidden, w2), b2)
-
-
-def edge_geometry(coords: Tensor, receivers: np.ndarray, senders: np.ndarray) -> tuple[Tensor, Tensor]:
-    """Relative positions r_i - r_j [E, 3] and distances |r_i - r_j| [E, 1] per edge."""
-    rel = numcore.sub(numcore.gather(coords, receivers), numcore.gather(coords, senders))
-    return rel, numcore.sqrt(numcore.sum_(numcore.mul(rel, rel), axis=1, keepdims=True))
-
-
-def compute_messages(state, params, layer, receivers, senders, dist) -> Tensor:
-    """Per-edge messages from [x_i, x_j, |r_i - r_j|], shape [E, d]."""
-    x_i = numcore.gather(state.features, receivers)
-    x_j = numcore.gather(state.features, senders)
-    return mlp_forward(params, f"{layer}.node_mlp", numcore.concat([x_i, x_j, dist], axis=1))
-
-
-def update_coordinates(state, params, layer, receivers, rel, dist, edge_scale) -> Tensor:
-    """New coordinates r_i + sum_j s_ij phi(|r_i - r_j|) (r_i - r_j), shape [n, 3]."""
-    weight = numcore.mul(mlp_forward(params, f"{layer}.coord_mlp", dist), edge_scale)
-    delta = numcore.segment_sum(numcore.mul(weight, rel), receivers, state.n_nodes)
-    return numcore.add(state.coords, delta)
+    """Affine, SiLU, affine of the 2-D `x` as five ops."""
+    x = as_tensor(x)
+    w1, b1, w2, b2 = numcore.mlp_params(params, name, x.data.shape[1])
+    return numcore.add(matmul(silu(numcore.add(matmul(x, w1), b1)), w2), b2)
 
 
 def egnn_forward(state: NodeState, params: ParamStore, layout: EdgeLayout | None = None, stream=None) -> NodeState:
@@ -68,11 +73,16 @@ def egnn_forward(state: NodeState, params: ParamStore, layout: EdgeLayout | None
     receivers, senders = layout.receivers, layout.senders
     if len(receivers) == 0:
         return state
-    current = state
+    features, coords = state.features, state.coords
     for layer in DEFAULT_LAYERS:
-        rel, dist = edge_geometry(current.coords, receivers, senders)
-        messages = compute_messages(current, params, layer, receivers, senders, dist)
-        features = numcore.add(current.features, numcore.segment_sum(messages, receivers, n))
-        coords = update_coordinates(current, params, layer, receivers, rel, dist, layout.edge_scale)
-        current = NodeState(features=features, coords=coords)
-    return current
+        # r_i - r_j and |r_i - r_j| per edge
+        rel = numcore.sub(numcore.gather(coords, receivers), numcore.gather(coords, senders))
+        dist = sqrt(numcore.sum_(numcore.mul(rel, rel), axis=1, keepdims=True))
+        # x_i + sum_j phi_e([x_i, x_j, |r_i - r_j|])
+        pair = numcore.concat([numcore.gather(features, receivers), numcore.gather(features, senders), dist], axis=1)
+        messages = mlp_forward(params, f"{layer}.node_mlp", pair)
+        features = numcore.add(features, numcore.segment_sum(messages, receivers, n))
+        # r_i + sum_j s_ij phi_x(|r_i - r_j|) (r_i - r_j)
+        weight = numcore.mul(mlp_forward(params, f"{layer}.coord_mlp", dist), layout.edge_scale)
+        coords = numcore.add(coords, numcore.segment_sum(numcore.mul(weight, rel), receivers, n))
+    return NodeState(features=features, coords=coords)

@@ -241,12 +241,12 @@ def test_validate_unreadable(tmp_path, capsys):
 
 def test_validate_parse_error_is_failure(tmp_path, capsys):
     path = tmp_path / "mols.smi"
-    path.write_text("C(C\n")
+    path.write_text("C(C\nC\u00b2\n", encoding="utf-8")  # "C²": a superscript two is no ring closure
     code, out, _ = run_cli(capsys, "validate", str(path))
     assert code == EXIT_INVALID
-    record = json.loads(out.splitlines()[0])
-    assert not record["verdict"]
-    assert "error" in record
+    records = [json.loads(line) for line in out.splitlines()]
+    assert len(records) == 2
+    assert all(not record["verdict"] and "error" in record for record in records)
 
 
 # ----------------------------------------------------------- select-sensors

@@ -709,6 +709,13 @@ def test_condition_embed_rows_length_mismatch():
         condition_embed(np.zeros((3, 5)), params)
 
 
+def test_descriptor_rows_that_are_not_numbers_are_a_type_error():
+    params = init_params(vocab_size=2, seed=0)
+    for rows in (np.full((3, 2), "a"), np.zeros((3, 2), dtype=object)):
+        with pytest.raises(TypeError):
+            condition_embed(rows, params)
+
+
 # ---------------------------------------------------------------- metrics IO
 
 

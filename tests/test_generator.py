@@ -112,6 +112,15 @@ def test_assign_bond_types_is_argmax_of_bond_head():
     assert [t for _, _, t in typed] == [diffusion.BOND_CLASSES[k] for k in np.argmax(logits, axis=1)]
 
 
+def test_classifier_bond_typing_records_no_tape(monkeypatch):
+    params = diffusion.init_params(vocab_size=3, seed=2)
+    h = np.random.default_rng(1).normal(size=(4, diffusion.HIDDEN_DIM))
+    bond_head, logits = diffusion.bond_head, []
+    monkeypatch.setattr(diffusion, "bond_head", lambda *args: logits.append(bond_head(*args)) or logits[-1])
+    assign_bond_types([(0, 1), (2, 3)], h, [6] * 4, params, tau=1.0)
+    assert len(logits) == 1 and not logits[0].tracked()
+
+
 def test_assign_bond_types_heuristic():
     typed = assign_bond_types(
         [(0, 1)], np.zeros((2, 8)), [6, 8], ParamStore(), tau=1.0, source=BondSource.HEURISTIC

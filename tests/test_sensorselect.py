@@ -244,10 +244,11 @@ def test_scenario_rejects_a_string_list_field(tmp_path, field):
 
 
 def oracle_result(problem, chosen):
+    by_id = {s.id: s for s in problem.catalog.sensors}
     covered = set()
     total = 0.0
     for sensor_id in chosen:
-        sensor = problem.catalog.by_id(sensor_id)
+        sensor = by_id[sensor_id]
         covered |= sensor.detects & problem.targets
         total += sensor.cost
     return sensorselect.SelectionResult(
@@ -280,10 +281,11 @@ def oracle_exact_cover(problem):
 
 def oracle_subtractive_prune(current, problem):
     baseline = oracle_result(problem, current).covered
+    cost = {s.id: s.cost for s in problem.catalog.sensors}
     kept = list(current)
     while True:
         removable = None
-        for sensor_id in sorted(kept, key=lambda sid: (-problem.catalog.by_id(sid).cost, sid)):
+        for sensor_id in sorted(kept, key=lambda sid: (-cost[sid], sid)):
             trial = [sid for sid in kept if sid != sensor_id]
             if oracle_result(problem, trial).covered == baseline:
                 removable = sensor_id

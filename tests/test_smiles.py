@@ -123,12 +123,24 @@ def test_parse_ring_conflicts():
         parse("C1CC")  # unclosed ring
     with pytest.raises(SmilesSyntaxError):
         parse("1CC")  # closure before any atom
+    for text in ("C\u00b2", "C1CC\u0661", "C%1\u00b2CC%1\u00b2", "C%\u0661\u0662CC%\u0661\u0662"):
+        with pytest.raises(SmilesSyntaxError):  # str.isdigit takes these superscript and Arabic-Indic digits
+            parse(text)
 
 
 def test_parse_dangling_bonds():
     for bad in ("C=", "C=)", "C=.C", "=C", "C==C"):
         with pytest.raises(SmilesSyntaxError):
             parse(bad)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.text(alphabet="CcNnOSs[]()=#:-.12%lBr@+ \u00b2\u00b3\u0661\u0662\u07c1\uff11", max_size=14))
+def test_parse_returns_a_graph_or_raises_a_documented_error(text):
+    try:
+        assert isinstance(parse(text), MoleculeGraph)
+    except (SmilesSyntaxError, UnknownElement):
+        pass
 
 
 def test_parser_totality_fuzz(rng):
