@@ -3,7 +3,8 @@
 The on-disk format is a headered CSV of `smiles,descriptor1;descriptor2;...`.
 Each parsed molecule is sanitized and given 3D coordinates by a force-directed
 spring relaxation (bonded rest length 1.5 units, short-range repulsion below
-1.0), which is all the distance-based model consumes.
+1.0), which is all the distance-based model consumes.  `embed_all` relaxes the
+atoms of every molecule of a corpus together, as the columns of one array.
 """
 
 from __future__ import annotations
@@ -197,9 +198,9 @@ def embed_all(graphs: Sequence[MoleculeGraph], seeds: Sequence[int]) -> list[Mol
 
     Attempt a of graph k starts from normal positions drawn by
     `default_rng(seeds[k] + RESTART_SEED_STRIDE * a)`.  Each attempt relaxes
-    all graphs still waiting in one iteration loop, and a graph whose closest
-    atoms end nearer than MIN_SEPARATION waits for the next attempt.  Each
-    graph gets the bits it gets when embedded alone.
+    the atoms of all graphs still waiting as one flat array (`_FlatRelaxation`),
+    and a graph whose closest atoms end nearer than MIN_SEPARATION waits for
+    the next attempt.  Each graph gets the bits it gets when embedded alone.
     """
     out: list[MoleculeGraph | None] = [None] * len(graphs)
     waiting = []
@@ -211,25 +212,19 @@ def embed_all(graphs: Sequence[MoleculeGraph], seeds: Sequence[int]) -> list[Mol
         else:
             waiting.append(k)
     for attempt in range(EMBED_ATTEMPTS):
-        by_size: dict[int, list[int]] = {}
-        for k in waiting:
-            by_size.setdefault(graphs[k].n_atoms, []).append(k)
-        groups = [
-            _SizeGroup(
-                np.stack([_start_positions(n, seeds[k] + RESTART_SEED_STRIDE * attempt) for k in members]),
-                [graphs[k].bonds for k in members],
-            )
-            for n, members in by_size.items()
-        ]
-        _relax(groups)
-        waiting = []
-        for members, group in zip(by_size.values(), groups):
-            separated = _min_separations(group.final) >= MIN_SEPARATION
-            for k, pos, ok in zip(members, group.final, separated):
-                if ok:
-                    out[k] = _centred(graphs[k], pos)
-                else:
-                    waiting.append(k)
+        if not waiting:
+            break
+        relaxation = _FlatRelaxation(
+            [_start_positions(graphs[k].n_atoms, seeds[k] + RESTART_SEED_STRIDE * attempt) for k in waiting],
+            [graphs[k].bonds for k in waiting],
+        )
+        final = relaxation.run()
+        separated = relaxation.min_separations() >= MIN_SEPARATION
+        # Rows [n, 3] in C order, so that centring sums each molecule's atoms as the oracle does.
+        for k, pos, ok in zip(waiting, np.split(final.T.copy(), relaxation.offsets[1:]), separated):
+            if ok:
+                out[k] = _centred(graphs[k], pos)
+        waiting = [k for k, ok in zip(waiting, separated) if not ok]
     return out
 
 
@@ -244,92 +239,107 @@ def _centred(graph: MoleculeGraph, pos: np.ndarray) -> MoleculeGraph:
     return MoleculeGraph(atoms=atoms, bonds=graph.bonds)
 
 
-def _pair_geometry(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Differences r_i - r_j [M, n, n, 3] and distances [M, n, n] within each molecule."""
-    diff = pos[:, :, None, :] - pos[:, None, :, :]
-    return diff, np.sqrt((diff**2).sum(axis=3))
+def _pair_geometry(pos: np.ndarray, first: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Differences r_first - r_second [3, K] and distances [K] of coordinate-major positions [3, A].
+
+    The squares add x, y, then z, as numpy sums a row of three.
+    """
+    diff = pos[:, first] - pos[:, second]
+    sq = diff**2
+    return diff, np.sqrt(sq[0] + sq[1] + sq[2])
 
 
-def _min_separations(pos: np.ndarray) -> np.ndarray:
-    """Each molecule's closest-pair distance, [M] from [M, n, 3] with n >= 2."""
-    upper = np.triu_indices(pos.shape[1], k=1)
-    return _pair_geometry(pos)[1][:, upper[0], upper[1]].min(axis=1)
+class _FlatRelaxation:
+    """The atoms of many molecules relaxed as the columns of one [3, A] array.
 
+    Molecule m, of n >= 2 atoms, first owns the n columns from `offsets[m]`;
+    the molecules still moving own the columns from `starts`.
+    Bonds and each molecule's pairs i < j, in lexicographic order, are held
+    as column indices.  An atom's spring terms add in bond order, i ends
+    first, then j ends; its repulsion terms add in partner order: -push of
+    each pair (i, b), then +push of each pair (b, j).  That is the order in
+    which the one-molecule loop sums them.  The pairs it adds that this class
+    skips, those at least REPULSION_RADIUS apart, push by exact zeros.  The
+    spring sums start at +0.0, so the sign of a zero push never shows.
 
-class _SizeGroup:
-    """Molecules of one atom count relaxed as one [M, n, 3] array.
-
-    `final` holds every molecule's relaxed positions once `_relax` returns.
-    The springs of all molecules still moving share one scatter-add over the
-    flat atom index, bond i ends first, then bond j ends.  Every atom belongs
-    to one molecule, so its terms add in the order `np.add.at` over that
-    molecule's bonds added them.
+    A molecule whose largest force component is below CONVERGED_FORCE keeps
+    the positions the forces were measured at and leaves every array.
     """
 
-    def __init__(self, starts: np.ndarray, bonds: Sequence[Sequence[tuple]]):
-        self.final = np.empty_like(starts)
-        self.pos = starts
-        self.moving = np.arange(starts.shape[0])
-        self.owner = np.repeat(self.moving, [len(b) for b in bonds])
-        self.ends = np.asarray([(i, j) for mol in bonds for i, j, _ in mol], dtype=np.int64).reshape(-1, 2)
-        self._index_springs()
+    def __init__(self, positions: list[np.ndarray], bonds: list[Sequence[tuple]]):
+        self.sizes = np.asarray([p.shape[0] for p in positions], dtype=np.int64)
+        self.offsets = self.starts = np.cumsum(self.sizes) - self.sizes
+        self.pos = np.ascontiguousarray(np.concatenate(positions).T)
+        self.final = np.empty_like(self.pos)
+        self.atoms = np.arange(self.pos.shape[1])
+        ends = [np.asarray([(i, j) for i, j, _ in mol], dtype=np.int64).reshape(-1, 2) for mol in bonds]
+        self.bond_i, self.bond_j = np.concatenate([e + o for e, o in zip(ends, self.offsets)]).T
+        pairs = [np.stack(np.triu_indices(n, k=1)) + o for n, o in zip(self.sizes.tolist(), self.offsets)]
+        self.pair_i, self.pair_j = self.first_pairs = np.concatenate(pairs, axis=1)
+        counts = np.asarray([p.shape[1] for p in pairs])
+        self.pair_offsets = np.cumsum(counts) - counts
+        self._index()
 
-    def _index_springs(self) -> None:
-        atoms = self.owner[:, None] * self.pos.shape[1] + self.ends
-        self.bond_i, self.bond_j = atoms[:, 0], atoms[:, 1]
-        self.spring_index = numcore.scatter_index(np.concatenate([self.bond_i, self.bond_j]), 3)
+    def _index(self) -> None:
+        """Flat [3, A] positions of the spring terms, and each pair's j end then i end."""
+        self.columns = np.arange(3)[:, None] * self.pos.shape[1]
+        self.spring_index = (self.columns + np.concatenate([self.bond_i, self.bond_j])).reshape(-1)
+        self.push_ends = np.concatenate([self.pair_j, self.pair_i])
+
+    def run(self) -> np.ndarray:
+        """Step until every molecule stops or the budget ends; every molecule's positions [3, A]."""
+        step = 0.1
+        for iteration in range(MAX_RELAX_ITERATIONS):
+            if not self.advance(step):
+                return self.final
+            if iteration % 500 == 499:
+                step = max(step * 0.7, 0.01)
+        self.final[:, self.atoms] = self.pos
+        return self.final
 
     def advance(self, step: float) -> bool:
-        """One force step; False once no molecule is left moving.
-
-        A molecule whose largest force component is below CONVERGED_FORCE
-        keeps the positions the forces were measured at and stops.
-        """
-        m, n, _ = self.pos.shape
-        flat = self.pos.reshape(-1, 3)
+        """One force step; False once no molecule is left moving."""
+        pos = self.pos
+        shape = pos.shape
         # Bonded springs toward the rest length.
-        rel = flat[self.bond_i] - flat[self.bond_j]
-        dist = np.maximum(np.sqrt((rel**2).sum(axis=1, keepdims=True)), 1e-9)
+        rel, dist = _pair_geometry(pos, self.bond_i, self.bond_j)
+        dist = np.maximum(dist, 1e-9)
         pull = (SPRING_REST_LENGTH - dist) * rel / dist
-        forces = numcore.scatter_add(self.spring_index, np.concatenate([pull, -pull]), (m * n, 3)).reshape(m, n, 3)
-        # All-pairs repulsion below the contact radius.
-        diff, dist = _pair_geometry(self.pos)
-        dist[:, np.arange(n), np.arange(n)] = np.inf
-        overlap = np.maximum(REPULSION_RADIUS - dist, 0.0)
-        push = (overlap / np.maximum(dist, 1e-9))[..., None] * diff
-        forces += push.sum(axis=2)
-        moving = ~(np.abs(forces).max(axis=(1, 2)) < CONVERGED_FORCE)
+        forces = numcore.scatter_add(self.spring_index, np.concatenate([pull, -pull], axis=1), shape)
+        # Repulsion between the pairs nearer than the contact radius; NaN counts as near.
+        diff, dist = _pair_geometry(pos, self.pair_i, self.pair_j)
+        near = ~(dist >= REPULSION_RADIUS)
+        dist = dist[near]
+        push = ((REPULSION_RADIUS - dist) / np.maximum(dist, 1e-9)) * diff[:, near]
+        index = (self.columns + self.push_ends[np.concatenate([near, near])]).reshape(-1)
+        forces += numcore.scatter_add(index, np.concatenate([-push, push], axis=1), shape)
+        peak = np.maximum.reduceat(np.abs(forces).max(axis=0), self.starts)
+        moving = ~(peak < CONVERGED_FORCE)
         if not moving.all():
-            self._stop(moving)
-            forces = forces[moving]
+            kept = self._stop(moving)
+            forces = forces[:, kept]
         self.pos = self.pos + step * forces
-        return self.moving.size > 0
+        return self.sizes.size > 0
 
-    def _stop(self, moving: np.ndarray) -> None:
-        self.final[self.moving[~moving]] = self.pos[~moving]
-        kept = moving[self.owner]
-        self.owner = (np.cumsum(moving) - 1)[self.owner[kept]]
-        self.ends = self.ends[kept]
-        self.pos = self.pos[moving]
-        self.moving = self.moving[moving]
-        self._index_springs()
+    def _stop(self, moving: np.ndarray) -> np.ndarray:
+        """Record the stopped molecules' positions, drop their atoms; the kept-atom mask."""
+        kept = np.repeat(moving, self.sizes)
+        self.final[:, self.atoms[~kept]] = self.pos[:, ~kept]
+        renumber = np.cumsum(kept) - 1
+        bonds = kept[self.bond_i]
+        self.bond_i, self.bond_j = renumber[self.bond_i[bonds]], renumber[self.bond_j[bonds]]
+        pairs = kept[self.pair_i]
+        self.pair_i, self.pair_j = renumber[self.pair_i[pairs]], renumber[self.pair_j[pairs]]
+        self.pos = self.pos[:, kept]
+        self.atoms = self.atoms[kept]
+        self.sizes = self.sizes[moving]
+        self.starts = np.cumsum(self.sizes) - self.sizes
+        self._index()
+        return kept
 
-    def finish(self) -> None:
-        """Record where the molecules still moving stand."""
-        self.final[self.moving] = self.pos
-
-
-def _relax(groups: list[_SizeGroup]) -> None:
-    """Step every group in one loop with a shared step size, until all stop or the budget ends."""
-    step = 0.1
-    for iteration in range(MAX_RELAX_ITERATIONS):
-        groups = [g for g in groups if g.advance(step)]
-        if not groups:
-            return
-        if iteration % 500 == 499:
-            step = max(step * 0.7, 0.01)
-    for g in groups:
-        g.finish()
+    def min_separations(self) -> np.ndarray:
+        """Each molecule's closest-pair distance [M] in the positions `run` returned."""
+        return np.minimum.reduceat(_pair_geometry(self.final, *self.first_pairs)[1], self.pair_offsets)
 
 
 def to_training_examples(

@@ -195,7 +195,7 @@ def parse(text: str) -> MoleculeGraph:
             continue
         if ch == "%":
             if i + 2 >= n or not (s[i + 1] in _DIGITS and s[i + 2] in _DIGITS):
-                raise SmilesSyntaxError(i, "%% ring closure needs two digits")
+                raise SmilesSyntaxError(i, "% ring closure needs two digits")
             handle_ring(int(s[i + 1 : i + 3]), i)
             i += 3
             continue

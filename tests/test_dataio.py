@@ -1,4 +1,6 @@
+import tempfile
 import zlib
+from pathlib import Path
 
 import embedding_oracle as oracle
 import numpy as np
@@ -73,6 +75,41 @@ def test_bundled_dataset_loads(fixture_dataset):
     # labels all come from the vocabulary
     for mol in mols:
         assert all(vocab.index(t) is not None for t in mol.descriptors)
+
+
+csv_rows = st.one_of(
+    st.just(""),
+    st.builds(
+        "".join,
+        st.tuples(
+            st.one_of(
+                st.sampled_from(["CCO", "c1ccccc1", "CC(=O)OC", "O", "C%12CC%12", "C(", "Xx"]),
+                st.text(alphabet="CcNnOS()=#1%; \u00b2\u0661\uff11", max_size=10),
+            ),
+            st.sampled_from([",", ", ", ",,", ";", ""]),
+            st.text(alphabet="fruity sweet;,\t\u0661", max_size=12),
+        ),
+    ),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(st.lists(csv_rows, max_size=8))
+def test_load_returns_separated_molecules_or_raises_empty_dataset(rows):
+    """Any rows of SMILES characters, commas, semicolons and blanks: molecules that embed, or EmptyDataset."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        path.write_text("smiles,descriptors\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        try:
+            vocab, mols = load_csv(path)
+        except EmptyDataset:
+            return
+    assert mols and all(vocab.index(t) is not None for mol in mols for t in mol.descriptors)
+    for mol in mols:
+        coords = mol.graph.coords()
+        assert np.isfinite(coords).all()
+        upper = np.triu_indices(len(coords), k=1)
+        assert (np.linalg.norm(coords[:, None] - coords[None], axis=2)[upper] >= dataio.MIN_SEPARATION).all()
 
 
 def test_corpus_loader(fixture_corpus):
@@ -270,16 +307,18 @@ def test_row_that_no_restart_separates_is_skipped(monkeypatch, tmp_path, caplog)
 
 @st.composite
 def skeletons(draw):
-    """A carbon tree of 1-11 atoms (chains and branches), sometimes closed into a ring."""
-    n = draw(st.integers(1, 11))
-    bonds = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
-    if n >= 3 and draw(st.booleans()):
-        bonds.add(tuple(sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)))))
+    """A carbon graph of 1-20 atoms: a tree (chains and branches), sometimes closed into a ring,
+    sometimes split into a second fragment with no bond to the first (an isolated atom has no springs)."""
+    n = draw(st.integers(1, 20))
+    split = draw(st.integers(1, n - 1)) if n >= 2 and draw(st.booleans()) else n
+    bonds = {(draw(st.integers(0 if i < split else split, i - 1)), i) for i in range(1, n) if i != split}
+    if split >= 3 and draw(st.booleans()):
+        bonds.add(tuple(sorted(draw(st.lists(st.integers(0, split - 1), min_size=2, max_size=2, unique=True)))))
     return new_graph([Atom(6)] * n, [(i, j, BondType.SINGLE) for i, j in sorted(bonds)])
 
 
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
-@given(st.lists(st.tuples(skeletons(), st.integers(0, 2**31 - 1)), min_size=1, max_size=6))
+@given(st.lists(st.tuples(skeletons(), st.integers(0, 2**31 - 1)), min_size=1, max_size=8))
 def test_batched_embedding_matches_the_oracle_one_by_one(cases):
     graphs = [g for g, _ in cases]
     seeds = [s for _, s in cases]
@@ -287,6 +326,35 @@ def test_batched_embedding_matches_the_oracle_one_by_one(cases):
         assert same_bits(got, oracle_or_none(graph, seed))
 
 
+def test_molecules_that_stop_on_the_same_iteration_all_leave_together():
+    graph = smiles.parse("CC(C)CC(=O)OCC")
+    out = dataio.embed_all([graph] * 4, [29] * 4)
+    want = oracle.embed_coordinates(graph, 29)
+    assert all(same_bits(got, want) for got in out)
+
+
+def test_iteration_budget_ends_the_relaxation_of_molecules_still_moving(monkeypatch):
+    """With 40 iterations no molecule converges: each keeps its position after the last step.
+
+    Every third molecule's first start is collapsed, so it stops at once, fails
+    separation and relaxes again from the second attempt's seed.
+    """
+    texts = ("CCO", "CCCC", "c1ccccc1", "CC(C)CC(=O)OCC", "CCCCCCCCCC", "OCC1CCCCC1", "CC(C)(C)C(C)(C)C")
+    graphs = [smiles.parse(t) for t in texts] * 3
+    seeds = list(range(100, 100 + len(graphs)))
+    unbounded = dataio.embed_all(graphs, seeds)
+    monkeypatch.setattr(dataio, "MAX_RELAX_ITERATIONS", 40)
+    monkeypatch.setattr(oracle, "MAX_RELAX_ITERATIONS", 40)
+    failing_first = set(seeds[::3])
+    drawn = collapse_starts(monkeypatch, lambda n, seed: seed in failing_first)
+    out = dataio.embed_all(graphs, seeds)
+    assert sorted(drawn) == sorted(seeds + [s + 7919 for s in failing_first])
+    for got, before, graph, seed in zip(out, unbounded, graphs, seeds):
+        assert same_bits(got, oracle.embed_coordinates(graph, seed + 7919 if seed in failing_first else seed))
+        assert got.coords().tobytes() != before.coords().tobytes()
+
+
+# ------------------------------------------------------------ training prep
 # ------------------------------------------------------------ training prep
 
 

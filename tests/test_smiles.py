@@ -110,8 +110,10 @@ def test_parse_two_letter_elements():
 def test_parse_percent_ring_closure():
     g = parse("C%12CCC%12")
     assert {(i, j) for i, j, _ in g.bonds} == {(0, 1), (1, 2), (2, 3), (0, 3)}
-    with pytest.raises(SmilesSyntaxError):
-        parse("C%1CC")  # needs two digits
+    for text in ("C%1CC", "C%1"):  # needs two digits
+        with pytest.raises(SmilesSyntaxError) as caught:
+            parse(text)
+        assert str(caught.value) == "position 1: % ring closure needs two digits"
 
 
 def test_parse_ring_conflicts():
