@@ -29,13 +29,22 @@ step of `generator.sample`, it runs the same array kernels (`numcore.affine`,
 order on plain arrays: the context-row lookup, `input_proj`, a node update
 per layer, `head`, the bond head and the nan_to_num guard.  It reads the
 parameter arrays from the `PassArrays`, each layer's edge lengths from the
-stream and the scatter index from the stream's layout, and the outputs keep
-their bits.
+stream and the gather and scatter indices from the stream's layout, and the
+outputs keep their bits.
+
+Such a pass runs in buffers that the first one over a `DenoiserConstants`
+allocates and every later one reuses (`_PassBuffers`): `input_proj` writes
+layer 0's flat `[features | edge lengths]` source, whose edge-length tail
+is written once, and layer 0's residual sum writes layer 1's; the MLPs run
+through `out=` into scratch, with biases tiled to their rows.  The outputs
+are fresh arrays, never views of a buffer.  A training batch, which builds
+its constants and runs one taped pass over them, never allocates them.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -88,10 +97,26 @@ class NoiseSchedule:
     steps: int
 
 
+def _beta(t: int | np.ndarray, steps: int) -> float | np.ndarray:
+    """The schedule's formula, of one step or elementwise over an int64 array of steps."""
+    return BETA_MAX * t / steps
+
+
 def beta_at(schedule: NoiseSchedule, t: int) -> float:
     if not 1 <= t <= schedule.steps:
         raise StepOutOfRange(f"t={t} outside [1, {schedule.steps}]")
-    return BETA_MAX * t / schedule.steps
+    return _beta(t, schedule.steps)
+
+
+def betas(schedule: NoiseSchedule, steps: np.ndarray) -> np.ndarray:
+    """`beta_at` of each step of the int64 array `steps`, with its bits, in one array op.
+
+    The first step outside [1, T] raises `StepOutOfRange`.
+    """
+    outside = (steps < 1) | (steps > schedule.steps)
+    if outside.any():
+        raise StepOutOfRange(f"t={steps[outside][0]} outside [1, {schedule.steps}]")
+    return _beta(steps, schedule.steps)
 
 
 def forward_noise(
@@ -171,7 +196,8 @@ class PassArrays:
 
     `input_proj`, `head` and `bond` are (w, b) pairs and `node_mlps` holds
     each layer's (w1, b1, w2, b2), none when the layout has no edges.  The
-    arrays are the parameters as they were when resolved.
+    arrays are the parameters as they were when resolved; `_PassBuffers`
+    holds the first three with their biases tiled.
     """
 
     input_proj: tuple[np.ndarray, np.ndarray]
@@ -191,7 +217,8 @@ class DenoiserConstants:
     row f is fragment f's at its own step, and a pass must run at `steps`.
     `stream` is the coordinate stream of the coordinates every pass must
     take, over the pass's edge layout (`stream.layout`), and `arrays` the
-    `PassArrays` that a pass with recording off reads.  Built with recording
+    `PassArrays` that a pass with recording off reads; the first such pass
+    builds `_buffers`, which every later one reuses.  Built with recording
     on, `context` and `stream` are on the tape, and a taped pass gives every
     parameter its gradient.
     """
@@ -202,6 +229,11 @@ class DenoiserConstants:
     stream: egnn.CoordStream
     arrays: PassArrays
     _row_of_step: dict[int, int] = field(default_factory=dict, repr=False, compare=False)
+
+    @functools.cached_property
+    def _buffers(self) -> _PassBuffers:
+        """The buffers of the passes with recording off, built by the first one."""
+        return _pass_buffers(self)
 
     def row_of(self, t: int | np.ndarray) -> int | np.ndarray:
         """The context row of a pass at `t`, which `denoiser_constants` covered.
@@ -221,6 +253,63 @@ class DenoiserConstants:
         if row is None:
             raise ValueError(f"step {t} was not prepared")
         return row
+
+
+@dataclass(frozen=True)
+class _PassBuffers:
+    """The arrays that every pass with recording off over one `DenoiserConstants` reads and writes.
+
+    `input_proj`, `node_mlps` and `head` are the `PassArrays` weights with
+    each bias tiled to the rows it is added to, which adds the same numbers
+    as the broadcast, faster.  `node_input` is input_proj's [n, 1 + context
+    width] input.  Per layer, `sources` holds the flat [features | edge
+    lengths] array that the layout's `gather_index` reads, whose edge-length
+    tail is the stream's, written here once; `features` its head as [n, d],
+    `mlp_inputs` the [E, 2d + 1] node-MLP input and `scratch` the
+    `numcore.mlp_scratch`.  A pass writes `node_input`, the sources' heads,
+    the MLP inputs and the scratch before it reads them, so they carry
+    nothing from one pass to the next; one pass at a time may use them, and
+    no output is a view of them.
+    """
+
+    input_proj: tuple[np.ndarray, np.ndarray]
+    node_mlps: tuple[tuple[np.ndarray, ...], ...]
+    head: tuple[np.ndarray, np.ndarray]
+    node_input: np.ndarray
+    sources: tuple[np.ndarray, ...]
+    features: tuple[np.ndarray, ...]
+    mlp_inputs: tuple[np.ndarray, ...]
+    scratch: tuple[tuple[np.ndarray, ...], ...]
+
+
+def _tiled(b: np.ndarray, rows: int) -> np.ndarray:
+    return np.ascontiguousarray(np.broadcast_to(b, (rows, b.shape[-1])))
+
+
+def _pass_buffers(constants: DenoiserConstants) -> _PassBuffers:
+    stream, arrays = constants.stream, constants.arrays
+    n, edges = stream.layout.n_nodes, stream.layout.receivers.size
+    width = arrays.input_proj[0].shape[1]
+    node_mlps, sources, features, mlp_inputs, scratch = [], [], [], [], []
+    for geometry, (w1, b1, w2, b2) in zip(stream.geometry, arrays.node_mlps):
+        node_mlps.append((w1, _tiled(b1, edges), w2, _tiled(b2, edges)))
+        source = np.empty(n * width + edges)
+        source[n * width :] = geometry.data[:, 3]
+        sources.append(source)
+        features.append(source[: n * width].reshape(n, width))
+        mlp_inputs.append(np.empty((edges, 2 * width + 1)))
+        scratch.append(numcore.mlp_scratch(edges, w1, w2))
+    (w_in, b_in), (w_head, b_head) = arrays.input_proj, arrays.head
+    return _PassBuffers(
+        (w_in, _tiled(b_in, n)),
+        tuple(node_mlps),
+        (w_head, _tiled(b_head, n)),
+        np.empty((n, 1 + constants.context.data.shape[1])),
+        tuple(sources),
+        tuple(features),
+        tuple(mlp_inputs),
+        tuple(scratch),
+    )
 
 
 def _pass_arrays(params: ParamStore, context_width: int, layout: egnn.EdgeLayout) -> PassArrays:
@@ -283,8 +372,7 @@ def denoiser_constants(
     `condition_embed` raises for a bad `y`.
     """
     step_list = np.asarray(steps, dtype=np.int64).reshape(-1)
-    for step in step_list.tolist():
-        beta_at(schedule, step)
+    betas(schedule, step_list)
     time_rows, cond_rows = time_embed(step_list, schedule.steps, params), condition_embed(y, params)
     per_fragment = isinstance(y, np.ndarray) and y.ndim == 2
     if time_rows.data.shape[0] != cond_rows.data.shape[0]:
@@ -392,23 +480,31 @@ def _forward_on_arrays(
 
     The context-row lookup, `input_proj`, a node update per layer over the
     edge lengths of the constants' stream, `head` and the bond head, with
-    the parameter arrays of the constants' `PassArrays`.
+    the parameter arrays of the constants' `PassArrays`.  Everything before
+    the last layer's residual sum runs in the constants' `_PassBuffers`:
+    `input_proj` writes layer 0's features, and each layer's sum the next
+    layer's.  The outputs are fresh arrays.
     """
-    stream, arrays = constants.stream, constants.arrays
+    stream, buffers = constants.stream, constants._buffers
     layout = stream.layout
     context = constants.context.data
     row = constants.row_of(t)
-    node_input = np.empty((x_noisy.shape[0], 1 + context.shape[1]))
+    node_input = buffers.node_input
     node_input[:, :1] = x_noisy
     node_input[:, 1:] = numcore.take_rows(context, row) if constants.per_fragment else context[row]
-    features = numcore.affine(node_input, *arrays.input_proj)
-    for geometry, node_mlp in zip(stream.geometry, arrays.node_mlps):
-        features = egnn.node_update_arrays(
-            features, geometry.data[:, 3:], node_mlp, layout.receivers, layout.senders,
-            layout.scatter_index(features.shape[1]),
-        )[2]
-    eps_hat = numcore.affine(features, *arrays.head)
-    bond_logits = bond_logits_arrays(features, bond_edges, *arrays.bond)
+    features = numcore.affine(node_input, *buffers.input_proj, buffers.features[0] if buffers.features else None)
+    if buffers.node_mlps:
+        width = features.shape[1]
+        gather, scatter = layout.gather_index(width), layout.scatter_index(width)
+        # each layer's sum writes the next layer's source; the last layer's is fresh
+        destinations = buffers.features[1:] + (None,)
+        layers = zip(buffers.sources, buffers.mlp_inputs, buffers.node_mlps, buffers.scratch, destinations)
+        for source, x, node_mlp, scratch, out in layers:
+            # the index is the layout's, in range: "clip" skips the check and the copy through a buffer
+            np.take(source, gather, out=x, mode="clip")
+            features = egnn.node_update_arrays(features, x, node_mlp, scatter, scratch, out)[1]
+    eps_hat = numcore.affine(features, *buffers.head)
+    bond_logits = bond_logits_arrays(features, bond_edges, *constants.arrays.bond)
     _finite(eps_hat, bond_logits, features)
     return DenoiserOutput(numcore.wrap(eps_hat), numcore.wrap(bond_logits), numcore.wrap(features), stream.out)
 

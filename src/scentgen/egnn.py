@@ -24,12 +24,17 @@ coordinate pathway of a pass (each layer's `pair_geometry` and the
 over the same coordinates builds it once and passes it to every
 `egnn_forward`, which otherwise builds its own.
 
-`node_update_arrays` is `node_update`'s forward on plain arrays: the MLP
-input gathered from the receivers, the senders and the edge lengths,
-`numcore.mlp` and the receiver sum.  `node_update` calls it and adds only
-the tape node and the backward.  A pass that records nothing (a reverse
-step inside `numcore.no_grad`) calls it with the stream's edge lengths and
-the layout's indices, and makes no `Tensor`.
+`node_update_arrays` is `node_update`'s forward on plain arrays from the
+MLP input [x_i, x_j, |r_i - r_j|]: `numcore.mlp` and the receiver sum.
+`node_update` gathers the input with two row takes, calls it with fresh
+arrays, which its backward keeps, and adds only the tape node and the
+backward.  A pass that records nothing (a reverse step inside
+`numcore.no_grad`) gathers the input with one `take` of the layout's
+`gather_index` from a flat [features | edge lengths] array whose
+edge-length tail it writes once per trajectory, and calls it on scratch it
+keeps for the whole trajectory.  It makes no `Tensor`.  Training builds an
+edge layout per batch, and building the flat index for one pass would cost
+more than the one `take` saves, so the taped pass keeps the row takes.
 """
 
 from __future__ import annotations
@@ -80,9 +85,11 @@ class EdgeLayout:
 
     `edge_scale` is `fragment_edge_scale(receivers)`.  `scatter_index(width)`
     gives the flat index that sums rows of `width` columns into their
-    receivers; each width's index is built on first use and kept.  A
-    receiver or sender outside [0, n_nodes) raises IndexError here, once, so
-    the layers index with them unchecked.
+    receivers, and `gather_index(width)` the index that takes the node MLP's
+    input from a flat [features | edge lengths] array of that width; each
+    width's index is built on first use and kept.  A receiver or sender
+    outside [0, n_nodes) raises IndexError here, once, so the layers index
+    with them unchecked.
     """
 
     fragment_ids: np.ndarray
@@ -90,6 +97,7 @@ class EdgeLayout:
     senders: np.ndarray
     edge_scale: np.ndarray
     _scatter: dict[int, np.ndarray] = field(default_factory=dict, repr=False, compare=False)
+    _gather: dict[int, np.ndarray] = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("receivers", "senders"):
@@ -105,6 +113,22 @@ class EdgeLayout:
         index = self._scatter.get(width)
         if index is None:
             index = self._scatter[width] = numcore.scatter_index(self.receivers, width)
+        return index
+
+    def gather_index(self, width: int) -> np.ndarray:
+        """Positions [E, 2 * width + 1] of each edge's [x_i, x_j, |r_i - r_j|] in a flat array that holds
+        the [n_nodes, width] features in row-major order, then the E edge lengths."""
+        index = self._gather.get(width)
+        if index is None:
+            columns = np.arange(width)
+            index = self._gather[width] = np.concatenate(
+                [
+                    self.receivers[:, None] * width + columns,
+                    self.senders[:, None] * width + columns,
+                    (self.n_nodes * width + np.arange(self.receivers.size))[:, None],
+                ],
+                axis=1,
+            )
         return index
 
 
@@ -136,29 +160,24 @@ def pair_geometry(coords: Tensor, layout: EdgeLayout) -> Tensor:
     return numcore.primitive(np.concatenate([rel, dist], axis=1), (coords,), bw)
 
 
-def _receiver_sum(f: np.ndarray, messages: np.ndarray, scatter: np.ndarray) -> np.ndarray:
-    """`f` plus each node's incoming `messages`; `scatter` is the layout's scatter index of width d."""
-    return f + numcore.scatter_add(scatter, messages, f.shape)
-
-
 def node_update_arrays(
     f: np.ndarray,
-    dist: np.ndarray,
+    x: np.ndarray,
     node_mlp: tuple[np.ndarray, ...],
-    receivers: np.ndarray,
-    senders: np.ndarray,
     scatter: np.ndarray,
-) -> tuple[np.ndarray, tuple[np.ndarray, ...], np.ndarray]:
-    """`node_update`'s forward on plain arrays: (MLP input, `numcore.mlp` of it, new features).
+    scratch: tuple[np.ndarray, ...] | None = None,
+    out: np.ndarray | None = None,
+) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """`node_update`'s forward on plain arrays: (`numcore.mlp` of `x`, new features).
 
-    `f` is [n, d], `dist` the [E, 1] distances of `pair_geometry` over a
-    layout, `node_mlp` the arrays (w1, b1, w2, b2) of `{layer}.node_mlp`,
-    and `receivers`, `senders` and `scatter` are the layout's edges and its
-    `scatter_index(d)`.  Shapes are not checked.
+    `f` is [n, d], `x` the [E, 2d + 1] MLP input [x_i, x_j, |r_i - r_j|]
+    of a layout's edges, `node_mlp` the arrays (w1, b1, w2, b2) of
+    `{layer}.node_mlp` and `scatter` the layout's `scatter_index(d)`.  The
+    MLP's arrays are written into `scratch` (`numcore.mlp_scratch`) and the
+    new features into `out`, each fresh without it.  Shapes are not checked.
     """
-    x = np.concatenate([f.take(receivers, axis=0), f.take(senders, axis=0), dist], axis=1)
-    forward = numcore.mlp(x, *node_mlp)
-    return x, forward, _receiver_sum(f, forward[3], scatter)
+    forward = numcore.mlp(x, *node_mlp, out=scratch)
+    return forward, np.add(f, numcore.scatter_add(scatter, forward[3], f.shape), out=out)
 
 
 def node_update(features: Tensor, geometry: Tensor, params: ParamStore, layer: str, layout: EdgeLayout) -> Tensor:
@@ -172,9 +191,8 @@ def node_update(features: Tensor, geometry: Tensor, params: ParamStore, layer: s
     width = f.shape[1]
     receivers, senders = layout.receivers, layout.senders
     weights = numcore.mlp_params(params, f"{layer}.node_mlp", 2 * width + 1)
-    x, forward, out = node_update_arrays(
-        f, geometry.data[:, 3:], tuple(w.data for w in weights), receivers, senders, layout.scatter_index(width)
-    )
+    x = np.concatenate([f.take(receivers, axis=0), f.take(senders, axis=0), geometry.data[:, 3:]], axis=1)
+    forward, out = node_update_arrays(f, x, tuple(w.data for w in weights), layout.scatter_index(width))
     mlp = numcore.MLPPass(weights, x, forward)
 
     def bw(g):

@@ -13,8 +13,10 @@ The forward arithmetic of these primitives lives in array kernels (`affine`,
 `mlp`, `take_rows`, `scatter_add`): a primitive calls its kernel and adds
 only the `Tensor` wrapper and the backward.  Code that records nothing, such
 as a denoiser pass inside `no_grad`, calls the kernels on plain arrays and
-gets the same bits.  The module also provides the parameter store, the Adam
-update, and a versioned JSON checkpoint format.
+gets the same bits; `affine` and `mlp` also write into arrays the caller
+keeps (`out=`), so such code can run many passes without allocating them.
+The module also provides the parameter store, the Adam update, and a
+versioned JSON checkpoint format.
 """
 
 from __future__ import annotations
@@ -219,15 +221,25 @@ def log(a: Tensor) -> Tensor:
     return primitive(out_data, (a,), bw)
 
 
-def _silu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """SiLU of `x` and the sigmoid it used.
+def _silu(
+    x: np.ndarray, out: tuple[np.ndarray, np.ndarray] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """SiLU of `x` and the sigmoid it used, written into the pair `out` (fresh arrays without it).
 
     Stable sigmoid in one division: exp never sees a positive argument, and
-    the numerator is exp(min(x, 0)), which is 1 or exp(-|x|) by sign.
+    the numerator is exp(min(x, 0)), which is 1 or exp(-|x|) by sign.  The
+    SiLU's array holds the denominator 1 + exp(-|x|) until the last op.
     """
-    ex = np.exp(-np.abs(x))
-    sig = np.exp(np.minimum(x, 0.0)) / (1.0 + ex)
-    return x * sig, sig
+    hidden, sig = (np.empty_like(x), np.empty_like(x)) if out is None else out
+    np.abs(x, out=hidden)
+    np.negative(hidden, out=hidden)
+    np.exp(hidden, out=hidden)
+    np.add(1.0, hidden, out=hidden)
+    np.minimum(x, 0.0, out=sig)
+    np.exp(sig, out=sig)
+    np.divide(sig, hidden, out=sig)
+    np.multiply(x, sig, out=hidden)
+    return hidden, sig
 
 
 def _silu_grad(g: np.ndarray, x: np.ndarray, sig: np.ndarray) -> np.ndarray:
@@ -398,9 +410,18 @@ def _affine_backward(g: np.ndarray, x: np.ndarray, w: Tensor, b: Tensor, input_g
     return g_x
 
 
-def affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x @ w + b on arrays: the arithmetic of `linear`."""
-    return x @ w + b
+def affine(x: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """x @ w + b on arrays, the arithmetic of `linear`: a fresh array, or written into `out`.
+
+    `out` must be C-contiguous, and so must `x` and `w`: the product then
+    runs as `np.dot`, which has the bits of `@` on such arrays and skips the
+    overhead of `np.matmul`'s `out`.  `b` may be tiled to `out`'s shape,
+    which adds the same numbers faster than a broadcast does.
+    """
+    if out is None:
+        return x @ w + b
+    np.dot(x, w, out=out)
+    return np.add(out, b, out=out)
 
 
 def linear(params: ParamStore, name: str, x: Tensor) -> Tensor:
@@ -419,12 +440,30 @@ def linear(params: ParamStore, name: str, x: Tensor) -> Tensor:
 
 
 def mlp(
-    x: np.ndarray, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray, b2: np.ndarray
+    x: np.ndarray,
+    w1: np.ndarray,
+    b1: np.ndarray,
+    w2: np.ndarray,
+    b2: np.ndarray,
+    out: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Affine, SiLU, affine of `x` on arrays: (pre-activation, hidden, sigmoid, output)."""
-    pre = affine(x, w1, b1)
-    hidden, sig = _silu(pre)
-    return pre, hidden, sig, affine(hidden, w2, b2)
+    """Affine, SiLU, affine of `x` on arrays: (pre-activation, hidden, sigmoid, output).
+
+    `out` holds four arrays of those shapes (`mlp_scratch`), which the ops
+    write in place; without it each is a fresh array, allocated as its op
+    runs.  Allocating all four up front instead, in a training step,
+    multiplied the page faults of its freed and regrown heap.
+    """
+    pre, hidden, sig, output = (None,) * 4 if out is None else out
+    pre = affine(x, w1, b1, pre)
+    hidden, sig = _silu(pre, None if out is None else (hidden, sig))
+    return pre, hidden, sig, affine(hidden, w2, b2, output)
+
+
+def mlp_scratch(rows: int, w1: np.ndarray, w2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Uninitialised (pre-activation, hidden, sigmoid, output) arrays of `mlp` over `rows` input rows."""
+    hidden = (rows, w1.shape[1])
+    return np.empty(hidden), np.empty(hidden), np.empty(hidden), np.empty((rows, w2.shape[1]))
 
 
 def affine_params(params: ParamStore, name: str, n_in: int) -> tuple[Tensor, Tensor]:

@@ -292,7 +292,7 @@ def _write_component(
     emit_index = {start: 0}
     tree_children: dict[int, list[int]] = {u: [] for u in comp}
     closures: dict[tuple[int, int], tuple[int, int]] = {}
-    _scout(start, None, adj, emit_index, tree_children, closures)
+    _scout(start, adj, emit_index, tree_children, closures)
 
     # Allocate ring-closure digits by opening position, reusing closed digits.
     closure_at: dict[int, list[tuple[int, int]]] = {}  # atom -> [(partner, digit)]
@@ -320,31 +320,39 @@ def _write_component(
 
 
 def _scout(
-    u: int,
-    parent: int | None,
+    start: int,
     adj: dict[int, list[tuple[int, BondType]]],
     emit_index: dict[int, int],
     tree_children: dict[int, list[int]],
     closures: dict[tuple[int, int], tuple[int, int]],
 ) -> None:
-    """Visit the unvisited neighbours of `u` depth first, numbering atoms in visit order.
+    """Visit the atoms reachable from `start` depth first, numbering them in visit order.
 
-    Tree edges go to `tree_children`; every other edge becomes a ring closure,
-    keyed by its (min, max) pair.
+    Each atom visits its unvisited neighbours in `adj` order, each one's
+    subtree before the next neighbour.  Tree edges go to `tree_children`;
+    every other edge becomes a ring closure, keyed by its (min, max) pair.
+    The stack holds each open atom with its parent and its neighbours still
+    to visit, so the depth is not bounded by the recursion limit.
     """
-    for v, _t in adj[u]:
-        if v == parent:
-            continue
-        if v in emit_index:
-            closures.setdefault((min(u, v), max(u, v)), (v, u))
+    stack = [(start, None, iter(adj[start]))]
+    while stack:
+        u, parent, neighbours = stack[-1]
+        for v, _t in neighbours:
+            if v == parent:
+                continue
+            if v in emit_index:
+                closures.setdefault((min(u, v), max(u, v)), (v, u))
+            else:
+                emit_index[v] = len(emit_index)
+                tree_children[u].append(v)
+                stack.append((v, u, iter(adj[v])))
+                break
         else:
-            emit_index[v] = len(emit_index)
-            tree_children[u].append(v)
-            _scout(v, u, adj, emit_index, tree_children, closures)
+            stack.pop()
 
 
 def _emit(
-    u: int,
+    start: int,
     graph: MoleculeGraph,
     bond_of: dict[tuple[int, int], BondType],
     lowercase: set[int],
@@ -352,22 +360,41 @@ def _emit(
     tree_children: dict[int, list[int]],
     closure_at: dict[int, list[tuple[int, int]]],
 ) -> str:
-    """The SMILES text of the spanning subtree below `u`."""
-    out = [_atom_token(graph.atoms[u].atomic_number, u in lowercase)]
-    for partner, digit in sorted(closure_at.get(u, []), key=lambda pd: emit_index[pd[0]]):
-        if emit_index[u] < emit_index[partner]:
-            key = (min(u, partner), max(u, partner))
-            out.append(_bond_token(bond_of[key], u in lowercase, partner in lowercase))
-        out.append(str(digit) if digit < 10 else f"%{digit:02d}")
-    children = tree_children[u]
-    for pos, v in enumerate(children):
-        key = (min(u, v), max(u, v))
-        bond = _bond_token(bond_of[key], u in lowercase, v in lowercase)
-        sub = bond + _emit(v, graph, bond_of, lowercase, emit_index, tree_children, closure_at)
-        if pos < len(children) - 1:
-            out.append(f"({sub})")
-        else:
-            out.append(sub)
+    """The SMILES text of the spanning tree below `start`.
+
+    An atom writes its token and ring-closure digits, then each child's bond
+    and subtree, every child but the last in parentheses.  The stack holds
+    the atoms still to write, last first, with a -1 where a ")" goes, and
+    `prefix` the text that comes before each atom: its bond, after a "("
+    for a child that is not its parent's last.
+    """
+    out: list[str] = []
+    prefix = {start: ""}
+    stack = [start]
+    while stack:
+        u = stack.pop()
+        if u < 0:
+            out.append(")")
+            continue
+        lower = u in lowercase
+        out.append(prefix[u])
+        out.append(_atom_token(graph.atoms[u].atomic_number, lower))
+        for partner, digit in sorted(closure_at.get(u, []), key=lambda pd: emit_index[pd[0]]):
+            if emit_index[u] < emit_index[partner]:
+                key = (min(u, partner), max(u, partner))
+                out.append(_bond_token(bond_of[key], lower, partner in lowercase))
+            out.append(str(digit) if digit < 10 else f"%{digit:02d}")
+        children = tree_children[u]
+        last = len(children) - 1
+        for pos in range(last, -1, -1):
+            v = children[pos]
+            bond = _bond_token(bond_of[(min(u, v), max(u, v))], lower, v in lowercase)
+            if pos == last:
+                prefix[v] = bond
+            else:
+                prefix[v] = "(" + bond
+                stack.append(-1)
+            stack.append(v)
     return "".join(out)
 
 
@@ -380,18 +407,79 @@ def _dense(keys: list) -> list[int]:
 
 
 def _refine(adj: list[list[tuple[int, int]]], ranks: list[int]) -> list[int]:
-    """Iteratively sharpen ranks with neighbor (bond, rank) multisets until stable."""
-    current = list(ranks)
-    for _ in range(len(adj) + 1):
-        signatures = [
-            (current[i], tuple(sorted((bond, current[j]) for bond, j in adj[i])))
-            for i in range(len(adj))
-        ]
-        refined = _dense(signatures)
-        if refined == current:
-            return refined
-        current = refined
-    return current
+    """Iteratively sharpen ranks with neighbor (bond, rank) multisets until stable.
+
+    Each round splits every cell of equal rank at once by its members'
+    sorted (bond, neighbor rank) tuples, the pieces in tuple order, until a
+    round splits nothing; the result is the dense rank of each atom's cell.
+    A cell is [start, members] and is ranked by its start, the count of
+    atoms in cells before it: starts rise with the dense ranks, so every
+    tuple compares as it would with them, and a split moves no other cell's
+    start.  After the first round only
+    "touched" atoms, the neighbors of atoms that moved to a new cell, are
+    read: in a cell that was one class of the last round, all untouched
+    members still have one tuple, read from one of them.  The moved pieces
+    are all but one of each split cell, so a long chain or ring costs about
+    one read per atom, not one per atom and round.
+    """
+    n = len(ranks)
+    cell_of: list[list] = [None] * n
+    cells: dict[int, list] = {}
+    for position, i in enumerate(sorted(range(n), key=ranks.__getitem__)):
+        cell = cells.get(ranks[i])
+        if cell is None:
+            cell = cells[ranks[i]] = [position, set()]
+        cell[1].add(i)
+        cell_of[i] = cell
+    all_cells = list(cells.values())
+    touched: set[int] | range = range(n)
+
+    def signature(i: int) -> tuple:
+        return tuple(sorted((bond, cell_of[j][0]) for bond, j in adj[i]))
+
+    while True:
+        hits: dict[int, tuple[list, list[int]]] = {}
+        for i in touched:
+            cell = cell_of[i]
+            if len(cell[1]) > 1:
+                hits.setdefault(id(cell), (cell, []))[1].append(i)
+        splits = []
+        for cell, hit in hits.values():
+            groups: dict[tuple, list[int]] = {}
+            for i in hit:
+                groups.setdefault(signature(i), []).append(i)
+            kept = None
+            if len(hit) < len(cell[1]):
+                marked = set(hit)
+                kept = signature(next(i for i in cell[1] if i not in marked))
+                groups.setdefault(kept, [])
+            if len(groups) > 1:
+                splits.append((cell, groups, kept))
+        if not splits:
+            break
+        moved: list[int] = []
+        for cell, groups, kept in splits:
+            if kept is None:  # every member was touched: the largest piece keeps the cell
+                kept = max(groups, key=lambda key: len(groups[key]))
+            start = cell[0]
+            kept_size = len(cell[1]) - sum(len(g) for k, g in groups.items() if k != kept)
+            for key in sorted(groups):
+                if key == kept:
+                    size = kept_size
+                    cell[0] = start
+                else:
+                    members = groups[key]
+                    size = len(members)
+                    piece = [start, set(members)]
+                    cell[1].difference_update(members)
+                    all_cells.append(piece)
+                    for i in members:
+                        cell_of[i] = piece
+                    moved.extend(members)
+                start += size
+        touched = {j for i in moved for _, j in adj[i]}
+    rank_of_start = {start: r for r, start in enumerate(sorted(cell[0] for cell in all_cells))}
+    return [rank_of_start[cell_of[i][0]] for i in range(n)]
 
 
 def _initial_ranks(adj: list[list[tuple[int, int]]], numbers: list[int]) -> list[int]:
@@ -479,9 +567,12 @@ def _search(
         return len(path)
     target = min(tied)
     explored: list[int] = []
+    orbit: list[int] = []
+    covered = 0  # automorphisms that `orbit` was computed from
     for pick in groups[target]:
         if explored and automorphisms:
-            orbit = _orbits(automorphisms, path)
+            if covered != len(automorphisms):
+                orbit, covered = _orbits(automorphisms, path), len(automorphisms)
             if any(orbit[pick] == orbit[done] for done in explored):
                 continue
         explored.append(pick)

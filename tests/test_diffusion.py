@@ -19,6 +19,7 @@ from scentgen.diffusion import (
     TrainingExample,
     batch_loss,
     beta_at,
+    betas,
     bond_ce_loss,
     bond_probabilities,
     condition_embed,
@@ -64,13 +65,19 @@ def test_beta_step_out_of_range():
         beta_at(sched, 0)
     with pytest.raises(StepOutOfRange):
         beta_at(sched, 1001)
+    for steps, first_outside in (([0], 0), ([5, 1001, 0], 1001), ([-3, 2], -3)):
+        with pytest.raises(StepOutOfRange, match=f"t={first_outside} "):
+            betas(sched, np.array(steps, dtype=np.int64))
 
 
 def test_beta_monotone():
-    sched = NoiseSchedule(100)
-    values = [beta_at(sched, t) for t in range(1, 101)]
-    assert all(b2 >= b1 for b1, b2 in zip(values, values[1:]))
-    assert values[-1] <= 1.0
+    """Also: `betas` over every step has the bits of `beta_at` at each."""
+    for T in (100, 1, 7, 800, 1000, 1200):
+        sched = NoiseSchedule(T)
+        values = [beta_at(sched, t) for t in range(1, T + 1)]
+        assert all(b2 >= b1 for b1, b2 in zip(values, values[1:]))
+        assert values[-1] <= 1.0
+        assert betas(sched, np.arange(1, T + 1)).tobytes() == np.array(values).tobytes()
 
 
 # ------------------------------------------------------------ forward noise
@@ -802,16 +809,27 @@ def test_a_pass_with_recording_off_has_the_bits_of_the_taped_pass(
             return None
         return denoiser_constants(prepared, schedule, y, params, frag, coords)
 
+    def passes(x, t):
+        with np.errstate(all="ignore"):
+            taped = denoiser_forward(x, coords, edges, t, schedule, y, params, frag, taped_constants)
+            with numcore.no_grad():
+                plain = denoiser_forward(x, coords, edges, t, schedule, y, params, frag, plain_constants)
+        assert taped.eps_hat.tracked() and not plain.eps_hat.tracked()
+        for key in ("eps_hat", "bond_logits", "node_embeddings", "coords"):
+            want, got = getattr(taped, key).data, getattr(plain, key).data
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), key
+        return plain
+
     with np.errstate(all="ignore"):
         taped_constants = build()
-        taped = denoiser_forward(x, coords, edges, t, schedule, y, params, frag, taped_constants)
         with numcore.no_grad():
             plain_constants = taped_constants if shared else build()
-            plain = denoiser_forward(x, coords, edges, t, schedule, y, params, frag, plain_constants)
-    assert taped.eps_hat.tracked() and not plain.eps_hat.tracked()
-    for key in ("eps_hat", "bond_logits", "node_embeddings", "coords"):
-        want, got = getattr(taped, key).data, getattr(plain, key).data
-        assert got.shape == want.shape and got.tobytes() == want.tobytes(), key
+    first = passes(x, t)
+    kept = {key: getattr(first, key).data.tobytes() for key in ("eps_hat", "bond_logits", "node_embeddings")}
+    # another step (per-fragment constants allow only theirs) over the same constants and their buffers
+    passes(rng.normal(size=(n, 1)), t if per_fragment else int(rng.integers(1, 51)))
+    for key, data in kept.items():
+        assert getattr(first, key).data.tobytes() == data, f"the second pass wrote the first's {key}"
 
 
 @pytest.mark.parametrize(
@@ -861,6 +879,9 @@ def test_a_pass_with_recording_off_makes_only_its_output_tensors(rng, monkeypatc
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(Tensor, "__init__", counted)
-        out = denoiser_forward(x, coords, (), 3, schedule, np.ones(3), params, constants=constants)
-    assert [id(t) for t in made] == [id(out.eps_hat), id(out.bond_logits), id(out.node_embeddings)]
-    assert out.coords is constants.stream.out
+        # the first pass over the constants builds their buffers, the second reuses them
+        for step in (3, 2):
+            made.clear()
+            out = denoiser_forward(x, coords, (), step, schedule, np.ones(3), params, constants=constants)
+            assert [id(t) for t in made] == [id(out.eps_hat), id(out.bond_logits), id(out.node_embeddings)]
+            assert out.coords is constants.stream.out

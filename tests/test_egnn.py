@@ -129,6 +129,12 @@ def test_edge_layout_matches_edges_scale_and_flat_index(frag):
         flat = [r * width + c for r in recv.tolist() for c in range(width)]
         assert layout.scatter_index(width).tolist() == flat
         assert layout.scatter_index(width) is layout.scatter_index(width)
+        # one take from [features | edge lengths] is the concatenation [x_i, x_j, |r_i - r_j|]
+        f = np.arange(len(frag) * width, dtype=np.float64).reshape(-1, width) + 0.5
+        dist = -np.arange(1.0, len(recv) + 1.0).reshape(-1, 1)
+        gathered = np.concatenate([f.reshape(-1), dist.reshape(-1)])[layout.gather_index(width)]
+        assert gathered.tobytes() == np.concatenate([f[recv], f[send], dist], axis=1).tobytes()
+        assert layout.gather_index(width) is layout.gather_index(width)
 
 
 def test_forward_rejects_a_layout_of_another_size(rng):

@@ -229,6 +229,16 @@ def test_sample_equals_the_per_step_reverse_loop(quick_trained, n_atoms, mode, b
         assert sample(y, cfg, params, seed=seed).to_dict() == reference_sample(y, cfg, params, seed).to_dict()
 
 
+def test_clip_features_has_the_bits_of_np_clip():
+    special = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 1e4, -1e4, 1e4 + 1e-12, -1e4 - 1e-12, 1e308, -5e-324, 3.5]
+    x = np.array(special).reshape(-1, 1)
+    with np.errstate(invalid="ignore"):
+        want = np.clip(x, -1e4, 1e4)
+    got = generator.clip_features(x)
+    assert got.tobytes() == want.tobytes() and got is not x
+    assert generator.FEATURE_BOUND == 1e4
+
+
 def test_sample_requires_params():
     with pytest.raises(UntrainedParams):
         sample(np.zeros(3), constrained(), ParamStore())

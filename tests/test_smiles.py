@@ -247,6 +247,20 @@ def test_canonical_random_permutations(rng, fixture_dataset):
             assert canonicalize(permuted(g, perm)) == baseline
 
 
+@pytest.mark.parametrize("n", [1500, 5000])
+@pytest.mark.parametrize("ring", [False, True], ids=["chain", "ring"])
+def test_long_chains_and_rings_write_and_canonicalize(rng, n, ring):
+    """Thousands of atoms deep, past the recursion limit: `write` round-trips and two atom orders
+    canonicalize equal."""
+    text = "C1" + "C" * (n - 2) + "C1" if ring else "C" * n
+    g = parse(text)
+    assert write(g) == text
+    assert parse(write(g)) == g
+    shuffled = permuted(g, list(rng.permutation(n)))
+    assert canonicalize(shuffled) == canonicalize(g) == text
+    assert canonicalize(parse(write(shuffled))) == text
+
+
 def test_canonical_single_atom_matches_write():
     g = new_graph([Atom(16)])
     assert canonicalize(g) == write(g)
