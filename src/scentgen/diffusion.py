@@ -9,7 +9,13 @@ per node plus a four-way bond-type logit per edge.
 One denoiser pass can cover several molecules at once: they are fragments of
 one block-diagonal graph, each with its own timestep and descriptor row.
 Training runs every minibatch that way, as one forward, one loss and one
-backward pass; sampling passes a single molecule, a batch of one.
+backward pass; sampling passes a single molecule, a batch of one.  A batch
+is assembled in array ops over all its nodes: one `rng.standard_normal`
+draw gives the same noise as a `forward_noise` call per molecule in batch
+order, each node's noise is scaled by the square root of its molecule's
+`betas`, the descriptor rows are stacked and checked once, and an epoch's
+stratified timesteps are one `rng.integers` call over arrays of bounds,
+with the draws and rng state of a call per stratum.
 
 What a pass derives from its descriptors, timesteps, fragment ids and
 coordinates does not change along a reverse trajectory or within a batch.
@@ -690,23 +696,24 @@ def init_params(vocab_size: int, hidden_dim: int = HIDDEN_DIM, seed: int = 0) ->
     return params
 
 
-def _stratified_timesteps(n: int, steps: int, rng: np.random.Generator) -> list[int]:
-    """One uniform timestep per draw, stratified across [1, T] within the epoch.
+def _stratified_timesteps(n: int, steps: int, rng: np.random.Generator) -> np.ndarray:
+    """One uniform timestep per draw, stratified across [1, T] within the epoch, as int64.
 
+    Draw k is uniform over its stratum [1 + k T // n, max(that, (k + 1) T // n)].
+    One `rng.integers` call over the arrays of bounds draws each element as
+    a call per stratum would, in order, and leaves the rng in the same state.
     Molecule order is shuffled independently, so each molecule still sees a
     uniform t marginally; stratification only de-noises the per-epoch mean.
     """
-    ts = []
-    for k in range(n):
-        lo = 1 + (k % n) * steps // n
-        hi = max(lo, ((k % n) + 1) * steps // n)
-        ts.append(int(rng.integers(lo, hi + 1)))
-    return ts
+    k = np.arange(n, dtype=np.int64)
+    lo = 1 + k * steps // n
+    hi = np.maximum(lo, (k + 1) * steps // n)
+    return rng.integers(lo, hi + 1)
 
 
 def batch_loss(
     examples: Sequence[TrainingExample],
-    timesteps: Sequence[int],
+    timesteps: Sequence[int] | np.ndarray,
     schedule: NoiseSchedule,
     tau: float,
     params: ParamStore,
@@ -714,31 +721,43 @@ def batch_loss(
 ) -> tuple[Tensor, Tensor, Tensor]:
     """Loss of a minibatch run as one graph with one fragment per molecule.
 
-    Each example draws its noise at its timestep, in batch order.  Returns
-    the batch loss, which is the mean over molecules of each one's node-noise
-    MSE plus bond cross-entropy, and the per-molecule MSE and cross-entropy,
-    each of shape [B].
+    The batch's noise is one `rng.standard_normal` draw over all its nodes,
+    the same stream as `forward_noise` per example in batch order, scaled
+    per node by the square root of its molecule's `betas`.  The descriptor
+    rows are stacked and checked once, by `condition_embed`; rows that do
+    not stack are checked one by one as `descriptor_vector` checks them.
+    Returns the batch loss, which is the mean over molecules of each one's
+    node-noise MSE plus bond cross-entropy, and the per-molecule MSE and
+    cross-entropy, each of shape [B].  Raises `numcore.ShapeMismatch` unless
+    there is one timestep per example.
     """
-    sizes = [ex.features.shape[0] for ex in examples]
-    offsets = np.cumsum([0] + sizes[:-1])
-    noisy, noise = zip(*(forward_noise(ex.features, t, schedule, rng) for ex, t in zip(examples, timesteps)))
-    bonds = [len(ex.bond_edges) for ex in examples]
-    edges = np.concatenate(
-        [np.asarray(ex.bond_edges, dtype=np.int64).reshape(-1, 2) + off for ex, off in zip(examples, offsets)]
-    )
     fragments = len(examples)
+    steps = np.asarray(timesteps, dtype=np.int64).reshape(-1)
+    if steps.size != fragments:
+        raise numcore.ShapeMismatch(f"{steps.size} timesteps vs {fragments} examples")
+    sizes = [ex.features.shape[0] for ex in examples]
+    clean = np.concatenate([ex.features for ex in examples])
     node_fragments = np.repeat(np.arange(fragments), sizes)
+    noise = rng.standard_normal(clean.shape)
+    noisy = clean + np.sqrt(betas(schedule, steps))[node_fragments, None] * noise
+    bonds = [len(ex.bond_edges) for ex in examples]
+    edges = np.array([pair for ex in examples for pair in ex.bond_edges], dtype=np.int64).reshape(-1, 2)
+    edges += np.repeat(np.cumsum(sizes) - sizes, bonds)[:, None]  # each molecule's first node
+    try:
+        rows = np.stack([ex.condition for ex in examples]).reshape(fragments, -1)
+    except ValueError:  # rows of different shapes: the per-row check names the bad one
+        rows = np.stack([descriptor_vector(ex.condition, params) for ex in examples])
     out = denoiser_forward(
-        np.concatenate(noisy),
+        noisy,
         np.concatenate([ex.coords for ex in examples]),
         edges,
-        np.asarray(timesteps),
+        steps,
         schedule,
-        np.stack([descriptor_vector(ex.condition, params) for ex in examples]),
+        rows,
         params,
         node_fragments,
     )
-    mse = mse_loss(out.eps_hat, np.concatenate(noise), node_fragments, fragments)
+    mse = mse_loss(out.eps_hat, noise, node_fragments, fragments)
     ce = bond_ce_loss(
         out.bond_logits,
         np.concatenate([ex.bond_labels for ex in examples]),

@@ -13,9 +13,11 @@ backwards add the same terms in the same order as the chain of single ops in
 
 The edges depend only on the fragment ids, so an `EdgeLayout` holds them with
 everything else the layers derive from those ids: the edge scale and the
-flat scatter index of each row width summed over the edges.  A caller that
-runs many passes over one layout, such as a reverse trajectory, builds it
-once with `edge_layout` and passes it to every `egnn_forward`.
+flat scatter indices of each row width summed into the edges' receivers and
+senders.  `fully_connected_edges` builds the edges from the fragments' sizes
+in O(n + E) memory, with no n x n mask.  A caller that runs many passes over
+one layout, such as a reverse trajectory, builds it once with `edge_layout`
+and passes it to every `egnn_forward`.
 
 The coordinate MLP reads only pair distances, never node features, so the
 coordinate pathway of a pass (each layer's `pair_geometry` and the
@@ -62,12 +64,33 @@ class NodeState:
 
 
 def fully_connected_edges(fragment_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All ordered intra-fragment pairs (i, j), i != j, in lexicographic order."""
+    """All ordered intra-fragment pairs (i, j), i != j, in lexicographic order.
+
+    Built from the fragments' sizes and each node's rank in its fragment,
+    in O(n + E) memory: a stable sort groups the nodes of each fragment in
+    ascending order, and receiver i's senders are its group minus itself.
+    """
     frag = np.asarray(fragment_ids, dtype=np.int64)
-    same = frag[:, None] == frag[None, :]
-    np.fill_diagonal(same, False)
-    receivers, senders = np.nonzero(same)
-    return receivers, senders
+    n = frag.size
+    order = np.argsort(frag, kind="stable")
+    sorted_ids = frag[order]
+    opens = np.empty(n, dtype=bool)  # whether a sorted position starts a fragment
+    opens[:1] = True
+    np.not_equal(sorted_ids[1:], sorted_ids[:-1], out=opens[1:])
+    starts = np.flatnonzero(opens)
+    group = np.cumsum(opens) - 1
+    # per node: the sorted position where its fragment starts, its rank in it and its in-degree
+    start, rank, degree = np.empty((3, n), dtype=np.int64)
+    start[order] = starts[group]
+    rank[order] = np.arange(n) - starts[group]
+    degree[order] = np.diff(starts, append=n)[group] - 1
+    receivers = np.repeat(np.arange(n), degree)
+    first_edge = np.cumsum(degree) - degree
+    # edge e of receiver i takes the k-th member of i's fragment, k = e - first_edge[i], skipping i itself
+    e = np.arange(receivers.size)
+    position = e + np.repeat(start - first_edge, degree)
+    position += e >= np.repeat(first_edge + rank, degree)
+    return receivers, order[position]
 
 
 def fragment_edge_scale(receivers: np.ndarray) -> np.ndarray:
@@ -85,11 +108,12 @@ class EdgeLayout:
 
     `edge_scale` is `fragment_edge_scale(receivers)`.  `scatter_index(width)`
     gives the flat index that sums rows of `width` columns into their
-    receivers, and `gather_index(width)` the index that takes the node MLP's
-    input from a flat [features | edge lengths] array of that width; each
-    width's index is built on first use and kept.  A receiver or sender
-    outside [0, n_nodes) raises IndexError here, once, so the layers index
-    with them unchecked.
+    receivers, `sender_scatter_index(width)` the one into their senders, which
+    the layers' backwards use, and `gather_index(width)` the index that takes
+    the node MLP's input from a flat [features | edge lengths] array of that
+    width; each width's index is built on first use and kept.  A receiver or
+    sender outside [0, n_nodes) raises IndexError here, once, so the layers
+    index with them unchecked.
     """
 
     fragment_ids: np.ndarray
@@ -97,6 +121,7 @@ class EdgeLayout:
     senders: np.ndarray
     edge_scale: np.ndarray
     _scatter: dict[int, np.ndarray] = field(default_factory=dict, repr=False, compare=False)
+    _sender_scatter: dict[int, np.ndarray] = field(default_factory=dict, repr=False, compare=False)
     _gather: dict[int, np.ndarray] = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -113,6 +138,12 @@ class EdgeLayout:
         index = self._scatter.get(width)
         if index is None:
             index = self._scatter[width] = numcore.scatter_index(self.receivers, width)
+        return index
+
+    def sender_scatter_index(self, width: int) -> np.ndarray:
+        index = self._sender_scatter.get(width)
+        if index is None:
+            index = self._sender_scatter[width] = numcore.scatter_index(self.senders, width)
         return index
 
     def gather_index(self, width: int) -> np.ndarray:
@@ -155,7 +186,7 @@ def pair_geometry(coords: Tensor, layout: EdgeLayout) -> Tensor:
         square = g[:, 3:] * 0.5 / np.maximum(dist, 1e-150) * rel
         g_rel = g[:, :3] + square + square
         numcore.accumulate(coords, numcore.scatter_add(layout.scatter_index(3), g_rel, c.shape))
-        numcore.accumulate(coords, numcore.scatter_add(numcore.scatter_index(layout.senders, 3), -g_rel, c.shape))
+        numcore.accumulate(coords, numcore.scatter_add(layout.sender_scatter_index(3), -g_rel, c.shape))
 
     return numcore.primitive(np.concatenate([rel, dist], axis=1), (coords,), bw)
 
@@ -206,7 +237,7 @@ def node_update(features: Tensor, geometry: Tensor, params: ParamStore, layer: s
             numcore.accumulate(features, numcore.scatter_add(layout.scatter_index(width), g_in[:, :width], f.shape))
             numcore.accumulate(
                 features,
-                numcore.scatter_add(numcore.scatter_index(senders, width), g_in[:, width : 2 * width], f.shape),
+                numcore.scatter_add(layout.sender_scatter_index(width), g_in[:, width : 2 * width], f.shape),
             )
 
     return numcore.primitive(out, (features, geometry, *mlp.weights), bw)

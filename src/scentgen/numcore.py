@@ -17,12 +17,23 @@ gets the same bits; `affine` and `mlp` also write into arrays the caller
 keeps (`out=`), so such code can run many passes without allocating them.
 The module also provides the parameter store, the Adam update, and a
 versioned JSON checkpoint format.
+
+`adam_step` runs as one update over flat float64 vectors of every
+parameter's values, gradients and first and second moments, with the bits
+of updating each parameter alone; a gradient of another shape than its
+parameter raises `ShapeMismatch`.  Each parameter's `.data` is a reshaped
+view of a fresh vector of values after every step, and the store's
+`_adam_m` and `_adam_v` entries are views of the moment vectors, which the
+step updates in place.  A store whose arrays were replaced since, as
+`load_checkpoint` replaces the moments, is gathered into new vectors first.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import operator
 from contextlib import contextmanager
 from typing import Callable, Sequence
 
@@ -368,19 +379,26 @@ def backward(loss: Tensor) -> None:
 
 
 class ParamStore:
-    """Named learnable tensors plus per-parameter Adam moment state."""
+    """Named learnable tensors plus per-parameter Adam moment state.
+
+    `adam_step` keeps the moments of all parameters in one flat vector each
+    (`_FlatAdam`), of which `_adam_m[name]` and `_adam_v[name]` are views, and
+    gives every parameter a view of a fresh flat vector of values.
+    """
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
         self._adam_m: dict[str, np.ndarray] = {}
         self._adam_v: dict[str, np.ndarray] = {}
         self.adam_steps = 0
+        self._flat: _FlatAdam | None = None
 
     def add(self, name: str, value) -> Tensor:
         tensor = Tensor(np.asarray(value, dtype=np.float64), requires_grad=True)
         self._params[name] = tensor
         self._adam_m[name] = np.zeros_like(tensor.data)
         self._adam_v[name] = np.zeros_like(tensor.data)
+        self._flat = None
         return tensor
 
     def __contains__(self, name: str) -> bool:
@@ -399,7 +417,7 @@ class ParamStore:
         # Zero arrays, not None: parameters that a given loss never touches
         # (e.g. the last layer's coordinate MLP) legitimately have zero gradient.
         for t in self._params.values():
-            t.grad = np.zeros_like(t.data)
+            t.grad = np.zeros(t.data.shape)
 
 
 def _affine_backward(g: np.ndarray, x: np.ndarray, w: Tensor, b: Tensor, input_grad: bool) -> np.ndarray | None:
@@ -524,29 +542,95 @@ def init_mlp(params: ParamStore, name: str, n_in: int, n_hidden: int, n_out: int
     params.add(f"{name}.b2", np.zeros(n_out))
 
 
+def _flatten(arrays: list[np.ndarray]) -> np.ndarray:
+    """The elements of `arrays`, each in row-major order, one after the other, as a fresh float64 vector."""
+    return np.concatenate(arrays, axis=None, dtype=np.float64) if arrays else np.zeros(0)
+
+
+class _FlatAdam:
+    """The parameters of a store, in insertion order, as one flat vector each of values and moments.
+
+    `values` holds the parameters' values and `data` the views of it that
+    are their `.data`; `m` and `v` hold the moments and `moments` the views
+    of them that are the store's `_adam_m` and `_adam_v` entries.  Building
+    one copies the store's arrays into the vectors and replaces them with
+    the views.  A store whose `.data` or moment entries were replaced since
+    is gathered again.
+    """
+
+    __slots__ = ("tensors", "slices", "shapes", "values", "data", "m", "v", "moments")
+
+    def __init__(self, store: ParamStore):
+        names = list(store._params)
+        self.tensors = tuple(store._params.values())
+        self.shapes = tuple(t.data.shape for t in self.tensors)
+        ends = itertools.accumulate(math.prod(shape) for shape in self.shapes)
+        self.slices = tuple(slice(end - math.prod(shape), end) for end, shape in zip(ends, self.shapes))
+        self.set_values(_flatten([t.data for t in self.tensors]))
+        self.m = _flatten([store._adam_m[n] for n in names])
+        self.v = _flatten([store._adam_v[n] for n in names])
+        for name, m, v in zip(names, self.views(self.m), self.views(self.v)):
+            store._adam_m[name], store._adam_v[name] = m, v
+        self.moments = (*store._adam_m.values(), *store._adam_v.values())
+
+    def views(self, flat: np.ndarray) -> list[np.ndarray]:
+        return [flat[s].reshape(shape) for s, shape in zip(self.slices, self.shapes)]
+
+    def current(self, store: ParamStore) -> bool:
+        """Whether every `.data` and moment entry of `store` is still the view this layout made."""
+        return all(map(operator.is_, [t.data for t in self.tensors], self.data)) and all(
+            map(operator.is_, [*store._adam_m.values(), *store._adam_v.values()], self.moments)
+        )
+
+    def set_values(self, values: np.ndarray) -> None:
+        """Make the fresh flat `values` the parameters' values: each `.data` becomes a view of it."""
+        self.values = values
+        self.data = tuple(self.views(values))
+        for t, data in zip(self.tensors, self.data):
+            t.data = data
+
+
 def adam_step(
     params: ParamStore,
     lr: float = 1e-3,
     betas: tuple[float, float] = (0.9, 0.999),
     eps: float = 1e-8,
 ) -> None:
-    """One bias-corrected Adam update over every parameter in the store."""
-    missing = [n for n in params.names() if params[n].grad is None]
+    """One bias-corrected Adam update over every parameter in the store.
+
+    The update runs once over flat vectors of all values, gradients and
+    moments (`_FlatAdam`), with the per-element arithmetic, and so the bits,
+    of updating each parameter alone.  The moments are updated in place;
+    every parameter's `.data` becomes a view of a fresh vector of values.
+    """
+    flat = params._flat
+    if flat is None or not flat.current(params):
+        flat = params._flat = _FlatAdam(params)
+    grads = [t.grad for t in flat.tensors]
+    missing = [n for n, g in zip(params._params, grads) if g is None]
     if missing:
-        raise MissingGradients(f"no gradients for {missing}")
+        raise MissingGradients(f"no gradients for {sorted(missing)}")
+    wrong = [n for n, g, shape in zip(params._params, grads, flat.shapes) if g.shape != shape]
+    if wrong:
+        raise ShapeMismatch(f"gradients of another shape than their parameters: {sorted(wrong)}")
+    g = _flatten(grads)
     beta1, beta2 = betas
     params.adam_steps += 1
     t = params.adam_steps
-    for name in params.names():
-        tensor = params[name]
-        g = tensor.grad
-        m = params._adam_m[name]
-        v = params._adam_v[name]
-        m[:] = beta1 * m + (1.0 - beta1) * g
-        v[:] = beta2 * v + (1.0 - beta2) * (g * g)
-        m_hat = m / (1.0 - beta1**t)
-        v_hat = v / (1.0 - beta2**t)
-        tensor.data = tensor.data - lr * m_hat / (np.sqrt(v_hat) + eps)
+    m, v = flat.m, flat.v
+    m *= beta1
+    m += (1.0 - beta1) * g
+    g *= g
+    g *= 1.0 - beta2
+    v *= beta2
+    v += g
+    step = m / (1.0 - beta1**t)  # m_hat
+    step *= lr
+    denominator = v / (1.0 - beta2**t)  # v_hat
+    np.sqrt(denominator, out=denominator)
+    denominator += eps
+    step /= denominator
+    flat.set_values(flat.values - step)
 
 
 CHECKPOINT_VERSION = 1

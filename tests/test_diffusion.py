@@ -485,13 +485,68 @@ def _assert_matches_oracle(examples, timesteps, params, seed, tau=1.0, steps=500
         assert np.abs(grads[name] - oracle_grads[name]).max() <= 1e-12 * scale, name
 
 
+def _scalar_stratified_timesteps(n, steps, rng):
+    """The per-draw loop that `_stratified_timesteps` replaced: one `rng.integers` call per stratum."""
+    ts = []
+    for k in range(n):
+        lo = 1 + (k % n) * steps // n
+        hi = max(lo, ((k % n) + 1) * steps // n)
+        ts.append(int(rng.integers(lo, hi + 1)))
+    return ts
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 32, 211, 1500])
+@pytest.mark.parametrize("steps", [1, 5, 200, 1000])
+def test_stratified_timesteps_draw_as_the_scalar_loop(n, steps):
+    """The same draws, as int64, and the same rng state after them, whether
+    strata are wider than one step, one step wide or collapsed (n > T)."""
+    for seed in range(5):
+        rng, scalar_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        ts = diffusion._stratified_timesteps(n, steps, rng)
+        assert ts.dtype == np.int64
+        assert ts.tolist() == _scalar_stratified_timesteps(n, steps, scalar_rng)
+        assert rng.bit_generator.state == scalar_rng.bit_generator.state
+
+
+def _batch_draws(examples, timesteps, seed, monkeypatch):
+    """The noisy features, noise and timesteps that `batch_loss` hands on, and its rng's state after."""
+    seen = {}
+    forward, mse = diffusion.denoiser_forward, diffusion.mse_loss
+
+    def spy_forward(x_noisy, coords, bond_edges, t, *args, **kwargs):
+        seen["x_noisy"], seen["t"] = x_noisy, t
+        return forward(x_noisy, coords, bond_edges, t, *args, **kwargs)
+
+    def spy_mse(eps_hat, eps, *args):
+        seen["eps"] = eps
+        return mse(eps_hat, eps, *args)
+
+    monkeypatch.setattr(diffusion, "denoiser_forward", spy_forward)
+    monkeypatch.setattr(diffusion, "mse_loss", spy_mse)
+    rng = np.random.default_rng(seed)
+    batch_loss(examples, timesteps, NoiseSchedule(500), 0.7, init_params(5, seed=seed), rng)
+    monkeypatch.undo()
+    return seen, rng.bit_generator.state
+
+
 @pytest.mark.parametrize("case", sorted(_mixed_batches()))
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_batch_loss_matches_per_molecule_oracle(case, seed):
+def test_batch_loss_matches_per_molecule_oracle(case, seed, monkeypatch):
     examples = _mixed_batches()[case]
     params = init_params(vocab_size=5, seed=seed)
     timesteps = np.random.default_rng(100 + seed).integers(1, 501, size=len(examples)).tolist()
     _assert_matches_oracle(examples, timesteps, params, seed, tau=0.7)
+    # at an epoch's stratified timesteps, the batch's one noise draw is the
+    # per-example draws of `forward_noise`, bit for bit
+    timesteps = diffusion._stratified_timesteps(len(examples), 500, np.random.default_rng(100 + seed))
+    assert timesteps.tolist() == _scalar_stratified_timesteps(len(examples), 500, np.random.default_rng(100 + seed))
+    seen, state = _batch_draws(examples, timesteps, seed, monkeypatch)
+    rng = np.random.default_rng(seed)
+    noisy, noise = zip(*(forward_noise(ex.features, t, NoiseSchedule(500), rng) for ex, t in zip(examples, timesteps)))
+    assert seen["x_noisy"].tobytes() == np.concatenate(noisy).tobytes()
+    assert seen["eps"].tobytes() == np.concatenate(noise).tobytes()
+    assert seen["t"].tobytes() == np.asarray(timesteps, dtype=np.int64).tobytes()
+    assert state == rng.bit_generator.state
 
 
 def test_batch_loss_matches_oracle_on_corpus_batch(fixture_dataset):
@@ -548,6 +603,30 @@ def test_train_wrong_length_condition_anywhere_in_batch(position):
     examples[position] = TrainingExample(bad.features, bad.coords, bad.bond_edges, bad.bond_labels, np.ones(7))
     with pytest.raises(LengthMismatch):
         train(examples, TrainConfig(steps=50, epochs=1, batch_size=5, seed=0), init_params(5, seed=0))
+
+
+def test_batch_descriptor_rows_are_checked_stacked_or_one_by_one():
+    """Rows that stack are checked once, stacked; rows that do not are checked
+    one by one, so a row shaped [1, L] next to [L] rows still trains."""
+    rng = np.random.default_rng(8)
+    examples = [_molecule(rng, n) for n in (3, 4, 5)]
+    params, schedule = init_params(5, seed=0), NoiseSchedule(50)
+
+    def with_conditions(conditions):
+        return [
+            TrainingExample(e.features, e.coords, e.bond_edges, e.bond_labels, c) for e, c in zip(examples, conditions)
+        ]
+
+    loss = batch_loss(examples, [1, 2, 3], schedule, 1.0, params, np.random.default_rng(0))[0]
+    reshaped = with_conditions([examples[0].condition.reshape(1, -1)] + [e.condition for e in examples[1:]])
+    assert batch_loss(reshaped, [1, 2, 3], schedule, 1.0, params, np.random.default_rng(0))[0].item() == loss.item()
+    with pytest.raises(LengthMismatch):
+        batch_loss(with_conditions([np.ones(7)] * 3), [1, 2, 3], schedule, 1.0, params, np.random.default_rng(0))
+    strings = with_conditions([np.array(["a"] * 5)] * 3)
+    with pytest.raises(TypeError):
+        batch_loss(strings, [1, 2, 3], schedule, 1.0, params, np.random.default_rng(0))
+    with pytest.raises(ShapeMismatch):
+        batch_loss(examples, [1, 2], schedule, 1.0, params, np.random.default_rng(0))
 
 
 def test_train_mixed_batches_deterministic():

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import composite_layers
 from scentgen import egnn, numcore
@@ -69,6 +71,14 @@ def reference_edges(frag):
     return np.asarray(receivers, dtype=np.int64), np.asarray(senders, dtype=np.int64)
 
 
+def mask_edges(frag):
+    """The N x N mask edge build that the build from fragment sizes replaced."""
+    frag = np.asarray(frag, dtype=np.int64)
+    same = frag[:, None] == frag[None, :]
+    np.fill_diagonal(same, False)
+    return np.nonzero(same)
+
+
 def reference_edge_scale(frag, receivers):
     """The per-edge 1 / max(fragment size - 1, 1) built from a size dict."""
     _, frag_sizes = np.unique(frag, return_counts=True)
@@ -117,6 +127,22 @@ def test_edges_and_scale_match_double_loop(frag):
     assert np.array_equal(scale[:, 0], reference_edge_scale(frag, ref_recv))
 
 
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    ids=st.lists(st.sampled_from([-(2**40), -7, -1, 0, 1, 2, 3, 9, 40, 2**40]), max_size=40),
+    sort=st.booleans(),
+)
+def test_edges_match_the_mask_build(ids, sort):
+    """Empty, singleton, sorted, unsorted, negative and non-contiguous ids: the
+    same receivers and senders as the N x N mask, in the same order, as int64."""
+    frag = np.array(sorted(ids) if sort else ids, dtype=np.int64)
+    receivers, senders = fully_connected_edges(frag)
+    want_receivers, want_senders = mask_edges(frag)
+    for got, want in ((receivers, want_receivers), (senders, want_senders)):
+        assert got.dtype == np.int64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("frag", edge_layouts(), ids=lambda f: ",".join(map(str, f)))
 def test_edge_layout_matches_edges_scale_and_flat_index(frag):
     layout = edge_layout(frag)
@@ -129,6 +155,9 @@ def test_edge_layout_matches_edges_scale_and_flat_index(frag):
         flat = [r * width + c for r in recv.tolist() for c in range(width)]
         assert layout.scatter_index(width).tolist() == flat
         assert layout.scatter_index(width) is layout.scatter_index(width)
+        sender_flat = [s * width + c for s in send.tolist() for c in range(width)]
+        assert layout.sender_scatter_index(width).tolist() == sender_flat
+        assert layout.sender_scatter_index(width) is layout.sender_scatter_index(width)
         # one take from [features | edge lengths] is the concatenation [x_i, x_j, |r_i - r_j|]
         f = np.arange(len(frag) * width, dtype=np.float64).reshape(-1, width) + 0.5
         dist = -np.arange(1.0, len(recv) + 1.0).reshape(-1, 1)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import composite_layers
+from adam_oracle import ReferenceAdam
 from composite_layers import matmul
 from scentgen import numcore
 from scentgen.numcore import (
@@ -379,6 +380,120 @@ def test_adam_missing_gradients():
     params.add("w", np.array([1.0]))
     with pytest.raises(MissingGradients):
         adam_step(params)
+
+
+@pytest.mark.parametrize("shape", [(5,), (3, 2), (6,)])
+def test_adam_gradient_of_another_shape_is_a_shape_mismatch(shape):
+    params = ParamStore()
+    params.add("w", np.zeros((2, 3)))
+    params["w"].grad = np.ones(shape)
+    with pytest.raises(ShapeMismatch):
+        adam_step(params)
+    assert params.adam_steps == 0 and not params["w"].data.any()
+
+
+# Added in an order other than name order; "frozen" never gets a nonzero gradient.
+MIXED_SHAPES = {"w": (3, 4), "b": (4,), "s": (), "cube": (2, 3, 2), "frozen": (5,), "empty": (0, 3)}
+
+
+def _mixed_store(rng):
+    params = ParamStore()
+    for name, shape in MIXED_SHAPES.items():
+        params.add(name, rng.normal(size=shape))
+    return params
+
+
+def _reference_of(params):
+    return ReferenceAdam(
+        {n: params[n].data for n in params.names()}, params.adam_steps, params._adam_m, params._adam_v
+    )
+
+
+def _step_both(params, reference, rng, lr=1e-2):
+    """One Adam step of the store and of the reference on the same random gradients."""
+    params.zero_grad()
+    grads = {}
+    for name in params.names():
+        shape = params[name].data.shape
+        scale = 0.0 if name == "frozen" else 10.0 ** rng.integers(-6, 3)
+        grads[name] = np.asarray(rng.normal(size=shape) * scale)
+        params[name].grad = grads[name].copy()
+    before = {n: (params[n].data, params[n].data.tobytes()) for n in params.names()}
+    adam_step(params, lr=lr, betas=(0.8, 0.99), eps=1e-7)
+    reference.step(grads, lr=lr, betas=(0.8, 0.99), eps=1e-7)
+    for name, (data, data_bytes) in before.items():  # a fresh array; the old one is left as it was
+        assert params[name].data is not data and data.tobytes() == data_bytes
+
+
+def _assert_same_bits(params, reference):
+    assert params.adam_steps == reference.steps
+    assert params.names() == sorted(reference.values)
+    for name in params.names():
+        for got, want in (
+            (params[name].data, reference.values[name]),
+            (params._adam_m[name], reference.m[name]),
+            (params._adam_v[name], reference.v[name]),
+        ):
+            assert got.shape == want.shape and got.dtype == np.float64, name
+            assert got.tobytes() == want.tobytes(), name
+
+
+def test_adam_step_has_the_bits_of_the_per_parameter_reference_across_a_checkpoint(tmp_path, rng):
+    params = _mixed_store(rng)
+    reference = _reference_of(params)
+    for _ in range(12):
+        _step_both(params, reference, rng)
+        _assert_same_bits(params, reference)
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(params, str(path))
+    params, _ = load_checkpoint(str(path))
+    _assert_same_bits(params, reference)
+    for _ in range(13):
+        _step_both(params, reference, rng)
+        _assert_same_bits(params, reference)
+    assert not params._adam_m["frozen"].any() and not params._adam_v["frozen"].any()
+
+
+def test_adam_step_reads_arrays_written_or_replaced_between_steps(rng):
+    """In-place writes (a finite-difference probe), replaced `.data` and moment
+    arrays and a parameter added late all reach the next step, as they did
+    when each parameter was updated alone."""
+    params = _mixed_store(rng)
+    reference = _reference_of(params)
+    for step in range(24):
+        if step == 5:
+            params["w"].data[0, 1] += 0.5
+            reference.values["w"][0, 1] += 0.5
+        if step == 9:
+            params["b"].data = np.full(4, 2.0)
+            reference.values["b"] = np.full(4, 2.0)
+            params._adam_v["cube"] = np.ones((2, 3, 2))
+            reference.v["cube"] = np.ones((2, 3, 2))
+        if step == 14:
+            params.add("late", np.arange(6.0).reshape(2, 3))
+            reference.values["late"] = np.arange(6.0).reshape(2, 3)
+            reference.m["late"], reference.v["late"] = np.zeros((2, 3)), np.zeros((2, 3))
+        _step_both(params, reference, rng)
+        _assert_same_bits(params, reference)
+
+
+def test_adam_step_from_a_checkpoint_without_adam_state(tmp_path, rng):
+    params = _mixed_store(rng)
+    reference = _reference_of(params)
+    for _ in range(3):
+        _step_both(params, reference, rng)
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(params, str(path))
+    payload = json.loads(path.read_text())
+    del payload["adam"]
+    path.write_text(json.dumps(payload))
+    loaded, _ = load_checkpoint(str(path))
+    assert loaded.adam_steps == 0
+    assert all(not loaded._adam_m[n].any() and not loaded._adam_v[n].any() for n in loaded.names())
+    reference = _reference_of(loaded)
+    for _ in range(20):
+        _step_both(loaded, reference, rng)
+        _assert_same_bits(loaded, reference)
 
 
 # ------------------------------------------------------------- checkpoint
