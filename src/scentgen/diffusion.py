@@ -17,42 +17,38 @@ order, each node's noise is scaled by the square root of its molecule's
 stratified timesteps are one `rng.integers` call over arrays of bounds,
 with the draws and rng state of a call per stratum.
 
-What a pass derives from its descriptors, timesteps, fragment ids and
-coordinates does not change along a reverse trajectory or within a batch.
-`denoiser_constants` builds it once: the conditioning projection of `y`, the
-time embedding of every step needed, the EGNN's coordinate stream
-(`egnn.CoordStream`, which reads no node feature) over the coordinates and
-the `egnn.EdgeLayout` of the fragment ids, which the stream holds, and the
-`PassArrays`.  Sampling builds one per trajectory over all T steps, holding
-the coordinates fixed; a pass called without one, as in `batch_loss`, builds
-its own.
+A pass runs in one of two ways, chosen by whether it is given
+`DenoiserConstants`.  Without them, as in `batch_loss`, it runs the `Tensor`
+ops: the context rows (`time_embed`, the conditioning projection and a
+gather), `input_proj`, `egnn.egnn_forward`, `head`, the bond head and the
+nan_to_num guard.  While `numcore` records the tape they are a chain of tape
+nodes that `numcore.backward` walks; inside `numcore.no_grad` they link
+nothing.
 
-A pass runs in one of two ways, chosen by whether `numcore` records the
-tape.  With recording on, as in training, it is a chain of tape nodes that
-`numcore.backward` walks.  Inside `numcore.no_grad`, as in every reverse
-step of `generator.sample`, it runs the same array kernels (`numcore.affine`,
-`numcore.mlp`, `egnn.node_update_arrays`, `bond_logits_arrays`) in the same
-order on plain arrays: the context-row lookup, `input_proj`, a node update
-per layer, `head`, the bond head and the nan_to_num guard.  It reads the
-parameter arrays from the `PassArrays`, each layer's edge lengths from the
-stream and the gather and scatter indices from the stream's layout, and the
-outputs keep their bits.
+`denoiser_constants` builds what the passes of one reverse trajectory share,
+with recording off: the context rows of every step, by the same helper and
+from one descriptor vector shared by every fragment; the EGNN's coordinate
+stream (`egnn.CoordStream`, which reads no node feature) over the fixed
+coordinates and the `egnn.EdgeLayout` of the fragment ids, which the stream
+holds; the parameter arrays a pass reads; and the buffers it runs in.  Given
+them, as in every reverse step of `generator.sample`, a pass runs on plain
+arrays: the same array kernels (`numcore.affine`, `numcore.mlp`,
+`egnn.node_update_arrays`, `bond_logits_arrays`) in the same order, with the
+outputs' bits.  A pass over constants while recording raises ValueError: it
+would give no parameter a gradient.
 
-Such a pass runs in buffers that the first one over a `DenoiserConstants`
-allocates and every later one reuses (`_PassBuffers`): `input_proj` writes
-layer 0's flat `[features | edge lengths]` source, whose edge-length tail
-is written once, and layer 0's residual sum writes layer 1's; the MLPs run
-through `out=` into scratch, with biases tiled to their rows.  The outputs
-are fresh arrays, never views of a buffer.  A training batch, which builds
-its constants and runs one taped pass over them, never allocates them.
+The buffers are allocated with the constants and every pass over them reuses
+them: `input_proj` writes layer 0's flat `[features | edge lengths]` source,
+whose edge-length tail is written once, and layer 0's residual sum writes
+layer 1's; the MLPs run through `out=` into scratch, with biases tiled to
+their rows.  The outputs are fresh arrays, never views of a buffer.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -168,6 +164,16 @@ def descriptor_vector(y, params: ParamStore) -> np.ndarray:
     return _descriptors(y, params, flat=True)
 
 
+def _descriptor_rows(y, params: ParamStore) -> tuple[np.ndarray, bool]:
+    """`y` checked, as rows [R, L], and whether they are one row per fragment.
+
+    An [F, L] ndarray gives its F rows; any other `y` is one descriptor
+    vector, flattened into one row shared by every fragment.
+    """
+    per_fragment = isinstance(y, np.ndarray) and y.ndim == 2
+    return np.atleast_2d(_descriptors(y, params, flat=not per_fragment)), per_fragment
+
+
 def condition_embed(y: np.ndarray, params: ParamStore) -> Tensor:
     """Project multi-hot descriptors into the conditioning space, one row per descriptor.
 
@@ -175,15 +181,27 @@ def condition_embed(y: np.ndarray, params: ParamStore) -> Tensor:
     one descriptor row per fragment.  Either is checked as `descriptor_vector`
     checks a vector.
     """
-    per_fragment = isinstance(y, np.ndarray) and y.ndim == 2
-    rows = _descriptors(y, params, flat=not per_fragment)
-    return numcore.linear(params, "cond", Tensor(rows if per_fragment else rows.reshape(1, -1)))
+    return numcore.linear(params, "cond", Tensor(_descriptor_rows(y, params)[0]))
 
 
 def time_embed(t: int | np.ndarray, steps: int, params: ParamStore) -> Tensor:
     """Affine image of the normalized timestep t / T: one row per entry of `t`."""
     frac = Tensor(np.asarray(t, dtype=np.float64).reshape(-1, 1) / steps)
     return numcore.linear(params, "time", frac)
+
+
+def _context(steps: np.ndarray, schedule: NoiseSchedule, rows: np.ndarray, params: ParamStore) -> Tensor:
+    """Rows [time embedding | conditioning vector], one per entry of the int64 `steps`.
+
+    `rows` are checked descriptor rows: one per step, or one that every
+    step's row holds.  Raises `StepOutOfRange` for a step outside [1, T].
+    """
+    betas(schedule, steps)
+    time_rows = time_embed(steps, schedule.steps, params)
+    cond_rows = numcore.linear(params, "cond", Tensor(rows))
+    if rows.shape[0] != steps.size:  # the one descriptor row, next to every step's time row
+        cond_rows = numcore.gather(cond_rows, np.zeros(steps.size, dtype=np.int64))
+    return numcore.concat([time_rows, cond_rows], axis=1)
 
 
 @dataclass
@@ -197,149 +215,60 @@ class DenoiserOutput:
 
 
 @dataclass(frozen=True)
-class PassArrays:
-    """The parameter arrays and indices that a pass with recording off reads.
+class DenoiserConstants:
+    """What every denoiser pass of one reverse trajectory shares, and the buffers those passes run in.
 
-    `input_proj`, `head` and `bond` are (w, b) pairs and `node_mlps` holds
-    each layer's (w1, b1, w2, b2), none when the layout has no edges.  The
-    arrays are the parameters as they were when resolved; `_PassBuffers`
-    holds the first three with their biases tiled.
+    `context` holds a row [time embedding | conditioning vector] per
+    prepared step, all of one descriptor vector, and `step_rows` maps each
+    step to its row.  `stream` is the coordinate stream of the coordinates every
+    pass must take, over the pass's edge layout (`stream.layout`).
+
+    `input_proj`, `node_mlps` (each layer's (w1, b1, w2, b2), none when the
+    layout has no edges) and `head` are parameter arrays with each bias
+    tiled to the rows it is added to, which adds the same numbers as the
+    broadcast, faster; `bond` is the bond head's (w, b).  They are the
+    parameters as they were when the constants were built.  `node_input` is
+    input_proj's [n, 1 + context width] input.  Per layer, `sources` holds
+    the flat [features | edge lengths] array that the layout's
+    `gather_index` reads, whose edge-length tail is the stream's, written
+    here once; `features` its head as [n, d], `mlp_inputs` the [E, 2d + 1]
+    node-MLP input and `scratch` the `numcore.mlp_scratch`.  A pass writes
+    `node_input`, the sources' heads, the MLP inputs and the scratch before
+    it reads them, so they carry nothing from one pass to the next; one pass
+    at a time may use them, and no output is a view of them.
     """
 
+    context: np.ndarray
+    step_rows: dict[int, int]
+    stream: egnn.CoordStream
     input_proj: tuple[np.ndarray, np.ndarray]
     node_mlps: tuple[tuple[np.ndarray, ...], ...]
     head: tuple[np.ndarray, np.ndarray]
     bond: tuple[np.ndarray, np.ndarray]
-
-
-@dataclass(frozen=True)
-class DenoiserConstants:
-    """What every denoiser pass of one trajectory, or of one training batch, shares.
-
-    `context` holds rows of [time embedding, conditioning vector], and
-    `steps[k]` is the timestep of row k.  With one descriptor shared by every
-    fragment, there is a row per step, and a pass at step t gives every node
-    the row of t.  With one descriptor row per fragment (`per_fragment`),
-    row f is fragment f's at its own step, and a pass must run at `steps`.
-    `stream` is the coordinate stream of the coordinates every pass must
-    take, over the pass's edge layout (`stream.layout`), and `arrays` the
-    `PassArrays` that a pass with recording off reads; the first such pass
-    builds `_buffers`, which every later one reuses.  Built with recording
-    on, `context` and `stream` are on the tape, and a taped pass gives every
-    parameter its gradient.
-    """
-
-    steps: np.ndarray
-    context: Tensor
-    per_fragment: bool
-    stream: egnn.CoordStream
-    arrays: PassArrays
-    _row_of_step: dict[int, int] = field(default_factory=dict, repr=False, compare=False)
-
-    @functools.cached_property
-    def _buffers(self) -> _PassBuffers:
-        """The buffers of the passes with recording off, built by the first one."""
-        return _pass_buffers(self)
-
-    def row_of(self, t: int | np.ndarray) -> int | np.ndarray:
-        """The context row of a pass at `t`, which `denoiser_constants` covered.
-
-        One row index shared by every node, or with `per_fragment` rows the
-        row of each node, its fragment id, which the caller checks.
-        """
-        if self.per_fragment:
-            if not np.array_equal(np.reshape(t, -1), self.steps):
-                raise ValueError("a pass over per-fragment descriptor rows must run at the prepared steps")
-            return self.stream.layout.fragment_ids
-        if isinstance(t, np.ndarray):
-            if t.size != 1:
-                raise numcore.ShapeMismatch(f"{t.size} timesteps vs 1 descriptor row")
-            t = t.item()
-        row = self._row_of_step.get(t)
-        if row is None:
-            raise ValueError(f"step {t} was not prepared")
-        return row
-
-
-@dataclass(frozen=True)
-class _PassBuffers:
-    """The arrays that every pass with recording off over one `DenoiserConstants` reads and writes.
-
-    `input_proj`, `node_mlps` and `head` are the `PassArrays` weights with
-    each bias tiled to the rows it is added to, which adds the same numbers
-    as the broadcast, faster.  `node_input` is input_proj's [n, 1 + context
-    width] input.  Per layer, `sources` holds the flat [features | edge
-    lengths] array that the layout's `gather_index` reads, whose edge-length
-    tail is the stream's, written here once; `features` its head as [n, d],
-    `mlp_inputs` the [E, 2d + 1] node-MLP input and `scratch` the
-    `numcore.mlp_scratch`.  A pass writes `node_input`, the sources' heads,
-    the MLP inputs and the scratch before it reads them, so they carry
-    nothing from one pass to the next; one pass at a time may use them, and
-    no output is a view of them.
-    """
-
-    input_proj: tuple[np.ndarray, np.ndarray]
-    node_mlps: tuple[tuple[np.ndarray, ...], ...]
-    head: tuple[np.ndarray, np.ndarray]
     node_input: np.ndarray
     sources: tuple[np.ndarray, ...]
     features: tuple[np.ndarray, ...]
     mlp_inputs: tuple[np.ndarray, ...]
     scratch: tuple[tuple[np.ndarray, ...], ...]
 
+    def row_of(self, t: int | np.ndarray) -> int:
+        """The context row of a pass at `t`, a step that `denoiser_constants` covered."""
+        if isinstance(t, np.ndarray):
+            if t.size != 1:
+                raise numcore.ShapeMismatch(f"{t.size} timesteps vs 1 descriptor row")
+            t = t.item()
+        row = self.step_rows.get(t)
+        if row is None:
+            raise ValueError(f"step {t} was not prepared")
+        return row
+
 
 def _tiled(b: np.ndarray, rows: int) -> np.ndarray:
     return np.ascontiguousarray(np.broadcast_to(b, (rows, b.shape[-1])))
 
 
-def _pass_buffers(constants: DenoiserConstants) -> _PassBuffers:
-    stream, arrays = constants.stream, constants.arrays
-    n, edges = stream.layout.n_nodes, stream.layout.receivers.size
-    width = arrays.input_proj[0].shape[1]
-    node_mlps, sources, features, mlp_inputs, scratch = [], [], [], [], []
-    for geometry, (w1, b1, w2, b2) in zip(stream.geometry, arrays.node_mlps):
-        node_mlps.append((w1, _tiled(b1, edges), w2, _tiled(b2, edges)))
-        source = np.empty(n * width + edges)
-        source[n * width :] = geometry.data[:, 3]
-        sources.append(source)
-        features.append(source[: n * width].reshape(n, width))
-        mlp_inputs.append(np.empty((edges, 2 * width + 1)))
-        scratch.append(numcore.mlp_scratch(edges, w1, w2))
-    (w_in, b_in), (w_head, b_head) = arrays.input_proj, arrays.head
-    return _PassBuffers(
-        (w_in, _tiled(b_in, n)),
-        tuple(node_mlps),
-        (w_head, _tiled(b_head, n)),
-        np.empty((n, 1 + constants.context.data.shape[1])),
-        tuple(sources),
-        tuple(features),
-        tuple(mlp_inputs),
-        tuple(scratch),
-    )
-
-
-def _pass_arrays(params: ParamStore, context_width: int, layout: egnn.EdgeLayout) -> PassArrays:
-    """The `PassArrays` of `params` over `layout`, for context rows of `context_width` columns.
-
-    Raises `numcore.UnknownParam` for a missing parameter and
-    `numcore.ShapeMismatch` for a weight whose rows do not match its input.
-    """
-    def arrays(tensors: tuple[Tensor, ...]) -> tuple[np.ndarray, ...]:
-        return tuple(t.data for t in tensors)
-
-    input_proj = arrays(numcore.affine_params(params, "input_proj", 1 + context_width))
-    width = input_proj[0].shape[1]
-    node_mlps = ()
-    if layout.receivers.size:
-        node_mlps = tuple(
-            arrays(numcore.mlp_params(params, f"{layer}.node_mlp", 2 * width + 1)) for layer in DEFAULT_LAYERS
-        )
-    return PassArrays(
-        input_proj,
-        node_mlps,
-        arrays(numcore.affine_params(params, "head", width)),
-        arrays(numcore.affine_params(params, "bond", 2 * width)),
-    )
+def _arrays(tensors: tuple[Tensor, ...]) -> tuple[np.ndarray, ...]:
+    return tuple(t.data for t in tensors)
 
 
 def _finite(*arrays: np.ndarray) -> None:
@@ -361,49 +290,57 @@ def denoiser_constants(
     fragment_ids: np.ndarray,
     coords: np.ndarray,
 ) -> DenoiserConstants:
-    """Embed `y` and `steps` once, and build the edge layout of `fragment_ids`,
-    the coordinate stream over `coords` [n, 3] and the `PassArrays`.
+    """The `DenoiserConstants` of a reverse trajectory over `steps`, one timestep or several
+    (all of 1..T for a whole trajectory), built with recording off.
 
-    `y` is either one descriptor vector shared by every fragment, with
-    `steps` one timestep or several (all of 1..T for a reverse trajectory),
-    or an [F, L] ndarray of one row per fragment, with `steps` an array of
-    one timestep per fragment.  The stream's output coordinates go through
-    the bounded nan_to_num, and every pass must take the bits of `coords`.
-    The constants are the same in either recording mode, except that with
-    recording on the embeddings and the stream are on the tape.  Raises
-    `StepOutOfRange` for a step outside [1, T], `numcore.ShapeMismatch` when
-    the counts of steps and descriptor rows disagree, `coords` has not a row
-    per node or a weight's rows do not match its input,
-    `numcore.UnknownParam` for a missing parameter, and what
-    `condition_embed` raises for a bad `y`.
+    `y` is one descriptor vector shared by every fragment of
+    `fragment_ids`; it is flattened and checked once, as
+    `descriptor_vector` checks it, so [F, L] rows raise `LengthMismatch`.
+    The coordinate stream runs over `coords` [n, 3], its output coordinates
+    go through the bounded nan_to_num, and every pass must take the bits of
+    `coords`.  Raises `StepOutOfRange` for a step outside [1, T],
+    `numcore.ShapeMismatch` when `coords` has not a row per node or a
+    weight's rows do not match its input, `numcore.UnknownParam` for a
+    missing parameter, and what `descriptor_vector` raises.
     """
+    rows = descriptor_vector(y, params).reshape(1, -1)
     step_list = np.asarray(steps, dtype=np.int64).reshape(-1)
-    betas(schedule, step_list)
-    time_rows, cond_rows = time_embed(step_list, schedule.steps, params), condition_embed(y, params)
-    per_fragment = isinstance(y, np.ndarray) and y.ndim == 2
-    if time_rows.data.shape[0] != cond_rows.data.shape[0]:
-        if per_fragment:
-            raise numcore.ShapeMismatch(
-                f"{time_rows.data.shape[0]} timesteps vs {cond_rows.data.shape[0]} descriptor rows"
-            )
-        # the one conditioning row, next to every step's time row
-        cond_rows = numcore.gather(cond_rows, np.zeros(step_list.size, dtype=np.int64))
-    context = numcore.concat([time_rows, cond_rows], axis=1)
     layout = egnn.edge_layout(fragment_ids)
     coords = np.asarray(coords, dtype=np.float64).reshape(-1, 3)
     if coords.shape[0] != layout.n_nodes:
         raise numcore.ShapeMismatch(f"{layout.n_nodes} nodes vs {coords.shape[0]} coordinate rows")
-    stream = egnn.coord_stream(Tensor(coords), params, layout)
+    with numcore.no_grad():
+        context = _context(step_list, schedule, rows, params).data
+        stream = egnn.coord_stream(Tensor(coords), params, layout)
     if stream.out is stream.coords:  # no edges: the guard must leave the input's bits for the check
         stream = replace(stream, out=Tensor(coords))
     _finite(stream.out.data)
+    w_in, b_in = _arrays(numcore.affine_params(params, "input_proj", 1 + context.shape[1]))
+    n, edges, width = layout.n_nodes, layout.receivers.size, w_in.shape[1]
+    node_mlps, sources, features, mlp_inputs, scratch = [], [], [], [], []
+    for layer, geometry in zip(DEFAULT_LAYERS, stream.geometry):
+        w1, b1, w2, b2 = _arrays(numcore.mlp_params(params, f"{layer}.node_mlp", 2 * width + 1))
+        node_mlps.append((w1, _tiled(b1, edges), w2, _tiled(b2, edges)))
+        source = np.empty(n * width + edges)
+        source[n * width :] = geometry.data[:, 3]
+        sources.append(source)
+        features.append(source[: n * width].reshape(n, width))
+        mlp_inputs.append(np.empty((edges, 2 * width + 1)))
+        scratch.append(numcore.mlp_scratch(edges, w1, w2))
+    w_head, b_head = _arrays(numcore.affine_params(params, "head", width))
     return DenoiserConstants(
-        step_list,
         context,
-        per_fragment,
+        {step: row for row, step in enumerate(step_list.tolist())},
         stream,
-        _pass_arrays(params, context.data.shape[1], layout),
-        {} if per_fragment else {step: row for row, step in enumerate(step_list.tolist())},
+        (w_in, _tiled(b_in, n)),
+        tuple(node_mlps),
+        (w_head, _tiled(b_head, n)),
+        _arrays(numcore.affine_params(params, "bond", 2 * width)),
+        np.empty((n, 1 + context.shape[1])),
+        tuple(sources),
+        tuple(features),
+        tuple(mlp_inputs),
+        tuple(scratch),
     )
 
 
@@ -426,22 +363,20 @@ def denoiser_forward(
     one fragment).  Either `t` is one timestep and `y` one descriptor vector,
     shared by every fragment, or `t` is an array of one step per fragment and
     `y` an [F, L] array of one row per fragment, picked by fragment ids in
-    [0, F).  `constants` is `denoiser_constants` over these steps (or more),
-    `y`, `schedule`, fragment ids and `coords`; it replaces the embedding of
-    `y` and `t`, the edge build and the EGNN's coordinate pathway.  Without
-    it the pass builds its own.  A step it does not cover raises ValueError
-    (`StepOutOfRange` without it), and so do coordinates whose bits differ
-    from those it was built from.  Outputs that hold a non-finite value are
-    passed through nan_to_num in place; the caller's `x_noisy` and `coords`
-    are never written or aliased.
+    [0, F).  Without `constants` the pass runs the `Tensor` ops, a chain of
+    tape nodes that `backward` can walk while recording and plain inside
+    `numcore.no_grad`.
 
-    With recording on, the pass is a chain of tape nodes that `backward`
-    can walk, and `constants` built with recording off, whose embeddings
-    and stream are off the tape, raise ValueError: the pass would silently
-    give their parameters no gradient.  With recording off
-    (`numcore.no_grad`) the same arithmetic runs on plain arrays, reading
-    the `PassArrays` of `constants`, and gives the same bits; only the three
-    outputs it computes become `Tensor`s.
+    `constants` is `denoiser_constants` over `t` (or more steps), `y`,
+    `schedule`, the fragment ids and `coords`; `y` and `schedule` are then
+    read from them, not from the arguments.  The pass runs on plain arrays
+    with the bits of the `Tensor` ops, and only the three outputs it
+    computes become `Tensor`s.  It raises ValueError while recording, since
+    it would give no parameter a gradient, for a step they do not cover
+    (`StepOutOfRange` without them), for `fragment_ids` other than theirs
+    and for coordinates whose bits differ from those they were built from.
+    Outputs that hold a non-finite value are passed through nan_to_num in
+    place; the caller's `x_noisy` and `coords` are never written or aliased.
     """
     x_noisy = np.asarray(x_noisy, dtype=np.float64).reshape(-1, 1)
     coords = np.asarray(coords, dtype=np.float64).reshape(-1, 3)
@@ -450,26 +385,30 @@ def denoiser_forward(
         raise ValueError("denoiser_forward requires at least one node")
     if coords.shape[0] != n:
         raise numcore.ShapeMismatch(f"{n} features vs {coords.shape[0]} coordinate rows")
-    if constants is None:
-        frag = np.zeros(n, dtype=np.int64) if fragment_ids is None else np.asarray(fragment_ids, dtype=np.int64)
-        if frag.shape != (n,):
-            raise numcore.ShapeMismatch(f"{n} nodes vs fragment ids of shape {frag.shape}")
-        constants = denoiser_constants(t, schedule, y, params, frag, coords)
-    elif constants.stream.layout.n_nodes != n:
-        raise numcore.ShapeMismatch(f"{n} nodes vs constants for {constants.stream.layout.n_nodes}")
-    elif coords.tobytes() != constants.stream.coords.data.tobytes():
-        raise ValueError("coordinates differ from those the constants' coordinate stream was built from")
-    elif numcore.recording() and not constants.context.tracked():
-        raise ValueError("a taped pass needs constants built with recording on, or none")
-    if not numcore.recording():
+    if constants is not None:
+        layout = constants.stream.layout
+        if numcore.recording():
+            raise ValueError("a pass over constants runs inside numcore.no_grad: a taped pass takes none")
+        if layout.n_nodes != n:
+            raise numcore.ShapeMismatch(f"{n} nodes vs constants for {layout.n_nodes}")
+        if fragment_ids is not None and not np.array_equal(fragment_ids, layout.fragment_ids):
+            raise ValueError("fragment ids differ from those the constants' edge layout was built from")
+        if coords.tobytes() != constants.stream.coords.data.tobytes():
+            raise ValueError("coordinates differ from those the constants' coordinate stream was built from")
         return _forward_on_arrays(x_noisy, bond_edges, t, constants)
 
-    row = constants.row_of(t)
-    context = numcore.gather(constants.context, row if constants.per_fragment else np.full(n, row, dtype=np.int64))
-    node_input = numcore.concat([Tensor(x_noisy), context], axis=1)
-    hidden = numcore.linear(params, "input_proj", node_input)
-    stream = constants.stream
-    state = egnn.egnn_forward(NodeState(hidden, stream.coords), params, stream.layout, stream)
+    frag = np.zeros(n, dtype=np.int64) if fragment_ids is None else np.asarray(fragment_ids, dtype=np.int64)
+    if frag.shape != (n,):
+        raise numcore.ShapeMismatch(f"{n} nodes vs fragment ids of shape {frag.shape}")
+    rows, per_fragment = _descriptor_rows(y, params)
+    steps = np.asarray(t, dtype=np.int64).reshape(-1)
+    if steps.size != rows.shape[0]:
+        raise numcore.ShapeMismatch(f"{steps.size} timesteps vs {rows.shape[0]} descriptor rows")
+    context = numcore.gather(
+        _context(steps, schedule, rows, params), frag if per_fragment else np.zeros(n, dtype=np.int64)
+    )
+    hidden = numcore.linear(params, "input_proj", numcore.concat([Tensor(x_noisy), context], axis=1))
+    state = egnn.egnn_forward(NodeState(hidden, Tensor(coords)), params, egnn.edge_layout(frag))
     eps_hat = numcore.linear(params, "head", state.features)
     bond_logits = bond_head(state.features, bond_edges, params)
     _finite(eps_hat.data, bond_logits.data, state.features.data, state.coords.data)
@@ -482,37 +421,36 @@ def _forward_on_arrays(
     t: int | np.ndarray,
     constants: DenoiserConstants,
 ) -> DenoiserOutput:
-    """`denoiser_forward`'s pass on plain arrays: the ops of the taped pass, in its order.
+    """`denoiser_forward`'s pass on plain arrays: the `Tensor` ops' kernels, in their order.
 
     The context-row lookup, `input_proj`, a node update per layer over the
     edge lengths of the constants' stream, `head` and the bond head, with
-    the parameter arrays of the constants' `PassArrays`.  Everything before
-    the last layer's residual sum runs in the constants' `_PassBuffers`:
-    `input_proj` writes layer 0's features, and each layer's sum the next
-    layer's.  The outputs are fresh arrays.
+    the constants' parameter arrays.  Everything before the last layer's
+    residual sum runs in the constants' buffers: `input_proj` writes layer
+    0's features, and each layer's sum the next layer's.  The outputs are
+    fresh arrays.
     """
-    stream, buffers = constants.stream, constants._buffers
-    layout = stream.layout
-    context = constants.context.data
-    row = constants.row_of(t)
-    node_input = buffers.node_input
+    layout = constants.stream.layout
+    node_input = constants.node_input
     node_input[:, :1] = x_noisy
-    node_input[:, 1:] = numcore.take_rows(context, row) if constants.per_fragment else context[row]
-    features = numcore.affine(node_input, *buffers.input_proj, buffers.features[0] if buffers.features else None)
-    if buffers.node_mlps:
+    node_input[:, 1:] = constants.context[constants.row_of(t)]
+    features = numcore.affine(node_input, *constants.input_proj, constants.features[0] if constants.features else None)
+    if constants.node_mlps:
         width = features.shape[1]
         gather, scatter = layout.gather_index(width), layout.scatter_index(width)
         # each layer's sum writes the next layer's source; the last layer's is fresh
-        destinations = buffers.features[1:] + (None,)
-        layers = zip(buffers.sources, buffers.mlp_inputs, buffers.node_mlps, buffers.scratch, destinations)
+        destinations = constants.features[1:] + (None,)
+        layers = zip(constants.sources, constants.mlp_inputs, constants.node_mlps, constants.scratch, destinations)
         for source, x, node_mlp, scratch, out in layers:
             # the index is the layout's, in range: "clip" skips the check and the copy through a buffer
             np.take(source, gather, out=x, mode="clip")
             features = egnn.node_update_arrays(features, x, node_mlp, scatter, scratch, out)[1]
-    eps_hat = numcore.affine(features, *buffers.head)
-    bond_logits = bond_logits_arrays(features, bond_edges, *constants.arrays.bond)
+    eps_hat = numcore.affine(features, *constants.head)
+    bond_logits = bond_logits_arrays(features, bond_edges, *constants.bond)
     _finite(eps_hat, bond_logits, features)
-    return DenoiserOutput(numcore.wrap(eps_hat), numcore.wrap(bond_logits), numcore.wrap(features), stream.out)
+    return DenoiserOutput(
+        numcore.wrap(eps_hat), numcore.wrap(bond_logits), numcore.wrap(features), constants.stream.out
+    )
 
 
 def _bond_ends(bond_edges: Sequence[tuple[int, int]] | np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -724,7 +662,7 @@ def batch_loss(
     The batch's noise is one `rng.standard_normal` draw over all its nodes,
     the same stream as `forward_noise` per example in batch order, scaled
     per node by the square root of its molecule's `betas`.  The descriptor
-    rows are stacked and checked once, by `condition_embed`; rows that do
+    rows are stacked and checked once, by `denoiser_forward`; rows that do
     not stack are checked one by one as `descriptor_vector` checks them.
     Returns the batch loss, which is the mean over molecules of each one's
     node-noise MSE plus bond cross-entropy, and the per-molecule MSE and

@@ -15,28 +15,28 @@ The edges depend only on the fragment ids, so an `EdgeLayout` holds them with
 everything else the layers derive from those ids: the edge scale and the
 flat scatter indices of each row width summed into the edges' receivers and
 senders.  `fully_connected_edges` builds the edges from the fragments' sizes
-in O(n + E) memory, with no n x n mask.  A caller that runs many passes over
-one layout, such as a reverse trajectory, builds it once with `edge_layout`
-and passes it to every `egnn_forward`.
+in O(n + E) memory, with no n x n mask.  `edge_layout` builds it once per
+graph: per training batch, and per reverse trajectory in
+`diffusion.denoiser_constants`.
 
 The coordinate MLP reads only pair distances, never node features, so the
 coordinate pathway of a pass (each layer's `pair_geometry` and the
 `coord_update`s) depends on the input coordinates and the parameters alone.
-`coord_stream` builds it as a `CoordStream`; a caller that runs many passes
-over the same coordinates builds it once and passes it to every
-`egnn_forward`, which otherwise builds its own.
+`coord_stream` builds it as a `CoordStream`: `egnn_forward` builds one per
+call, and `diffusion.denoiser_constants` one per reverse trajectory, whose
+coordinates stay fixed.
 
 `node_update_arrays` is `node_update`'s forward on plain arrays from the
 MLP input [x_i, x_j, |r_i - r_j|]: `numcore.mlp` and the receiver sum.
 `node_update` gathers the input with two row takes, calls it with fresh
 arrays, which its backward keeps, and adds only the tape node and the
-backward.  A pass that records nothing (a reverse step inside
-`numcore.no_grad`) gathers the input with one `take` of the layout's
+backward.  A denoiser pass given its trajectory's constants runs on plain
+arrays: it gathers the input with one `take` of the layout's
 `gather_index` from a flat [features | edge lengths] array whose
-edge-length tail it writes once per trajectory, and calls it on scratch it
-keeps for the whole trajectory.  It makes no `Tensor`.  Training builds an
+edge-length tail is written once per trajectory, and calls it on scratch
+kept for the whole trajectory.  It makes no `Tensor`.  Training builds an
 edge layout per batch, and building the flat index for one pass would cost
-more than the one `take` saves, so the taped pass keeps the row takes.
+more than the one `take` saves, so the `Tensor` pass keeps the row takes.
 """
 
 from __future__ import annotations
@@ -296,30 +296,21 @@ def coord_stream(coords: Tensor, params: ParamStore, layout: EdgeLayout) -> Coor
     return CoordStream(layout, coords, tuple(geometry), out)
 
 
-def egnn_forward(
-    state: NodeState, params: ParamStore, layout: EdgeLayout | None = None, stream: CoordStream | None = None
-) -> NodeState:
+def egnn_forward(state: NodeState, params: ParamStore, layout: EdgeLayout | None = None) -> NodeState:
     """Run the DEFAULT_LAYERS with residual feature sums and coordinate shifts.
 
     Messages pass along the edges of `layout` (default: one fragment holding
     every node).  Each layer is three tape nodes: `pair_geometry`, and
-    `node_update` and `coord_update`, which both read it.  `stream` is
-    `coord_stream(state.coords, params, layout)`, built before; without it
-    the pass builds its own.  Either way the tape holds the same nodes with
-    the same parents, so `numcore.backward` visits them in the same order.
-    A stream built from another coordinate tensor or another layout raises
-    ValueError.  A graph without edges (every fragment a single atom) passes
-    through every layer unchanged.
+    `node_update` and `coord_update`, which both read it; the coordinate
+    pathway runs first, as `coord_stream`.  A graph without edges (every
+    fragment a single atom) passes through every layer unchanged.
     """
     n = state.n_nodes
     if layout is None:
         layout = edge_layout(np.zeros(n, dtype=np.int64))
     elif layout.n_nodes != n:
         raise numcore.ShapeMismatch(f"{n} nodes vs an edge layout of {layout.n_nodes}")
-    if stream is None:
-        stream = coord_stream(state.coords, params, layout)
-    elif stream.coords is not state.coords or stream.layout is not layout:
-        raise ValueError("the coordinate stream was built from other coordinates or another layout")
+    stream = coord_stream(state.coords, params, layout)
     features = state.features
     for layer, geometry in zip(DEFAULT_LAYERS, stream.geometry):
         features = node_update(features, geometry, params, layer, layout)

@@ -8,10 +8,12 @@ classifier (or the atomic-number heuristic behind a flag), and pushes the
 assembled graph through the validity cascade.
 
 Training never noises coordinates, so a reverse trajectory holds its drawn
-coordinates fixed: they place the atoms and their edges, and the EGNN's
-coordinate stream over them is built once per trajectory, as are the step
-sizes.  The steps run inside `numcore.no_grad`, so each denoiser pass runs on
-plain arrays.
+coordinates fixed: they place the atoms and their edges.  The step sizes and
+the trajectory's `diffusion.DenoiserConstants` (the descriptor's and every
+step's embedding, the EGNN's coordinate stream over the coordinates, and the
+buffers of a pass) are built once per trajectory, and the descriptor is
+checked once, as they are built.  Given the constants, each denoiser pass
+runs on plain arrays, inside `numcore.no_grad`.
 """
 
 from __future__ import annotations
@@ -240,7 +242,6 @@ def sample(
     or infinite.
     """
     _check_trained(params)
-    y = diffusion.descriptor_vector(y, params)
     used_seed = config.seed if seed is None else seed
     rng = np.random.default_rng(used_seed)
 

@@ -12,8 +12,8 @@ and shape check of those maps' parameters.
 The forward arithmetic of these primitives lives in array kernels (`affine`,
 `mlp`, `take_rows`, `scatter_add`): a primitive calls its kernel and adds
 only the `Tensor` wrapper and the backward.  Code that records nothing, such
-as a denoiser pass inside `no_grad`, calls the kernels on plain arrays and
-gets the same bits; `affine` and `mlp` also write into arrays the caller
+as a denoiser pass given its trajectory's constants, calls the kernels on
+plain arrays and gets the same bits; `affine` and `mlp` also write into arrays the caller
 keeps (`out=`), so such code can run many passes without allocating them.
 The module also provides the parameter store, the Adam update, and a
 versioned JSON checkpoint format.
@@ -61,10 +61,11 @@ _grad_enabled = True
 
 @contextmanager
 def no_grad():
-    """Disable tape recording inside the block.
+    """Disable tape recording inside the block: ops still run, but link no result to its inputs.
 
-    Inside it a denoiser pass runs on plain arrays (`diffusion.denoiser_forward`),
-    as every reverse step of `generator.sample` does.
+    A denoiser pass given `diffusion.DenoiserConstants` runs on plain arrays,
+    and only inside this block, as every reverse step of `generator.sample`
+    does; a pass without them runs the same ops untaped.
     """
     global _grad_enabled
     previous = _grad_enabled

@@ -60,11 +60,8 @@ def mlp_forward(params: ParamStore, name: str, x: Tensor) -> Tensor:
     return numcore.add(matmul(silu(numcore.add(matmul(x, w1), b1)), w2), b2)
 
 
-def egnn_forward(state: NodeState, params: ParamStore, layout: EdgeLayout | None = None, stream=None) -> NodeState:
-    """The DEFAULT_LAYERS as chains of single ops, one edge geometry per layer.
-
-    A prebuilt `stream` is not read: the chain rebuilds the coordinate pathway from `state.coords`.
-    """
+def egnn_forward(state: NodeState, params: ParamStore, layout: EdgeLayout | None = None) -> NodeState:
+    """The DEFAULT_LAYERS as chains of single ops, one edge geometry per layer."""
     n = state.n_nodes
     if layout is None:
         layout = egnn.edge_layout(np.zeros(n, dtype=np.int64))

@@ -155,7 +155,7 @@ def test_descriptors_with_a_non_finite_entry_are_refused(bad):
     with pytest.raises(NonFiniteDescriptor):
         condition_embed(rows, params)
     with pytest.raises(NonFiniteDescriptor):
-        denoiser_constants(np.array([1, 2, 3]), NoiseSchedule(10), rows, params, np.arange(3), np.zeros((3, 3)))
+        denoiser_constants(np.array([1, 2, 3]), NoiseSchedule(10), rows[2], params, np.arange(3), np.zeros((3, 3)))
 
 
 def test_time_embed_affine_in_fraction():
@@ -241,7 +241,8 @@ def test_denoiser_never_writes_or_aliases_caller_arrays(n):
     with np.errstate(all="ignore"):
         out = denoiser_forward(x, coords, bond_edges, 5, schedule, np.ones(4), params)
         constants = denoiser_constants(5, schedule, np.ones(4), params, np.zeros(n, dtype=np.int64), coords)
-        built = denoiser_forward(x, coords, bond_edges, 5, schedule, np.ones(4), params, constants=constants)
+        with numcore.no_grad():
+            built = denoiser_forward(x, coords, bond_edges, 5, schedule, np.ones(4), params, constants=constants)
     assert _same_bits(built, out)
     outputs = [
         a for o in (out, built) for a in (o.eps_hat.data, o.bond_logits.data, o.node_embeddings.data, o.coords.data)
@@ -691,19 +692,21 @@ def test_denoiser_constants_give_the_bits_of_a_pass_that_builds_its_own(rng):
     y = np.array([1.0, 0, 1, 0])
     x, coords = rng.normal(size=(3, 1)), rng.normal(size=(3, 3))
     constants = denoiser_constants(np.arange(10, 21), sched, y, params, np.zeros(3, dtype=np.int64), coords)
+
+    def over_constants(*args):
+        with numcore.no_grad():
+            return denoiser_forward(*args, sched, y, params, constants=constants)
+
     for t in (10, 15, 20):
-        with_constants = denoiser_forward(x, coords, ((0, 1),), t, sched, y, params, constants=constants)
-        assert _same_bits(with_constants, denoiser_forward(x, coords, ((0, 1),), t, sched, y, params))
+        assert _same_bits(over_constants(x, coords, ((0, 1),), t), denoiser_forward(x, coords, ((0, 1),), t, sched, y, params))
     for t in (np.array(12), np.array([12])):  # one step given as an array
-        assert _same_bits(denoiser_forward(x, coords, (), t, sched, y, params, constants=constants),
-                          denoiser_forward(x, coords, (), 12, sched, y, params))
+        assert _same_bits(over_constants(x, coords, (), t), denoiser_forward(x, coords, (), 12, sched, y, params))
     with pytest.raises(ValueError, match="not prepared"):
-        denoiser_forward(x, coords, (), 9, sched, y, params, constants=constants)
+        over_constants(x, coords, (), 9)
     with pytest.raises(ShapeMismatch):
-        denoiser_forward(x, coords, (), np.array([10, 11]), sched, y, params, constants=constants)
+        over_constants(x, coords, (), np.array([10, 11]))
     with pytest.raises(ShapeMismatch):
-        denoiser_forward(rng.normal(size=(4, 1)), rng.normal(size=(4, 3)), (), 10, sched, y, params,
-                         constants=constants)
+        over_constants(rng.normal(size=(4, 1)), rng.normal(size=(4, 3)), (), 10)
 
 
 @pytest.mark.parametrize("n", [1, 2, 6])
@@ -716,12 +719,13 @@ def test_constants_with_coordinates_give_the_bits_of_a_pass_that_builds_its_own(
     edges = tuple((i, i + 1) for i in range(n - 1))
     constants = denoiser_constants(np.arange(1, 41), sched, y, params, np.zeros(n, dtype=np.int64), coords)
     for t in (40, 17, 1):
-        got = denoiser_forward(x, coords, edges, t, sched, y, params, constants=constants)
+        with numcore.no_grad():
+            got = denoiser_forward(x, coords, edges, t, sched, y, params, constants=constants)
         assert _same_bits(got, denoiser_forward(x, coords, edges, t, sched, y, params))
         x = x - 0.1 * got.eps_hat.data
     moved = coords.copy()
     moved[0, 0] = np.nextafter(moved[0, 0], np.inf)
-    with pytest.raises(ValueError, match="coordinate stream"):
+    with pytest.raises(ValueError, match="coordinate stream"), numcore.no_grad():
         denoiser_forward(x, moved, (), 5, sched, y, params, constants=constants)
     with pytest.raises(ShapeMismatch):
         denoiser_constants(5, sched, y, params, np.zeros(n, dtype=np.int64), rng.normal(size=(n + 1, 3)))
@@ -738,55 +742,58 @@ def test_a_pass_over_a_coordinate_stream_runs_no_coordinate_primitive(rng, monke
 
     monkeypatch.setattr(egnn, "pair_geometry", refuse)
     monkeypatch.setattr(egnn, "coord_update", refuse)
-    out = denoiser_forward(x, coords, (), 3, sched, np.ones(3), params, constants=constants)
+    with numcore.no_grad():
+        out = denoiser_forward(x, coords, (), 3, sched, np.ones(3), params, constants=constants)
     assert out.coords is constants.stream.out
 
 
-def test_taped_constants_give_every_gradient_and_untaped_ones_are_refused(rng):
-    """Constants built with recording on give a taped pass the gradients of one that builds its own,
-    bit for bit; constants built with recording off would give some parameters none."""
+def test_a_pass_over_constants_while_recording_is_refused(rng):
+    """A taped pass over constants, which hold no tape, would give no parameter a gradient."""
     params = init_params(vocab_size=4, seed=3)
     sched = NoiseSchedule(50)
-    y = np.array([1.0, 0, 1, 0])
-    x, coords, eps = rng.normal(size=(5, 1)), rng.normal(size=(5, 3)), rng.normal(size=(5, 1))
-    edges, labels = ((0, 1), (1, 2), (3, 4)), np.array([0, 1, 3])
-
-    def gradients(constants):
-        out = denoiser_forward(x, coords, edges, 20, sched, y, params, constants=constants)
-        params.zero_grad()
-        numcore.backward(loss_total(out.eps_hat, eps, out.bond_logits, labels, 1.0))
-        return [params[name].grad for name in params.names()]
-
-    def build():
-        return denoiser_constants(np.arange(1, 51), sched, y, params, np.zeros(5, dtype=np.int64), coords)
-
-    want = gradients(None)
-    for name in ("cond.w", "time.w", "egnn.0.coord_mlp.w1"):
-        assert np.abs(params[name].grad).max() > 0, name
-    got = gradients(build())
-    assert [g.tobytes() for g in got] == [g.tobytes() for g in want]
-    with numcore.no_grad():
-        untaped = build()
-    with pytest.raises(ValueError, match="recording on"):
-        denoiser_forward(x, coords, edges, 20, sched, y, params, constants=untaped)
+    x, coords = rng.normal(size=(5, 1)), rng.normal(size=(5, 3))
+    constants = denoiser_constants(np.arange(1, 51), sched, np.ones(4), params, np.zeros(5, dtype=np.int64), coords)
+    assert isinstance(constants.context, np.ndarray) and not constants.stream.out.tracked()
+    with pytest.raises(ValueError, match="no_grad"):
+        denoiser_forward(x, coords, (), 20, sched, np.ones(4), params, constants=constants)
 
 
-def test_per_fragment_constants_run_only_at_their_steps(rng):
+def test_constants_take_one_descriptor_vector(rng):
+    """Descriptor rows, one per fragment, are not a vector of the vocabulary's length."""
     params = init_params(vocab_size=4, seed=1)
-    sched = NoiseSchedule(100)
-    ys = (rng.random((2, 4)) < 0.5).astype(np.float64)
-    frag = np.array([0, 0, 1])
-    x, coords = rng.normal(size=(3, 1)), rng.normal(size=(3, 3))
-    constants = denoiser_constants(np.array([5, 60]), sched, ys, params, frag, coords)
-    out = denoiser_forward(x, coords, (), np.array([5, 60]), sched, ys, params, frag, constants)
-    assert _same_bits(out, denoiser_forward(x, coords, (), np.array([5, 60]), sched, ys, params, frag))
-    for wrong in (np.array([5, 61]), np.array([5]), 5):
-        with pytest.raises(ValueError, match="prepared steps"):
-            denoiser_forward(x, coords, (), wrong, sched, ys, params, frag, constants)
-    with pytest.raises(ShapeMismatch):
-        denoiser_constants(np.array([5, 60, 7]), sched, ys, params, frag, coords)
-    with pytest.raises(StepOutOfRange):
-        denoiser_constants(np.array([0, 60]), sched, ys, params, frag, coords)
+    with pytest.raises(LengthMismatch):
+        denoiser_constants(np.arange(1, 11), NoiseSchedule(10), np.ones((2, 4)), params, np.array([0, 0, 1]),
+                           rng.normal(size=(3, 3)))
+
+
+def test_fragment_ids_other_than_the_constants_are_refused(rng):
+    """Ids that split the constants' one fragment would change eps_hat; ids equal to theirs are accepted."""
+    params = init_params(vocab_size=4, seed=1)
+    sched = NoiseSchedule(20)
+    y = np.array([1.0, 0, 1, 0])
+    x, coords = rng.normal(size=(4, 1)), rng.normal(size=(4, 3))
+    constants = denoiser_constants(np.arange(1, 21), sched, y, params, np.zeros(4, dtype=np.int64), coords)
+    split = np.array([0, 0, 1, 1])
+    own = denoiser_forward(x, coords, (), 7, sched, y, params, split)
+    with numcore.no_grad():
+        same = denoiser_forward(x, coords, (), 7, sched, y, params, np.zeros(4, dtype=np.int64), constants)
+        assert _same_bits(same, denoiser_forward(x, coords, (), 7, sched, y, params))
+        assert same.eps_hat.data.tobytes() != own.eps_hat.data.tobytes()
+        with pytest.raises(ValueError, match="fragment ids"):
+            denoiser_forward(x, coords, (), 7, sched, y, params, split, constants)
+
+
+def test_training_builds_no_constants(monkeypatch):
+    """Every training pass runs the `Tensor` ops; no batch builds trajectory constants."""
+
+    def refuse(*args):
+        raise AssertionError("training built denoiser constants")
+
+    monkeypatch.setattr(diffusion, "denoiser_constants", refuse)
+    examples = [m for batch in _mixed_batches().values() for m in batch]
+    for batch_size in (1, 4):
+        _, metrics = train(examples, TrainConfig(steps=50, epochs=2, batch_size=batch_size, seed=1))
+        assert len(metrics) == 2
 
 
 def test_condition_embed_rows_length_mismatch():
@@ -855,20 +862,15 @@ def test_the_overflowing_parameters_need_nan_to_num():
 @given(
     n=st.integers(1, 12),
     fragments=st.integers(1, 4),
-    per_fragment=st.booleans(),
-    constants=st.sampled_from(["none", "built"]),
-    shared=st.booleans(),
     bonds=st.integers(0, 4),
     params=st.sampled_from(sorted(PASS_PARAMS)),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_a_pass_with_recording_off_has_the_bits_of_the_taped_pass(
-    n, fragments, per_fragment, constants, shared, bonds, params, seed
-):
-    """Every output of a pass inside `no_grad` equals, byte for byte, that of the same pass with recording on.
+def test_a_pass_with_recording_off_has_the_bits_of_the_taped_pass(n, fragments, bonds, params, seed):
+    """Every output of a pass over trajectory constants equals, byte for byte, that of the taped pass.
 
-    Each pass builds its own constants in its own mode, or with `shared`
-    both take the ones built with recording on.
+    So does a pass without constants inside `no_grad`, which runs the
+    `Tensor` ops untaped.
     """
     params = PASS_PARAMS[params]
     rng = np.random.default_rng(seed)
@@ -876,37 +878,27 @@ def test_a_pass_with_recording_off_has_the_bits_of_the_taped_pass(
     frag = rng.integers(0, fragments, size=n)
     x, coords = rng.normal(size=(n, 1)), 0.8 * rng.normal(size=(n, 3))
     edges = rng.integers(0, n, size=(bonds, 2))
-    if per_fragment:
-        y, t = (rng.random((fragments, 4)) < 0.5).astype(np.float64), rng.integers(1, 51, size=fragments)
-        prepared = t
-    else:
-        y, t = (rng.random(4) < 0.5).astype(np.float64), int(rng.integers(1, 51))
-        prepared = np.arange(1, 51)
-
-    def build():
-        if constants == "none":
-            return None
-        return denoiser_constants(prepared, schedule, y, params, frag, coords)
+    y = (rng.random(4) < 0.5).astype(np.float64)
 
     def passes(x, t):
         with np.errstate(all="ignore"):
-            taped = denoiser_forward(x, coords, edges, t, schedule, y, params, frag, taped_constants)
+            taped = denoiser_forward(x, coords, edges, t, schedule, y, params, frag)
             with numcore.no_grad():
-                plain = denoiser_forward(x, coords, edges, t, schedule, y, params, frag, plain_constants)
-        assert taped.eps_hat.tracked() and not plain.eps_hat.tracked()
+                untaped = denoiser_forward(x, coords, edges, t, schedule, y, params, frag)
+                plain = denoiser_forward(x, coords, edges, t, schedule, y, params, frag, constants)
+        assert taped.eps_hat.tracked() and not untaped.eps_hat.tracked() and not plain.eps_hat.tracked()
         for key in ("eps_hat", "bond_logits", "node_embeddings", "coords"):
-            want, got = getattr(taped, key).data, getattr(plain, key).data
-            assert got.shape == want.shape and got.tobytes() == want.tobytes(), key
+            want = getattr(taped, key).data
+            for got in (getattr(untaped, key).data, getattr(plain, key).data):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), key
         return plain
 
     with np.errstate(all="ignore"):
-        taped_constants = build()
-        with numcore.no_grad():
-            plain_constants = taped_constants if shared else build()
-    first = passes(x, t)
+        constants = denoiser_constants(np.arange(1, 51), schedule, y, params, frag, coords)
+    first = passes(x, int(rng.integers(1, 51)))
     kept = {key: getattr(first, key).data.tobytes() for key in ("eps_hat", "bond_logits", "node_embeddings")}
-    # another step (per-fragment constants allow only theirs) over the same constants and their buffers
-    passes(rng.normal(size=(n, 1)), t if per_fragment else int(rng.integers(1, 51)))
+    # another step over the same constants and their buffers
+    passes(rng.normal(size=(n, 1)), int(rng.integers(1, 51)))
     for key, data in kept.items():
         assert getattr(first, key).data.tobytes() == data, f"the second pass wrote the first's {key}"
 
@@ -958,7 +950,7 @@ def test_a_pass_with_recording_off_makes_only_its_output_tensors(rng, monkeypatc
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(Tensor, "__init__", counted)
-        # the first pass over the constants builds their buffers, the second reuses them
+        # every pass runs in the buffers built with the constants
         for step in (3, 2):
             made.clear()
             out = denoiser_forward(x, coords, (), step, schedule, np.ones(3), params, constants=constants)

@@ -506,7 +506,16 @@ def test_coordinates_never_read_features(case):
 
 
 def with_prebuilt_stream(state, params, layout):
-    return egnn_forward(state, params, layout, coord_stream(state.coords, params, layout))
+    """The node updates over each layer's geometry of a coordinate stream built before them.
+
+    A reverse trajectory's constants hold such a stream, and its passes read
+    the stream's edge lengths and output coordinates.
+    """
+    stream = coord_stream(state.coords, params, layout)
+    features = state.features
+    for layer, geometry in zip(egnn.DEFAULT_LAYERS, stream.geometry):
+        features = node_update(features, geometry, params, layer, layout)
+    return NodeState(features, stream.out)
 
 
 @pytest.mark.parametrize("case", sorted(kernel_cases()))
@@ -544,13 +553,3 @@ def test_stream_holds_each_layers_geometry_and_the_output_coordinates(rng):
     assert stream.out.data.tobytes() == coord_update(moved, stream.geometry[1], params, "egnn.1", layout).data.tobytes()
     lone = coord_stream(coords, params, edge_layout(np.arange(5)))
     assert lone.geometry == () and lone.out is coords
-
-
-def test_forward_rejects_a_stream_of_other_coordinates_or_layout(rng):
-    params = make_params()
-    state = state_of(rng.normal(size=(4, D)), rng.normal(size=(4, 3)))
-    layout = edge_layout(np.zeros(4, dtype=int))
-    with pytest.raises(ValueError, match="coordinate stream"):
-        egnn_forward(state, params, layout, coord_stream(Tensor(state.coords.data), params, layout))
-    with pytest.raises(ValueError, match="coordinate stream"):
-        egnn_forward(state, params, layout, coord_stream(state.coords, params, edge_layout(np.zeros(4, dtype=int))))

@@ -333,6 +333,23 @@ def test_sample_refuses_a_non_finite_descriptor():
         sample([math.nan, 1, 0, math.inf], constrained(steps=2), params)
 
 
+def test_sample_checks_its_descriptor_once(quick_trained, monkeypatch):
+    vocab, params = quick_trained
+    checked = []
+    check = diffusion._descriptors
+
+    def spy(*args, **kwargs):
+        checked.append(args[0])
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(diffusion, "_descriptors", spy)
+    y = dataio.multi_hot({"fruity"}, vocab)
+    for seed in (0, 1):
+        sample(y, constrained(seed=seed, steps=3), params)
+        assert len(checked) == 1 and checked[0] is y
+        checked.clear()
+
+
 def test_sample_numeric_descriptor_forms_agree(quick_trained):
     """A list, a bool array and an int array sample exactly like the float vector."""
     vocab, params = quick_trained
