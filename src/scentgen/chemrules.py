@@ -11,10 +11,9 @@ takes its aromatic systems from `MoleculeGraph.connected_components`.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .molgraph import (
     MAX_ATOMIC_NUMBER,
@@ -79,22 +78,6 @@ class ValidationReport:
             "stages": [{"name": s.name, "passed": s.passed, "detail": s.detail} for s in self.stages],
             "final_verdict": self.final_verdict,
         }
-
-
-def check_atomic_range(values: Sequence[float]) -> list[int]:
-    """Round noisy scalars to atomic numbers, silently skipping out-of-range ones.
-
-    Non-finite entries are treated as 0 and therefore dropped.
-    """
-    kept = []
-    for v in values:
-        v = float(v)
-        if not math.isfinite(v):
-            v = 0.0
-        z = round(v)
-        if 1 <= z <= MAX_ATOMIC_NUMBER:
-            kept.append(int(z))
-    return kept
 
 
 def dedup_edges(edges: Iterable[tuple[int, int, BondType]]) -> list[tuple[int, int, BondType]]:

@@ -81,6 +81,18 @@ def _read_json(what: str, path: str) -> dict:
     return payload
 
 
+def _json_number(raw: dict, key: str, default, kind: type[int] | type[float]):
+    """`raw[key]` (`default` when absent) as `kind`: a JSON integer, or for float any JSON number.
+
+    Anything else raises TypeError: a bool, though Python counts it an int;
+    a string, though `int()` and `float()` parse one; a fraction for an int.
+    """
+    value = raw.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else int):
+        raise TypeError(f"{key} must be a JSON {'number' if kind is float else 'integer'}, got {value!r}")
+    return kind(value)
+
+
 def _check_out(*paths: str | None) -> None:
     """Bad input (exit 2) if an output path is a directory or its directory does not exist, before any work."""
     for path in paths:
@@ -127,15 +139,15 @@ def cmd_ingest(args) -> int:
 def _train_config(args) -> tuple[diffusion.TrainConfig, generator.Mode, frozenset[int]]:
     raw = _read_json("training config", args.config) if args.config else {}
     try:
-        steps = args.steps if args.steps is not None else int(raw.get("steps", 1000))
+        steps = args.steps if args.steps is not None else _json_number(raw, "steps", 1000, int)
         _check_steps(steps)
         config = diffusion.TrainConfig(
             steps=steps,
-            epochs=args.epochs if args.epochs is not None else int(raw.get("epochs", 1000)),
-            batch_size=int(raw.get("batch_size", 32)),
-            tau=args.tau if args.tau is not None else float(raw.get("tau", 1.0)),
-            learning_rate=float(raw.get("learning_rate", 1e-3)),
-            seed=args.seed if args.seed is not None else int(raw.get("seed", 0)),
+            epochs=args.epochs if args.epochs is not None else _json_number(raw, "epochs", 1000, int),
+            batch_size=_json_number(raw, "batch_size", 32, int),
+            tau=args.tau if args.tau is not None else _json_number(raw, "tau", 1.0, float),
+            learning_rate=_json_number(raw, "learning_rate", 1e-3, float),
+            seed=args.seed if args.seed is not None else _json_number(raw, "seed", 0, int),
         )
         constrained = raw.get("constrained", False)
         if not isinstance(constrained, bool):
@@ -212,8 +224,8 @@ def cmd_generate(args) -> int:
     if not isinstance(descriptors, list) or not all(isinstance(d, str) for d in descriptors):
         raise _fail(f"query descriptors must be a list of strings, got {descriptors!r}")
     try:
-        n = args.n if args.n is not None else int(query.get("count", 10))
-    except BAD_VALUE:
+        n = args.n if args.n is not None else _json_number(query, "count", 10, int)
+    except TypeError:
         raise _fail(f"sample count must be an integer, got {query['count']!r}")
     if n < 0:
         raise _fail(f"sample count must be >= 0, got {n}")

@@ -164,26 +164,6 @@ def descriptor_vector(y, params: ParamStore) -> np.ndarray:
     return _descriptors(y, params, flat=True)
 
 
-def _descriptor_rows(y, params: ParamStore) -> tuple[np.ndarray, bool]:
-    """`y` checked, as rows [R, L], and whether they are one row per fragment.
-
-    An [F, L] ndarray gives its F rows; any other `y` is one descriptor
-    vector, flattened into one row shared by every fragment.
-    """
-    per_fragment = isinstance(y, np.ndarray) and y.ndim == 2
-    return np.atleast_2d(_descriptors(y, params, flat=not per_fragment)), per_fragment
-
-
-def condition_embed(y: np.ndarray, params: ParamStore) -> Tensor:
-    """Project multi-hot descriptors into the conditioning space, one row per descriptor.
-
-    `y` is one descriptor vector, giving one row, or an [F, L] ndarray with
-    one descriptor row per fragment.  Either is checked as `descriptor_vector`
-    checks a vector.
-    """
-    return numcore.linear(params, "cond", Tensor(_descriptor_rows(y, params)[0]))
-
-
 def time_embed(t: int | np.ndarray, steps: int, params: ParamStore) -> Tensor:
     """Affine image of the normalized timestep t / T: one row per entry of `t`."""
     frac = Tensor(np.asarray(t, dtype=np.float64).reshape(-1, 1) / steps)
@@ -400,7 +380,9 @@ def denoiser_forward(
     frag = np.zeros(n, dtype=np.int64) if fragment_ids is None else np.asarray(fragment_ids, dtype=np.int64)
     if frag.shape != (n,):
         raise numcore.ShapeMismatch(f"{n} nodes vs fragment ids of shape {frag.shape}")
-    rows, per_fragment = _descriptor_rows(y, params)
+    # an [F, L] ndarray gives one row per fragment; any other y is one vector, shared by every fragment
+    per_fragment = isinstance(y, np.ndarray) and y.ndim == 2
+    rows = np.atleast_2d(_descriptors(y, params, flat=not per_fragment))
     steps = np.asarray(t, dtype=np.int64).reshape(-1)
     if steps.size != rows.shape[0]:
         raise numcore.ShapeMismatch(f"{steps.size} timesteps vs {rows.shape[0]} descriptor rows")
@@ -487,16 +469,6 @@ def bond_head(
         return Tensor(_no_bond_logits())
     pair_features = numcore.concat([numcore.gather(node_features, end) for end in ends], axis=1)
     return numcore.linear(params, "bond", pair_features)
-
-
-def bond_probabilities(logits: Tensor | np.ndarray, tau: float) -> Tensor:
-    """Temperature-scaled row softmax; rows sum to one."""
-    if tau <= 0:
-        raise NonPositiveTemperature(f"tau={tau}")
-    logits = numcore.as_tensor(logits)
-    if logits.data.size == 0:
-        return Tensor(np.zeros_like(logits.data))
-    return numcore.exp(numcore.log_softmax_rows(numcore.mul(logits, 1.0 / tau)))
 
 
 def _fragment_means(rows: Tensor, fragment_ids: np.ndarray | None, fragments: int, scale: float) -> Tensor:

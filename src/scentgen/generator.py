@@ -5,7 +5,9 @@ denoiser back from t = T to 1 (subtracting the predicted noise increment of
 the additive schedule), decodes atoms by rounding and range/allowlist
 filtering, proposes edges by a distance cutoff, types them with the learned
 classifier (or the atomic-number heuristic behind a flag), and pushes the
-assembled graph through the validity cascade.
+assembled graph through the validity cascade.  Decoding is one array rule
+over the final features, and the classifier's types are the argmax of the
+bond head's logits over the final pass's embeddings, on plain arrays.
 
 Training never noises coordinates, so a reverse trajectory holds its drawn
 coordinates fixed: they place the atoms and their edges.  The step sizes and
@@ -68,6 +70,12 @@ class BondSource(str, enum.Enum):
 
 @dataclass(frozen=True)
 class GenerationConfig:
+    """Settings of `sample`.
+
+    `tau` is checked but changes no sample, as the bond types are an argmax;
+    it stays while `perfbench/workloads.py` builds configs with it.
+    """
+
     mode: Mode = Mode.UNCONSTRAINED
     allowlist: frozenset[int] = DEFAULT_ALLOWLIST
     n_atoms: int | None = None
@@ -169,18 +177,17 @@ def clip_features(x: np.ndarray) -> np.ndarray:
 def decode_atoms(x: Sequence[float], config: GenerationConfig) -> tuple[list[int], list[int]]:
     """Kept node indices and their atomic numbers.
 
-    Each value is rounded and range-filtered by `chemrules.check_atomic_range`
-    (non-finite values are dropped), then filtered by the allowlist in
-    constrained mode.
+    Each value is rounded half to even, as Python's `round` does, a non-finite
+    value counting as 0; a value is kept where 1 <= z <= MAX_ATOMIC_NUMBER
+    and, in constrained mode, z is on the allowlist.
     """
-    keep: list[int] = []
-    atoms: list[int] = []
-    for idx, v in enumerate(np.asarray(x, dtype=np.float64).reshape(-1)):
-        z = chemrules.check_atomic_range([v])
-        if z and (config.mode is Mode.UNCONSTRAINED or z[0] in config.allowlist):
-            keep.append(idx)
-            atoms.append(z[0])
-    return keep, atoms
+    values = np.asarray(x, dtype=np.float64).reshape(-1)
+    z = np.rint(np.where(np.isfinite(values), values, 0.0))
+    kept = (z >= 1) & (z <= MAX_ATOMIC_NUMBER)
+    if config.mode is Mode.CONSTRAINED:
+        kept &= np.isin(z, sorted(config.allowlist))
+    keep = np.flatnonzero(kept)
+    return keep.tolist(), z[keep].astype(np.int64).tolist()
 
 
 def propose_edges(coords: np.ndarray, decoded_atoms: Sequence[int]) -> list[tuple[int, int]]:
@@ -200,19 +207,19 @@ def assign_bond_types(
     node_embeddings: np.ndarray,
     decoded_atoms: Sequence[int],
     params: ParamStore,
-    tau: float,
     source: BondSource = BondSource.CLASSIFIER,
 ) -> list[tuple[int, int, BondType]]:
-    """Type each proposed edge via `diffusion.bond_head`, run with recording off, or the numeric heuristic."""
+    """Type each proposed edge by the argmax of the bond head's logits, on plain arrays, or by the numeric heuristic."""
     if source is BondSource.HEURISTIC:
         return [
             (i, j, chemrules.heuristic_bond_type(decoded_atoms[i], decoded_atoms[j]))
             for i, j in edges
         ]
-    with numcore.no_grad():
-        logits = diffusion.bond_head(numcore.Tensor(np.asarray(node_embeddings, dtype=np.float64)), edges, params)
-        probs = diffusion.bond_probabilities(logits, tau)
-    classes = np.argmax(probs.data, axis=1)
+    if len(edges) == 0:  # as in the bond head, no edge reads no parameter
+        return []
+    h = np.asarray(node_embeddings, dtype=np.float64)
+    w, b = numcore.affine_params(params, "bond", 2 * h.shape[1])
+    classes = np.argmax(diffusion.bond_logits_arrays(h, edges, w.data, b.data), axis=1)
     return [(i, j, BOND_CLASSES[int(c)]) for (i, j), c in zip(edges, classes)]
 
 
@@ -273,7 +280,7 @@ def sample(
     kept_embeddings = embeddings[keep]
 
     edges = propose_edges(kept_coords, decoded)
-    typed = assign_bond_types(edges, kept_embeddings, decoded, params, config.tau, config.bond_source)
+    typed = assign_bond_types(edges, kept_embeddings, decoded, params, config.bond_source)
     assembled = new_graph([Atom(z, tuple(xyz)) for z, xyz in zip(decoded, kept_coords)], typed)
     report, text, matched, corrected = finalize(assembled, corpus)
     fragments = len(corrected.connected_components())

@@ -11,7 +11,6 @@ from scentgen.chemrules import (
     DEFAULT_VALENCES,
     StageResult,
     aromaticity_and_charge_check,
-    check_atomic_range,
     dedup_edges,
     heuristic_bond_type,
     kekule_assignment_exists,
@@ -35,26 +34,6 @@ def star(center_z, leaf_z, orders):
     for k, t in enumerate(orders):
         g = add_bond(g, 0, k + 1, t)
     return g
-
-
-# ----------------------------------------------------------- atomic range
-
-
-def test_atomic_range_round_and_filter():
-    assert check_atomic_range([6.2, 7.9, -3.0]) == [6, 8]
-
-
-def test_atomic_range_out_of_range():
-    assert check_atomic_range([200.0]) == []
-
-
-def test_atomic_range_boundaries():
-    assert check_atomic_range([1.0, 118.0]) == [1, 118]
-    assert check_atomic_range([0.4, 118.4]) == [118]
-
-
-def test_atomic_range_non_finite():
-    assert check_atomic_range([float("nan"), float("inf"), 6.0]) == [6]
 
 
 # ------------------------------------------------------------------ dedup

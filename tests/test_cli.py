@@ -93,6 +93,19 @@ def test_train_missing_dataset(tmp_path, capsys):
         {"learning_rate": 0.0},
         {"learning_rate": -1e-3},
         {"batch_size": "many"},
+        {"learning_rate": float("nan")},
+        {"learning_rate": "0.001"},
+        {"learning_rate": False},
+        {"tau": "1"},
+        {"tau": True},
+        {"batch_size": True},
+        {"batch_size": 4.0},
+        {"epochs": "1"},
+        {"epochs": True},
+        {"epochs": 1.5},
+        {"steps": "900"},
+        {"seed": "1"},
+        {"seed": 1.0},
     ],
 )
 def test_train_rejects_config_that_cannot_train(tmp_path, tiny_csv, capsys, bad):
@@ -125,6 +138,18 @@ def test_train_divergence_exit_code(tmp_path, tiny_csv, capsys):
     )
     assert code == EXIT_DIVERGED
     assert "diverged" in err
+
+
+def test_config_numbers_are_read_by_their_json_type(tmp_path):
+    """Counts, steps and seeds are JSON integers; a float setting may also be written as an integer."""
+    config = tmp_path / "train.json"
+    config.write_text(json.dumps({"steps": 900, "epochs": 2, "batch_size": 3, "tau": 2, "learning_rate": 1, "seed": 4}))
+    read, _, _ = cli._train_config(
+        cli.build_parser().parse_args(["train", "--data", "x", "--out", "y", "--config", str(config)])
+    )
+    assert (read.steps, read.epochs, read.batch_size, read.seed) == (900, 2, 3, 4)
+    assert (read.tau, read.learning_rate) == (2.0, 1.0)
+    assert type(read.tau) is float and type(read.learning_rate) is float
 
 
 def test_default_epochs_and_steps_match_contract():
@@ -393,6 +418,11 @@ BAD_INPUTS = {
     "train --tau 0": (["train", "--tau", "0"], {}),
     "train --tau nan": (["train", "--tau", "nan"], {}),
     "count not an integer": (["generate"], {"query.json": {"descriptors": [], "count": "x"}}),
+    "count a numeric string": (["generate"], {"query.json": {"descriptors": [], "count": "2"}}),
+    "count the string 1": (["generate"], {"query.json": {"descriptors": [], "count": "1"}}),
+    "count a fraction": (["generate"], {"query.json": {"descriptors": [], "count": 1.9}}),
+    "count an integral float": (["generate"], {"query.json": {"descriptors": [], "count": 1.0}}),
+    "count true": (["generate"], {"query.json": {"descriptors": [], "count": True}}),
     "query is a list": (["generate"], {"query.json": [{"count": 1}]}),
     "config is a list": (["train", "--config", "{tmp}/config.json"], {"config.json": [{"epochs": 1}]}),
     "query is a directory": (["generate", "--query", "{tmp}"], {}),

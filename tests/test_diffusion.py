@@ -21,8 +21,6 @@ from scentgen.diffusion import (
     beta_at,
     betas,
     bond_ce_loss,
-    bond_probabilities,
-    condition_embed,
     denoiser_constants,
     descriptor_vector,
     denoiser_forward,
@@ -112,35 +110,50 @@ def test_forward_noise_variance_montecarlo(rng):
 # ------------------------------------------------------------- conditioning
 
 
+def conditioning(y, params):
+    """The conditioning half of the context row that `denoiser_constants` builds for `y`."""
+    constants = denoiser_constants(1, NoiseSchedule(10), y, params, np.zeros(1, dtype=np.int64), np.zeros((1, 3)))
+    return constants.context[0, params["time.w"].data.shape[1] :]
+
+
+def fragment_rows_pass(rows, params):
+    """`denoiser_forward` over one single-node fragment per descriptor row of `rows`."""
+    n = len(rows)
+    return denoiser_forward(
+        np.zeros((n, 1)), np.zeros((n, 3)), (), np.arange(1, n + 1), NoiseSchedule(10), rows, params,
+        fragment_ids=np.arange(n),
+    )
+
+
 def test_condition_embed_zero_gives_bias():
     params = init_params(vocab_size=6, seed=0)
-    out = condition_embed(np.zeros(6), params)
-    assert np.abs(out.data - params["cond.b"].data).max() == 0.0
+    assert np.abs(conditioning(np.zeros(6), params) - params["cond.b"].data.reshape(-1)).max() == 0.0
 
 
 def test_condition_embed_one_hot_adds_column():
     params = init_params(vocab_size=6, seed=0)
     y = np.zeros(6)
     y[2] = 1.0
-    out = condition_embed(y, params)
-    expected = params["cond.b"].data + params["cond.w"].data[2]
-    assert np.abs(out.data.reshape(-1) - expected).max() < 1e-12
+    expected = params["cond.b"].data.reshape(-1) + params["cond.w"].data[2]
+    assert np.abs(conditioning(y, params) - expected).max() < 1e-12
 
 
 def test_condition_embed_additive_for_disjoint():
     params = init_params(vocab_size=6, seed=0)
     y1 = np.array([1, 0, 0, 1, 0, 0], dtype=float)
     y2 = np.array([0, 1, 0, 0, 0, 1], dtype=float)
-    bias = params["cond.b"].data
-    c_union = condition_embed(y1 + y2, params).data - bias
-    c_split = (condition_embed(y1, params).data - bias) + (condition_embed(y2, params).data - bias)
+    bias = params["cond.b"].data.reshape(-1)
+    c_union = conditioning(y1 + y2, params) - bias
+    c_split = (conditioning(y1, params) - bias) + (conditioning(y2, params) - bias)
     assert np.abs(c_union - c_split).max() < 1e-12
 
 
 def test_condition_embed_length_mismatch():
     params = init_params(vocab_size=6, seed=0)
     with pytest.raises(LengthMismatch):
-        condition_embed(np.zeros(9), params)
+        descriptor_vector(np.zeros(9), params)
+    with pytest.raises(LengthMismatch):
+        conditioning(np.zeros(9), params)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -149,11 +162,11 @@ def test_descriptors_with_a_non_finite_entry_are_refused(bad):
     with pytest.raises(NonFiniteDescriptor):
         descriptor_vector([0.0, 1.0, bad, 0.0], params)
     with pytest.raises(NonFiniteDescriptor):
-        condition_embed(np.array([0.0, 1.0, 0.0, bad]), params)
+        denoiser_forward(np.zeros((1, 1)), np.zeros((1, 3)), (), 1, NoiseSchedule(10), [0.0, 1.0, 0.0, bad], params)
     rows = np.zeros((3, 4))
     rows[2, 1] = bad
     with pytest.raises(NonFiniteDescriptor):
-        condition_embed(rows, params)
+        fragment_rows_pass(rows, params)
     with pytest.raises(NonFiniteDescriptor):
         denoiser_constants(np.array([1, 2, 3]), NoiseSchedule(10), rows[2], params, np.arange(3), np.zeros((3, 3)))
 
@@ -254,47 +267,6 @@ def test_denoiser_never_writes_or_aliases_caller_arrays(n):
         assert not np.shares_memory(a, x) and not np.shares_memory(a, coords)
 
 
-# -------------------------------------------------------------- bond probs
-
-
-def test_bond_probabilities_uniform():
-    probs = bond_probabilities(Tensor(np.zeros((3, 4))), tau=2.0)
-    assert np.abs(probs.data - 0.25).max() < 1e-12
-
-
-def test_bond_probabilities_temperature_limits():
-    logits = Tensor(np.array([[1.0, 2.0, 3.0, 4.0]]))
-    hot = bond_probabilities(logits, tau=100.0).data
-    cold = bond_probabilities(logits, tau=0.01).data
-    assert np.abs(hot - 0.25).max() < 0.01
-    assert cold[0, 3] > 0.999999
-
-
-def test_bond_probabilities_scalar_oracle():
-    logits = np.array([[1.0, 2.0, 3.0, 4.0]])
-    expected = np.exp(logits[0]) / np.exp(logits[0]).sum()
-    probs = bond_probabilities(Tensor(logits), tau=1.0).data[0]
-    assert np.abs(probs - expected).max() < 1e-12
-
-
-def test_bond_probabilities_rows_sum_one(rng):
-    logits = Tensor(rng.normal(size=(6, 4)) * 10)
-    probs = bond_probabilities(logits, tau=0.7).data
-    assert np.abs(probs.sum(axis=1) - 1.0).max() < 1e-12
-
-
-def test_bond_probabilities_shift_invariance(rng):
-    logits = rng.normal(size=(5, 4))
-    base = bond_probabilities(Tensor(logits), tau=1.3).data
-    shifted = bond_probabilities(Tensor(logits + 7.5), tau=1.3).data
-    assert np.abs(base - shifted).max() < 1e-12
-
-
-def test_bond_probabilities_bad_temperature():
-    with pytest.raises(NonPositiveTemperature):
-        bond_probabilities(Tensor(np.zeros((1, 4))), tau=0.0)
-
-
 # ------------------------------------------------------------------- losses
 
 
@@ -318,6 +290,12 @@ def test_loss_uniform_ce_ln4():
     labels = np.array([0, 1, 2])
     loss = loss_total(Tensor(eps), eps, logits, labels, tau=1.0)
     assert loss.item() == pytest.approx(math.log(4.0))
+
+
+@pytest.mark.parametrize("tau", [0.0, -1.0])
+def test_bond_ce_loss_bad_temperature(tau):
+    with pytest.raises(NonPositiveTemperature):
+        bond_ce_loss(Tensor(np.zeros((1, 4))), np.zeros(1, dtype=np.int64), tau)
 
 
 def test_loss_nonnegative(rng):
@@ -799,14 +777,16 @@ def test_training_builds_no_constants(monkeypatch):
 def test_condition_embed_rows_length_mismatch():
     params = init_params(vocab_size=6, seed=0)
     with pytest.raises(LengthMismatch):
-        condition_embed(np.zeros((3, 5)), params)
+        fragment_rows_pass(np.zeros((3, 5)), params)
 
 
 def test_descriptor_rows_that_are_not_numbers_are_a_type_error():
     params = init_params(vocab_size=2, seed=0)
     for rows in (np.full((3, 2), "a"), np.zeros((3, 2), dtype=object)):
         with pytest.raises(TypeError):
-            condition_embed(rows, params)
+            fragment_rows_pass(rows, params)
+        with pytest.raises(TypeError):
+            descriptor_vector(rows, params)
 
 
 # ---------------------------------------------------------------- metrics IO

@@ -71,6 +71,58 @@ def test_decode_unconstrained_keeps_range():
     assert decode_atoms([9.2, 200.0, -5.0, 1.2], cfg) == ([0, 3], [9, 1])
 
 
+def test_atomic_range_round_and_filter():
+    assert decode_atoms([6.2, 7.9, -3.0], GenerationConfig()) == ([0, 1], [6, 8])
+
+
+def test_atomic_range_out_of_range():
+    assert decode_atoms([200.0], GenerationConfig()) == ([], [])
+
+
+def test_atomic_range_boundaries():
+    assert decode_atoms([1.0, 118.0], GenerationConfig()) == ([0, 1], [1, 118])
+    assert decode_atoms([0.4, 118.4], GenerationConfig()) == ([1], [118])
+
+
+def test_atomic_range_non_finite():
+    assert decode_atoms([float("nan"), float("inf"), 6.0], GenerationConfig()) == ([2], [6])
+
+
+def per_atom_decode(x, config):
+    """The per-atom decoding rule: round each value (a non-finite one as 0), keep it in [1, 118]
+    and, in constrained mode, on the allowlist."""
+    keep, atoms = [], []
+    for idx, v in enumerate(np.asarray(x, dtype=np.float64).reshape(-1)):
+        v = float(v)
+        z = round(v if math.isfinite(v) else 0.0)
+        if 1 <= z <= 118 and (config.mode is Mode.UNCONSTRAINED or z in config.allowlist):
+            keep.append(idx)
+            atoms.append(z)
+    return keep, atoms
+
+
+DECODE_EDGES = [0.5, -0.5, 1.5, 2.5, 0.4, 118.4, 118.5, 117.5, 0.0, -0.0, math.nan, math.inf, -math.inf, 1e4, -1e4]
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    values=st.lists(
+        st.sampled_from(DECODE_EDGES)
+        | st.integers(-300, 300).map(lambda k: k / 2)
+        | st.floats(-1e4, 1e4)
+        | st.floats(),
+        max_size=12,
+    ),
+    mode=st.sampled_from(list(Mode)),
+    allowlist=st.frozensets(st.integers(1, 118), min_size=1, max_size=8),
+)
+def test_decode_atoms_matches_the_per_atom_rule(values, mode, allowlist):
+    config = GenerationConfig(mode=mode, allowlist=allowlist)
+    keep, atoms = decode_atoms(values, config)
+    assert (keep, atoms) == per_atom_decode(values, config)
+    assert all(type(k) is int for k in keep) and all(type(z) is int for z in atoms)
+
+
 # ------------------------------------------------------------------- edges
 
 
@@ -99,7 +151,7 @@ def test_assign_bond_types_classifier_argmax():
     params.add("bond.w", w)
     params.add("bond.b", b)
     h = np.random.default_rng(0).normal(size=(3, diffusion.HIDDEN_DIM))
-    typed = assign_bond_types([(0, 1), (1, 2)], h, [6, 6, 6], params, tau=1.0)
+    typed = assign_bond_types([(0, 1), (1, 2)], h, [6, 6, 6], params)
     assert all(t is BondType.SINGLE for _, _, t in typed)
 
 
@@ -107,29 +159,42 @@ def test_assign_bond_types_is_argmax_of_bond_head():
     params = diffusion.init_params(vocab_size=3, seed=2)
     h = np.random.default_rng(1).normal(size=(5, diffusion.HIDDEN_DIM))
     edges = [(i, j) for i in range(5) for j in range(i + 1, 5)]
-    typed = assign_bond_types(edges, h, [6] * 5, params, tau=0.5)
+    typed = assign_bond_types(edges, h, [6] * 5, params)
     logits = diffusion.bond_head(numcore.Tensor(h), edges, params).data
     assert [t for _, _, t in typed] == [diffusion.BOND_CLASSES[k] for k in np.argmax(logits, axis=1)]
 
 
 def test_classifier_bond_typing_records_no_tape(monkeypatch):
+    """Bond typing runs on plain arrays: it constructs no Tensor, so it records nothing."""
     params = diffusion.init_params(vocab_size=3, seed=2)
     h = np.random.default_rng(1).normal(size=(4, diffusion.HIDDEN_DIM))
-    bond_head, logits = diffusion.bond_head, []
-    monkeypatch.setattr(diffusion, "bond_head", lambda *args: logits.append(bond_head(*args)) or logits[-1])
-    assign_bond_types([(0, 1), (2, 3)], h, [6] * 4, params, tau=1.0)
-    assert len(logits) == 1 and not logits[0].tracked()
+    init, made = numcore.Tensor.__init__, []
+
+    def counting_init(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(numcore.Tensor, "__init__", counting_init)
+    assert len(assign_bond_types([(0, 1), (2, 3)], h, [6] * 4, params)) == 2
+    assert made == []
+
+
+def test_assign_bond_types_checks_the_bond_head_shape():
+    params = diffusion.init_params(vocab_size=3, seed=2)
+    h = np.zeros((2, diffusion.HIDDEN_DIM + 1))
+    with pytest.raises(numcore.ShapeMismatch):
+        assign_bond_types([(0, 1)], h, [6, 6], params)
+    with pytest.raises(numcore.UnknownParam):
+        assign_bond_types([(0, 1)], h, [6, 6], ParamStore())
 
 
 def test_assign_bond_types_heuristic():
-    typed = assign_bond_types(
-        [(0, 1)], np.zeros((2, 8)), [6, 8], ParamStore(), tau=1.0, source=BondSource.HEURISTIC
-    )
+    typed = assign_bond_types([(0, 1)], np.zeros((2, 8)), [6, 8], ParamStore(), source=BondSource.HEURISTIC)
     assert typed == [(0, 1, chemrules.heuristic_bond_type(6, 8))]
 
 
 def test_assign_bond_types_empty():
-    assert assign_bond_types([], np.zeros((0, 8)), [], ParamStore(), tau=1.0) == []
+    assert assign_bond_types([], np.zeros((0, 8)), [], ParamStore()) == []
 
 
 # ---------------------------------------------------------------- finalize
@@ -178,7 +243,8 @@ def reference_sample(y, config, params, seed):
     `denoiser_forward` is called without prepared constants, and with
     recording on, so each pass is the taped chain of primitives.  The step
     size is worked out from `beta_at` at every step.  The output coordinates
-    are read and dropped; the drawn ones place the atoms.
+    are read and dropped; the drawn ones place the atoms.  The classifier's
+    bond types are the argmax of the taped bond head.
     """
     y = diffusion.descriptor_vector(y, params)
     rng = np.random.default_rng(seed)
@@ -199,7 +265,11 @@ def reference_sample(y, config, params, seed):
     keep, decoded = decode_atoms(x, config)
     kept_coords = coords[keep]
     edges = propose_edges(kept_coords, decoded)
-    typed = assign_bond_types(edges, embeddings[keep], decoded, params, config.tau, config.bond_source)
+    if config.bond_source is BondSource.HEURISTIC:
+        typed = assign_bond_types(edges, embeddings[keep], decoded, params, config.bond_source)
+    else:
+        logits = diffusion.bond_head(numcore.Tensor(embeddings[keep]), edges, params).data
+        typed = [(i, j, diffusion.BOND_CLASSES[k]) for (i, j), k in zip(edges, np.argmax(logits, axis=1))]
     assembled = new_graph([Atom(z, tuple(xyz)) for z, xyz in zip(decoded, kept_coords)], typed)
     report, text, matched, corrected = finalize(assembled)
     return generator.GenerationReport(
