@@ -93,6 +93,14 @@ def _json_number(raw: dict, key: str, default, kind: type[int] | type[float]):
     return kind(value)
 
 
+def _json_list(raw: dict, key: str, default: list, kind: type[int] | type[str]) -> list:
+    """`raw[key]` (`default` when absent): a JSON list of `kind`, integers (no bool) or strings; else TypeError."""
+    value = raw.get(key, default)
+    if not isinstance(value, list) or any(isinstance(v, bool) or not isinstance(v, kind) for v in value):
+        raise TypeError(f"{key} must be a list of JSON {'integers' if kind is int else 'strings'}, got {value!r}")
+    return value
+
+
 def _check_out(*paths: str | None) -> None:
     """Bad input (exit 2) if an output path is a directory or its directory does not exist, before any work."""
     for path in paths:
@@ -220,20 +228,18 @@ def cmd_generate(args) -> int:
     _check_out(args.out)
     params, meta = _load("checkpoint", numcore.load_checkpoint, args.checkpoint, *BAD_VALUE)
     query = _read_json("query", args.query)
-    descriptors = query.get("descriptors", [])
-    if not isinstance(descriptors, list) or not all(isinstance(d, str) for d in descriptors):
-        raise _fail(f"query descriptors must be a list of strings, got {descriptors!r}")
     try:
+        descriptors = _json_list(query, "descriptors", [], str)
         n = args.n if args.n is not None else _json_number(query, "count", 10, int)
-    except TypeError:
-        raise _fail(f"sample count must be an integer, got {query['count']!r}")
+    except TypeError as exc:
+        raise _fail(f"bad query: {exc}")
     if n < 0:
         raise _fail(f"sample count must be >= 0, got {n}")
 
     seed = args.seed if args.seed is not None else 0
     try:
-        vocab = dataio.OdourVocabulary(tuple(meta.get("vocabulary", ())))
-        steps = _check_steps(args.steps if args.steps is not None else int(meta.get("steps", 1000)))
+        vocab = dataio.OdourVocabulary(tuple(_json_list(meta, "vocabulary", [], str)))
+        steps = _check_steps(args.steps if args.steps is not None else _json_number(meta, "steps", 1000, int))
         if args.constrained:
             mode = generator.Mode.CONSTRAINED
         elif args.unconstrained:
@@ -243,15 +249,15 @@ def cmd_generate(args) -> int:
         allowlist = (
             _parse_allowlist(args.allowlist)
             if args.allowlist
-            else frozenset(int(z) for z in meta.get("allowlist", sorted(generator.DEFAULT_ALLOWLIST)))
+            else frozenset(_json_list(meta, "allowlist", sorted(generator.DEFAULT_ALLOWLIST), int))
         )
         config = generator.GenerationConfig(
             mode=mode,
             allowlist=allowlist,
             n_atoms=args.n_atoms,
-            atom_count_pool=tuple(int(c) for c in meta.get("atom_count_pool", (8,))) or (8,),
+            atom_count_pool=tuple(_json_list(meta, "atom_count_pool", [8], int)) or (8,),
             steps=steps,
-            tau=args.tau if args.tau is not None else float(meta.get("tau", 0.5)),
+            tau=args.tau if args.tau is not None else _json_number(meta, "tau", 0.5, float),
             seed=seed,
             bond_source=generator.BondSource.HEURISTIC if args.heuristic_bonds else generator.BondSource.CLASSIFIER,
         )

@@ -26,16 +26,17 @@ nodes that `numcore.backward` walks; inside `numcore.no_grad` they link
 nothing.
 
 `denoiser_constants` builds what the passes of one reverse trajectory share,
-with recording off: the context rows of every step, by the same helper and
-from one descriptor vector shared by every fragment; the EGNN's coordinate
-stream (`egnn.CoordStream`, which reads no node feature) over the fixed
-coordinates and the `egnn.EdgeLayout` of the fragment ids, which the stream
-holds; the parameter arrays a pass reads; and the buffers it runs in.  Given
-them, as in every reverse step of `generator.sample`, a pass runs on plain
-arrays: the same array kernels (`numcore.affine`, `numcore.mlp`,
-`egnn.node_update_arrays`, `bond_logits_arrays`) in the same order, with the
-outputs' bits.  A pass over constants while recording raises ValueError: it
-would give no parameter a gradient.
+with recording off: the context row of every schedule step, by the same
+helper and from one descriptor vector shared by every fragment; the EGNN's
+coordinate stream (`egnn.CoordStream`, which reads no node feature) over the
+fixed coordinates and the `egnn.EdgeLayout` of the fragment ids, which the
+stream holds; the parameter arrays a pass reads; and the buffers it runs in.
+Given them, as in every reverse step of `generator.sample`, a pass runs the
+same array kernels in the same order, on plain arrays, with the bits of
+`eps_hat` and the node embeddings, and computes nothing else: the sampler
+types bonds once, after its loop, with `bond_logits_arrays`.  A pass over
+constants while recording raises ValueError: it would give no parameter a
+gradient.
 
 The buffers are allocated with the constants and every pass over them reuses
 them: `input_proj` writes layer 0's flat `[features | edge lengths]` source,
@@ -48,7 +49,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -186,12 +187,12 @@ def _context(steps: np.ndarray, schedule: NoiseSchedule, rows: np.ndarray, param
 
 @dataclass
 class DenoiserOutput:
-    """Per-node noise prediction, per-edge bond logits, and the evolved state."""
+    """Per-node noise prediction, per-edge bond logits, and the evolved state; a pass over constants has the latter None."""
 
     eps_hat: Tensor
-    bond_logits: Tensor
+    bond_logits: Tensor | None
     node_embeddings: Tensor
-    coords: Tensor
+    coords: Tensor | None
 
 
 @dataclass(frozen=True)
@@ -199,32 +200,30 @@ class DenoiserConstants:
     """What every denoiser pass of one reverse trajectory shares, and the buffers those passes run in.
 
     `context` holds a row [time embedding | conditioning vector] per
-    prepared step, all of one descriptor vector, and `step_rows` maps each
-    step to its row.  `stream` is the coordinate stream of the coordinates every
-    pass must take, over the pass's edge layout (`stream.layout`).
+    schedule step, all of one descriptor vector: step t reads row t - 1.
+    `stream` is the coordinate stream of the coordinates every pass must
+    take, over the pass's edge layout (`stream.layout`).
 
     `input_proj`, `node_mlps` (each layer's (w1, b1, w2, b2), none when the
     layout has no edges) and `head` are parameter arrays with each bias
     tiled to the rows it is added to, which adds the same numbers as the
-    broadcast, faster; `bond` is the bond head's (w, b).  They are the
-    parameters as they were when the constants were built.  `node_input` is
-    input_proj's [n, 1 + context width] input.  Per layer, `sources` holds
-    the flat [features | edge lengths] array that the layout's
-    `gather_index` reads, whose edge-length tail is the stream's, written
-    here once; `features` its head as [n, d], `mlp_inputs` the [E, 2d + 1]
-    node-MLP input and `scratch` the `numcore.mlp_scratch`.  A pass writes
-    `node_input`, the sources' heads, the MLP inputs and the scratch before
-    it reads them, so they carry nothing from one pass to the next; one pass
-    at a time may use them, and no output is a view of them.
+    broadcast, faster.  They are the parameters as they were when the
+    constants were built.  `node_input` is input_proj's [n, 1 + context
+    width] input.  Per layer, `sources` holds the flat [features | edge
+    lengths] array that the layout's `gather_index` reads, whose edge-length
+    tail is the stream's, written here once; `features` its head as [n, d],
+    `mlp_inputs` the [E, 2d + 1] node-MLP input and `scratch` the
+    `numcore.mlp_scratch`.  A pass writes `node_input`, the sources' heads,
+    the MLP inputs and the scratch before it reads them, so they carry
+    nothing from one pass to the next; one pass at a time may use them, and
+    no output is a view of them.
     """
 
     context: np.ndarray
-    step_rows: dict[int, int]
     stream: egnn.CoordStream
     input_proj: tuple[np.ndarray, np.ndarray]
     node_mlps: tuple[tuple[np.ndarray, ...], ...]
     head: tuple[np.ndarray, np.ndarray]
-    bond: tuple[np.ndarray, np.ndarray]
     node_input: np.ndarray
     sources: tuple[np.ndarray, ...]
     features: tuple[np.ndarray, ...]
@@ -232,15 +231,15 @@ class DenoiserConstants:
     scratch: tuple[tuple[np.ndarray, ...], ...]
 
     def row_of(self, t: int | np.ndarray) -> int:
-        """The context row of a pass at `t`, a step that `denoiser_constants` covered."""
+        """The context row of a pass at `t`: row t - 1.  Raises `StepOutOfRange` outside [1, T]."""
         if isinstance(t, np.ndarray):
             if t.size != 1:
                 raise numcore.ShapeMismatch(f"{t.size} timesteps vs 1 descriptor row")
             t = t.item()
-        row = self.step_rows.get(t)
-        if row is None:
-            raise ValueError(f"step {t} was not prepared")
-        return row
+        steps = self.context.shape[0]
+        if not 1 <= t <= steps:
+            raise StepOutOfRange(f"t={t} outside [1, {steps}]")
+        return t - 1
 
 
 def _tiled(b: np.ndarray, rows: int) -> np.ndarray:
@@ -263,38 +262,31 @@ def _finite(*arrays: np.ndarray) -> None:
 
 
 def denoiser_constants(
-    steps: int | Sequence[int] | np.ndarray,
     schedule: NoiseSchedule,
     y: np.ndarray,
     params: ParamStore,
     fragment_ids: np.ndarray,
     coords: np.ndarray,
 ) -> DenoiserConstants:
-    """The `DenoiserConstants` of a reverse trajectory over `steps`, one timestep or several
-    (all of 1..T for a whole trajectory), built with recording off.
+    """The `DenoiserConstants` of a reverse trajectory over every step of `schedule`, built with recording off.
 
     `y` is one descriptor vector shared by every fragment of
     `fragment_ids`; it is flattened and checked once, as
     `descriptor_vector` checks it, so [F, L] rows raise `LengthMismatch`.
-    The coordinate stream runs over `coords` [n, 3], its output coordinates
-    go through the bounded nan_to_num, and every pass must take the bits of
-    `coords`.  Raises `StepOutOfRange` for a step outside [1, T],
-    `numcore.ShapeMismatch` when `coords` has not a row per node or a
-    weight's rows do not match its input, `numcore.UnknownParam` for a
-    missing parameter, and what `descriptor_vector` raises.
+    The coordinate stream runs over `coords` [n, 3], and every pass must
+    take the bits of `coords`.  Raises `numcore.ShapeMismatch` when `coords`
+    has not a row per node or a weight's rows do not match its input,
+    `numcore.UnknownParam` for a missing parameter, and what
+    `descriptor_vector` raises.
     """
     rows = descriptor_vector(y, params).reshape(1, -1)
-    step_list = np.asarray(steps, dtype=np.int64).reshape(-1)
     layout = egnn.edge_layout(fragment_ids)
     coords = np.asarray(coords, dtype=np.float64).reshape(-1, 3)
     if coords.shape[0] != layout.n_nodes:
         raise numcore.ShapeMismatch(f"{layout.n_nodes} nodes vs {coords.shape[0]} coordinate rows")
     with numcore.no_grad():
-        context = _context(step_list, schedule, rows, params).data
+        context = _context(np.arange(1, schedule.steps + 1), schedule, rows, params).data
         stream = egnn.coord_stream(Tensor(coords), params, layout)
-    if stream.out is stream.coords:  # no edges: the guard must leave the input's bits for the check
-        stream = replace(stream, out=Tensor(coords))
-    _finite(stream.out.data)
     w_in, b_in = _arrays(numcore.affine_params(params, "input_proj", 1 + context.shape[1]))
     n, edges, width = layout.n_nodes, layout.receivers.size, w_in.shape[1]
     node_mlps, sources, features, mlp_inputs, scratch = [], [], [], [], []
@@ -310,12 +302,10 @@ def denoiser_constants(
     w_head, b_head = _arrays(numcore.affine_params(params, "head", width))
     return DenoiserConstants(
         context,
-        {step: row for row, step in enumerate(step_list.tolist())},
         stream,
         (w_in, _tiled(b_in, n)),
         tuple(node_mlps),
         (w_head, _tiled(b_head, n)),
-        _arrays(numcore.affine_params(params, "bond", 2 * width)),
         np.empty((n, 1 + context.shape[1])),
         tuple(sources),
         tuple(features),
@@ -347,14 +337,15 @@ def denoiser_forward(
     tape nodes that `backward` can walk while recording and plain inside
     `numcore.no_grad`.
 
-    `constants` is `denoiser_constants` over `t` (or more steps), `y`,
-    `schedule`, the fragment ids and `coords`; `y` and `schedule` are then
-    read from them, not from the arguments.  The pass runs on plain arrays
-    with the bits of the `Tensor` ops, and only the three outputs it
-    computes become `Tensor`s.  It raises ValueError while recording, since
-    it would give no parameter a gradient, for a step they do not cover
-    (`StepOutOfRange` without them), for `fragment_ids` other than theirs
-    and for coordinates whose bits differ from those they were built from.
+    `constants` is `denoiser_constants` over `schedule`, `y`, the fragment
+    ids and `coords`; `y` and `schedule` are then read from them, not from
+    the arguments.  The pass runs on plain arrays with the bits of the
+    `Tensor` ops' `eps_hat` and node embeddings, the two outputs it computes
+    and makes `Tensor`s; `bond_logits` and `coords` are None.  It raises
+    ValueError while recording, since it would give no parameter a
+    gradient, for non-empty `bond_edges`, for `fragment_ids` other than
+    theirs and for coordinates whose bits differ from those they were built
+    from.  Either way a step outside [1, T] raises `StepOutOfRange`.
     Outputs that hold a non-finite value are passed through nan_to_num in
     place; the caller's `x_noisy` and `coords` are never written or aliased.
     """
@@ -371,11 +362,13 @@ def denoiser_forward(
             raise ValueError("a pass over constants runs inside numcore.no_grad: a taped pass takes none")
         if layout.n_nodes != n:
             raise numcore.ShapeMismatch(f"{n} nodes vs constants for {layout.n_nodes}")
+        if len(bond_edges):
+            raise ValueError("a pass over constants computes no bond logits: give it no bond edges")
         if fragment_ids is not None and not np.array_equal(fragment_ids, layout.fragment_ids):
             raise ValueError("fragment ids differ from those the constants' edge layout was built from")
         if coords.tobytes() != constants.stream.coords.data.tobytes():
             raise ValueError("coordinates differ from those the constants' coordinate stream was built from")
-        return _forward_on_arrays(x_noisy, bond_edges, t, constants)
+        return _forward_on_arrays(x_noisy, t, constants)
 
     frag = np.zeros(n, dtype=np.int64) if fragment_ids is None else np.asarray(fragment_ids, dtype=np.int64)
     if frag.shape != (n,):
@@ -397,20 +390,14 @@ def denoiser_forward(
     return DenoiserOutput(eps_hat, bond_logits, state.features, state.coords)
 
 
-def _forward_on_arrays(
-    x_noisy: np.ndarray,
-    bond_edges: Sequence[tuple[int, int]] | np.ndarray,
-    t: int | np.ndarray,
-    constants: DenoiserConstants,
-) -> DenoiserOutput:
+def _forward_on_arrays(x_noisy: np.ndarray, t: int | np.ndarray, constants: DenoiserConstants) -> DenoiserOutput:
     """`denoiser_forward`'s pass on plain arrays: the `Tensor` ops' kernels, in their order.
 
     The context-row lookup, `input_proj`, a node update per layer over the
-    edge lengths of the constants' stream, `head` and the bond head, with
-    the constants' parameter arrays.  Everything before the last layer's
-    residual sum runs in the constants' buffers: `input_proj` writes layer
-    0's features, and each layer's sum the next layer's.  The outputs are
-    fresh arrays.
+    edge lengths of the constants' stream and `head`, with the constants'
+    parameter arrays.  Everything before the last layer's residual sum runs
+    in the constants' buffers: `input_proj` writes layer 0's features, and
+    each layer's sum the next layer's.  The outputs are fresh arrays.
     """
     layout = constants.stream.layout
     node_input = constants.node_input
@@ -428,11 +415,8 @@ def _forward_on_arrays(
             np.take(source, gather, out=x, mode="clip")
             features = egnn.node_update_arrays(features, x, node_mlp, scatter, scratch, out)[1]
     eps_hat = numcore.affine(features, *constants.head)
-    bond_logits = bond_logits_arrays(features, bond_edges, *constants.bond)
-    _finite(eps_hat, bond_logits, features)
-    return DenoiserOutput(
-        numcore.wrap(eps_hat), numcore.wrap(bond_logits), numcore.wrap(features), constants.stream.out
-    )
+    _finite(eps_hat, features)
+    return DenoiserOutput(numcore.wrap(eps_hat), None, numcore.wrap(features), None)
 
 
 def _bond_ends(bond_edges: Sequence[tuple[int, int]] | np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -450,11 +434,14 @@ def _no_bond_logits() -> np.ndarray:
 def bond_logits_arrays(
     features: np.ndarray, bond_edges: Sequence[tuple[int, int]] | np.ndarray, w: np.ndarray, b: np.ndarray
 ) -> np.ndarray:
-    """`bond_head` on plain arrays, with the `bond.w` and `bond.b` arrays `w` and `b`."""
+    """`bond_head` on plain arrays, with `bond.w` and `bond.b` as `w` and `b`, and the `Tensor` pass's nan_to_num guard."""
     ends = _bond_ends(bond_edges)
     if ends is None:
         return _no_bond_logits()
-    return numcore.affine(np.concatenate([numcore.take_rows(features, end) for end in ends], axis=1), w, b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits = numcore.affine(np.concatenate([numcore.take_rows(features, end) for end in ends], axis=1), w, b)
+    _finite(logits)
+    return logits
 
 
 def bond_head(

@@ -7,15 +7,17 @@ filtering, proposes edges by a distance cutoff, types them with the learned
 classifier (or the atomic-number heuristic behind a flag), and pushes the
 assembled graph through the validity cascade.  Decoding is one array rule
 over the final features, and the classifier's types are the argmax of the
-bond head's logits over the final pass's embeddings, on plain arrays.
+bond head's logits over the last pass's embeddings, on plain arrays: the
+sampler's one bond typing.
 
 Training never noises coordinates, so a reverse trajectory holds its drawn
 coordinates fixed: they place the atoms and their edges.  The step sizes and
 the trajectory's `diffusion.DenoiserConstants` (the descriptor's and every
-step's embedding, the EGNN's coordinate stream over the coordinates, and the
-buffers of a pass) are built once per trajectory, and the descriptor is
-checked once, as they are built.  Given the constants, each denoiser pass
-runs on plain arrays, inside `numcore.no_grad`.
+schedule step's embedding, the EGNN's coordinate stream over the
+coordinates, and the buffers of a pass) are built once per trajectory, and
+the descriptor is checked once, as they are built.  Given the constants,
+each denoiser pass runs on plain arrays, inside `numcore.no_grad`, and
+computes only the noise prediction and the node embeddings.
 """
 
 from __future__ import annotations
@@ -257,27 +259,21 @@ def sample(
     x = rng.standard_normal((n, 1))
     coords = COORD_SCALE * rng.standard_normal((n, 3))
 
-    steps_executed = 0
-    embeddings = np.zeros((n, diffusion.HIDDEN_DIM))
     # sqrt(beta_t) - sqrt(beta_{t-1}) at t = 1..T, with beta_0 = 0: the noise
     # increment each step removes
     roots = np.sqrt(np.concatenate([[0.0], diffusion.betas(schedule, np.arange(1, config.steps + 1))]))
     increments = (roots[1:] - roots[:-1]).tolist()
     # a huge descriptor entry may overflow inside a pass, whose nan_to_num guard bounds the outputs
     with numcore.no_grad(), np.errstate(over="ignore", invalid="ignore"):
-        constants = diffusion.denoiser_constants(
-            np.arange(1, config.steps + 1), schedule, y, params, np.zeros(n, dtype=np.int64), coords
-        )
+        constants = diffusion.denoiser_constants(schedule, y, params, np.zeros(n, dtype=np.int64), coords)
         for t in range(config.steps, 0, -1):
             out = diffusion.denoiser_forward(x, coords, (), t, schedule, y, params, constants=constants)
             x = clip_features(x - increments[t - 1] * out.eps_hat.data)
-            embeddings = out.node_embeddings.data
-            steps_executed += 1
 
     raw = [float(v) for v in x.reshape(-1)]
     keep, decoded = decode_atoms(x, config)
     kept_coords = coords[keep]
-    kept_embeddings = embeddings[keep]
+    kept_embeddings = out.node_embeddings.data[keep]  # the last pass's, at t = 1
 
     edges = propose_edges(kept_coords, decoded)
     typed = assign_bond_types(edges, kept_embeddings, decoded, params, config.bond_source)
@@ -294,7 +290,7 @@ def sample(
         smiles=text,
         corpus_match=matched,
         fragments=fragments,
-        steps_executed=steps_executed,
+        steps_executed=config.steps,
         seed=used_seed,
         graph=graph_to_dict(corrected) if report.final_verdict else None,
     )

@@ -65,7 +65,8 @@ def no_grad():
 
     A denoiser pass given `diffusion.DenoiserConstants` runs on plain arrays,
     and only inside this block, as every reverse step of `generator.sample`
-    does; a pass without them runs the same ops untaped.
+    does, and wraps only its two outputs, the noise prediction and the node
+    embeddings; a pass without them runs the same ops untaped.
     """
     global _grad_enabled
     previous = _grad_enabled

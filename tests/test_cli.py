@@ -217,6 +217,22 @@ def test_generate_zero_samples(tmp_path, trained_checkpoint, capsys):
     assert set(summary) == set(json.loads(one_sample))
 
 
+def test_generate_reads_the_meta_that_train_and_the_benchmark_write(tmp_path, trained_checkpoint, capsys):
+    """The meta `train` writes, and the one perfbench's `prepare_checkpoint` writes, set up a run."""
+    params, trained = numcore.load_checkpoint(str(trained_checkpoint))
+    benchmark = {"vocabulary": trained["vocabulary"], "steps": 800, "tau": 0.5, "atom_count_pool": [2, 3, 3, 5]}
+    query = tmp_path / "query.json"
+    query.write_text(json.dumps({"descriptors": ["floral"], "count": 1}))
+    for name, meta in (("trained", trained), ("benchmark", benchmark)):
+        checkpoint, out = tmp_path / f"{name}.json", tmp_path / f"{name}.jsonl"
+        numcore.save_checkpoint(params, str(checkpoint), meta)
+        code, _, err = run_cli(
+            capsys, "generate", "--checkpoint", str(checkpoint), "--query", str(query), "--out", str(out)
+        )
+        assert code == EXIT_OK, err
+        assert json.loads(out.read_text())["steps_executed"] == meta["steps"]
+
+
 def test_generate_missing_checkpoint(tmp_path, capsys):
     query = tmp_path / "query.json"
     query.write_text("{}")
@@ -531,6 +547,27 @@ BAD_INPUTS = {
     "checkpoint head.b of the wrong shape": (
         ["generate", "--checkpoint", "{tmp}/ckpt.json"],
         {"ckpt.json": init_checkpoint(lambda c: c["params"]["head.b"].update(shape=[1, 1]))},
+    ),
+    # checkpoints that fit the model, with a meta field of the wrong JSON type
+    "checkpoint steps a numeric string": (
+        ["generate", "--checkpoint", "{tmp}/ckpt.json"],
+        {"ckpt.json": init_checkpoint(lambda c: c["meta"].update(steps="800"))},
+    ),
+    "checkpoint tau a numeric string": (
+        ["generate", "--checkpoint", "{tmp}/ckpt.json"],
+        {"ckpt.json": init_checkpoint(lambda c: c["meta"].update(tau="0.5"))},
+    ),
+    "checkpoint allowlist of a string and a fraction": (
+        ["generate", "--checkpoint", "{tmp}/ckpt.json"],
+        {"ckpt.json": init_checkpoint(lambda c: c["meta"].update(allowlist=["6", 7.9]))},
+    ),
+    "checkpoint atom_count_pool of true and a string": (
+        ["generate", "--checkpoint", "{tmp}/ckpt.json"],
+        {"ckpt.json": init_checkpoint(lambda c: c["meta"].update(atom_count_pool=[True, "2"]))},
+    ),
+    "checkpoint vocabulary a string": (
+        ["generate", "--checkpoint", "{tmp}/ckpt.json"],
+        {"ckpt.json": init_checkpoint(lambda c: c["meta"].update(vocabulary="floral"))},
     ),
 }
 

@@ -112,7 +112,7 @@ def test_forward_noise_variance_montecarlo(rng):
 
 def conditioning(y, params):
     """The conditioning half of the context row that `denoiser_constants` builds for `y`."""
-    constants = denoiser_constants(1, NoiseSchedule(10), y, params, np.zeros(1, dtype=np.int64), np.zeros((1, 3)))
+    constants = denoiser_constants(NoiseSchedule(10), y, params, np.zeros(1, dtype=np.int64), np.zeros((1, 3)))
     return constants.context[0, params["time.w"].data.shape[1] :]
 
 
@@ -168,7 +168,7 @@ def test_descriptors_with_a_non_finite_entry_are_refused(bad):
     with pytest.raises(NonFiniteDescriptor):
         fragment_rows_pass(rows, params)
     with pytest.raises(NonFiniteDescriptor):
-        denoiser_constants(np.array([1, 2, 3]), NoiseSchedule(10), rows[2], params, np.arange(3), np.zeros((3, 3)))
+        denoiser_constants(NoiseSchedule(10), rows[2], params, np.arange(3), np.zeros((3, 3)))
 
 
 def test_time_embed_affine_in_fraction():
@@ -242,7 +242,7 @@ def test_denoiser_never_writes_or_aliases_caller_arrays(n):
 
     A pass over constants built from the caller's coordinates gives the bits
     of one that builds its own, also when a single atom's output
-    coordinates, its input coordinates, needed the guard.
+    coordinates, its input coordinates, needed the taped pass's guard.
     """
     params = init_params(vocab_size=4, seed=0)
     x = np.full((n, 1), 1e308)
@@ -253,13 +253,12 @@ def test_denoiser_never_writes_or_aliases_caller_arrays(n):
     schedule = NoiseSchedule(50)
     with np.errstate(all="ignore"):
         out = denoiser_forward(x, coords, bond_edges, 5, schedule, np.ones(4), params)
-        constants = denoiser_constants(5, schedule, np.ones(4), params, np.zeros(n, dtype=np.int64), coords)
+        constants = denoiser_constants(schedule, np.ones(4), params, np.zeros(n, dtype=np.int64), coords)
         with numcore.no_grad():
-            built = denoiser_forward(x, coords, bond_edges, 5, schedule, np.ones(4), params, constants=constants)
+            built = denoiser_forward(x, coords, (), 5, schedule, np.ones(4), params, constants=constants)
     assert _same_bits(built, out)
-    outputs = [
-        a for o in (out, built) for a in (o.eps_hat.data, o.bond_logits.data, o.node_embeddings.data, o.coords.data)
-    ]
+    outputs = [out.eps_hat.data, out.bond_logits.data, out.node_embeddings.data, out.coords.data]
+    outputs += [built.eps_hat.data, built.node_embeddings.data]
     assert all(np.isfinite(a).all() for a in outputs)
     assert any((np.abs(a) == 1e6).any() for a in outputs), "no output needed nan_to_num"
     assert np.array_equal(x, x_before) and np.array_equal(coords, coords_before)
@@ -657,10 +656,10 @@ def test_denoiser_rejects_steps_and_descriptor_rows_of_different_counts(rng):
         )
 
 
-def _same_bits(a, b):
-    return all(
-        getattr(a, k).data.tobytes() == getattr(b, k).data.tobytes()
-        for k in ("eps_hat", "bond_logits", "node_embeddings", "coords")
+def _same_bits(plain, taped):
+    """`plain`, a pass over constants, computes only `eps_hat` and the node embeddings, with `taped`'s bits."""
+    return plain.bond_logits is None and plain.coords is None and all(
+        getattr(plain, k).data.tobytes() == getattr(taped, k).data.tobytes() for k in ("eps_hat", "node_embeddings")
     )
 
 
@@ -669,18 +668,16 @@ def test_denoiser_constants_give_the_bits_of_a_pass_that_builds_its_own(rng):
     sched = NoiseSchedule(50)
     y = np.array([1.0, 0, 1, 0])
     x, coords = rng.normal(size=(3, 1)), rng.normal(size=(3, 3))
-    constants = denoiser_constants(np.arange(10, 21), sched, y, params, np.zeros(3, dtype=np.int64), coords)
+    constants = denoiser_constants(sched, y, params, np.zeros(3, dtype=np.int64), coords)
 
     def over_constants(*args):
         with numcore.no_grad():
             return denoiser_forward(*args, sched, y, params, constants=constants)
 
-    for t in (10, 15, 20):
-        assert _same_bits(over_constants(x, coords, ((0, 1),), t), denoiser_forward(x, coords, ((0, 1),), t, sched, y, params))
+    for t in (1, 15, 50):
+        assert _same_bits(over_constants(x, coords, (), t), denoiser_forward(x, coords, ((0, 1),), t, sched, y, params))
     for t in (np.array(12), np.array([12])):  # one step given as an array
         assert _same_bits(over_constants(x, coords, (), t), denoiser_forward(x, coords, (), 12, sched, y, params))
-    with pytest.raises(ValueError, match="not prepared"):
-        over_constants(x, coords, (), 9)
     with pytest.raises(ShapeMismatch):
         over_constants(x, coords, (), np.array([10, 11]))
     with pytest.raises(ShapeMismatch):
@@ -695,10 +692,10 @@ def test_constants_with_coordinates_give_the_bits_of_a_pass_that_builds_its_own(
     y = np.array([0.0, 1, 1, 0])
     x, coords = rng.normal(size=(n, 1)), 0.8 * rng.normal(size=(n, 3))
     edges = tuple((i, i + 1) for i in range(n - 1))
-    constants = denoiser_constants(np.arange(1, 41), sched, y, params, np.zeros(n, dtype=np.int64), coords)
+    constants = denoiser_constants(sched, y, params, np.zeros(n, dtype=np.int64), coords)
     for t in (40, 17, 1):
         with numcore.no_grad():
-            got = denoiser_forward(x, coords, edges, t, sched, y, params, constants=constants)
+            got = denoiser_forward(x, coords, (), t, sched, y, params, constants=constants)
         assert _same_bits(got, denoiser_forward(x, coords, edges, t, sched, y, params))
         x = x - 0.1 * got.eps_hat.data
     moved = coords.copy()
@@ -706,14 +703,14 @@ def test_constants_with_coordinates_give_the_bits_of_a_pass_that_builds_its_own(
     with pytest.raises(ValueError, match="coordinate stream"), numcore.no_grad():
         denoiser_forward(x, moved, (), 5, sched, y, params, constants=constants)
     with pytest.raises(ShapeMismatch):
-        denoiser_constants(5, sched, y, params, np.zeros(n, dtype=np.int64), rng.normal(size=(n + 1, 3)))
+        denoiser_constants(sched, y, params, np.zeros(n, dtype=np.int64), rng.normal(size=(n + 1, 3)))
 
 
 def test_a_pass_over_a_coordinate_stream_runs_no_coordinate_primitive(rng, monkeypatch):
     params = init_params(vocab_size=3, seed=0)
     sched = NoiseSchedule(10)
     x, coords = rng.normal(size=(5, 1)), rng.normal(size=(5, 3))
-    constants = denoiser_constants(np.arange(1, 11), sched, np.ones(3), params, np.zeros(5, dtype=np.int64), coords)
+    constants = denoiser_constants(sched, np.ones(3), params, np.zeros(5, dtype=np.int64), coords)
 
     def refuse(*args):
         raise AssertionError("the coordinate pathway ran again")
@@ -722,7 +719,27 @@ def test_a_pass_over_a_coordinate_stream_runs_no_coordinate_primitive(rng, monke
     monkeypatch.setattr(egnn, "coord_update", refuse)
     with numcore.no_grad():
         out = denoiser_forward(x, coords, (), 3, sched, np.ones(3), params, constants=constants)
-    assert out.coords is constants.stream.out
+    assert out.coords is None
+
+
+def test_a_pass_over_constants_runs_no_bond_kernel_and_refuses_bond_edges(rng, monkeypatch):
+    params = init_params(vocab_size=3, seed=0)
+    sched = NoiseSchedule(10)
+    x, coords = rng.normal(size=(5, 1)), rng.normal(size=(5, 3))
+    constants = denoiser_constants(sched, np.ones(3), params, np.zeros(5, dtype=np.int64), coords)
+
+    def refuse(*args):
+        raise AssertionError("a pass over constants ran a bond kernel")
+
+    monkeypatch.setattr(diffusion, "bond_logits_arrays", refuse)
+    monkeypatch.setattr(diffusion, "bond_head", refuse)
+    with numcore.no_grad():
+        for no_edges in ((), np.zeros((0, 2), dtype=np.int64)):
+            out = denoiser_forward(x, coords, no_edges, 3, sched, np.ones(3), params, constants=constants)
+            assert out.bond_logits is None
+        for bond_edges in (((0, 1),), np.array([[0, 1], [2, 3]])):
+            with pytest.raises(ValueError, match="bond edges"):
+                denoiser_forward(x, coords, bond_edges, 3, sched, np.ones(3), params, constants=constants)
 
 
 def test_a_pass_over_constants_while_recording_is_refused(rng):
@@ -730,7 +747,7 @@ def test_a_pass_over_constants_while_recording_is_refused(rng):
     params = init_params(vocab_size=4, seed=3)
     sched = NoiseSchedule(50)
     x, coords = rng.normal(size=(5, 1)), rng.normal(size=(5, 3))
-    constants = denoiser_constants(np.arange(1, 51), sched, np.ones(4), params, np.zeros(5, dtype=np.int64), coords)
+    constants = denoiser_constants(sched, np.ones(4), params, np.zeros(5, dtype=np.int64), coords)
     assert isinstance(constants.context, np.ndarray) and not constants.stream.out.tracked()
     with pytest.raises(ValueError, match="no_grad"):
         denoiser_forward(x, coords, (), 20, sched, np.ones(4), params, constants=constants)
@@ -740,8 +757,7 @@ def test_constants_take_one_descriptor_vector(rng):
     """Descriptor rows, one per fragment, are not a vector of the vocabulary's length."""
     params = init_params(vocab_size=4, seed=1)
     with pytest.raises(LengthMismatch):
-        denoiser_constants(np.arange(1, 11), NoiseSchedule(10), np.ones((2, 4)), params, np.array([0, 0, 1]),
-                           rng.normal(size=(3, 3)))
+        denoiser_constants(NoiseSchedule(10), np.ones((2, 4)), params, np.array([0, 0, 1]), rng.normal(size=(3, 3)))
 
 
 def test_fragment_ids_other_than_the_constants_are_refused(rng):
@@ -750,7 +766,7 @@ def test_fragment_ids_other_than_the_constants_are_refused(rng):
     sched = NoiseSchedule(20)
     y = np.array([1.0, 0, 1, 0])
     x, coords = rng.normal(size=(4, 1)), rng.normal(size=(4, 3))
-    constants = denoiser_constants(np.arange(1, 21), sched, y, params, np.zeros(4, dtype=np.int64), coords)
+    constants = denoiser_constants(sched, y, params, np.zeros(4, dtype=np.int64), coords)
     split = np.array([0, 0, 1, 1])
     own = denoiser_forward(x, coords, (), 7, sched, y, params, split)
     with numcore.no_grad():
@@ -847,10 +863,11 @@ def test_the_overflowing_parameters_need_nan_to_num():
     seed=st.integers(0, 2**32 - 1),
 )
 def test_a_pass_with_recording_off_has_the_bits_of_the_taped_pass(n, fragments, bonds, params, seed):
-    """Every output of a pass over trajectory constants equals, byte for byte, that of the taped pass.
+    """Both outputs of a pass over trajectory constants equal, byte for byte, those of the taped pass.
 
-    So does a pass without constants inside `no_grad`, which runs the
-    `Tensor` ops untaped.
+    So does every output of a pass without constants inside `no_grad`, which
+    runs the `Tensor` ops untaped.  The pass over constants takes no bond
+    edges; the others take `bonds` random ones.
     """
     params = PASS_PARAMS[params]
     rng = np.random.default_rng(seed)
@@ -865,18 +882,20 @@ def test_a_pass_with_recording_off_has_the_bits_of_the_taped_pass(n, fragments, 
             taped = denoiser_forward(x, coords, edges, t, schedule, y, params, frag)
             with numcore.no_grad():
                 untaped = denoiser_forward(x, coords, edges, t, schedule, y, params, frag)
-                plain = denoiser_forward(x, coords, edges, t, schedule, y, params, frag, constants)
+                plain = denoiser_forward(x, coords, (), t, schedule, y, params, frag, constants)
         assert taped.eps_hat.tracked() and not untaped.eps_hat.tracked() and not plain.eps_hat.tracked()
         for key in ("eps_hat", "bond_logits", "node_embeddings", "coords"):
             want = getattr(taped, key).data
-            for got in (getattr(untaped, key).data, getattr(plain, key).data):
+            outputs = (untaped, plain) if key in ("eps_hat", "node_embeddings") else (untaped,)
+            for got in (getattr(out, key).data for out in outputs):
                 assert got.shape == want.shape and got.tobytes() == want.tobytes(), key
+        assert plain.bond_logits is None and plain.coords is None
         return plain
 
     with np.errstate(all="ignore"):
-        constants = denoiser_constants(np.arange(1, 51), schedule, y, params, frag, coords)
+        constants = denoiser_constants(schedule, y, params, frag, coords)
     first = passes(x, int(rng.integers(1, 51)))
-    kept = {key: getattr(first, key).data.tobytes() for key in ("eps_hat", "bond_logits", "node_embeddings")}
+    kept = {key: getattr(first, key).data.tobytes() for key in ("eps_hat", "node_embeddings")}
     # another step over the same constants and their buffers
     passes(rng.normal(size=(n, 1)), int(rng.integers(1, 51)))
     for key, data in kept.items():
@@ -899,6 +918,22 @@ def test_a_weight_of_the_wrong_width_is_a_shape_mismatch_in_either_mode(rng, nam
                 denoiser_forward(x, coords, (), 5, NoiseSchedule(50), np.ones(4), params)
 
 
+@pytest.mark.parametrize("t", [0, 51, np.array([0]), np.array(51)])
+@pytest.mark.parametrize("recording", [True, False])
+def test_a_step_outside_the_schedule_is_step_out_of_range_in_either_mode(rng, t, recording):
+    """t = 0 and t = T + 1, also as one-element arrays: the taped pass and the pass over constants agree."""
+    params = init_params(vocab_size=4, seed=0)
+    schedule = NoiseSchedule(50)
+    x, coords = rng.normal(size=(3, 1)), rng.normal(size=(3, 3))
+    with pytest.raises(StepOutOfRange):
+        if recording:
+            denoiser_forward(x, coords, (), t, schedule, np.ones(4), params)
+        else:
+            constants = denoiser_constants(schedule, np.ones(4), params, np.zeros(3, dtype=np.int64), coords)
+            with numcore.no_grad():
+                denoiser_forward(x, coords, (), t, schedule, np.ones(4), params, constants=constants)
+
+
 @pytest.mark.parametrize("bad_id", [-1, -2, 2])
 @pytest.mark.parametrize("recording", [True, False])
 def test_a_fragment_id_without_a_descriptor_row_is_an_index_error_in_either_mode(rng, bad_id, recording):
@@ -919,9 +954,7 @@ def test_a_pass_with_recording_off_makes_only_its_output_tensors(rng, monkeypatc
     schedule = NoiseSchedule(10)
     x, coords = rng.normal(size=(5, 1)), rng.normal(size=(5, 3))
     with numcore.no_grad():
-        constants = denoiser_constants(
-            np.arange(1, 11), schedule, np.ones(3), params, np.zeros(5, dtype=np.int64), coords
-        )
+        constants = denoiser_constants(schedule, np.ones(3), params, np.zeros(5, dtype=np.int64), coords)
         made = []
         init = Tensor.__init__
 
@@ -934,5 +967,5 @@ def test_a_pass_with_recording_off_makes_only_its_output_tensors(rng, monkeypatc
         for step in (3, 2):
             made.clear()
             out = denoiser_forward(x, coords, (), step, schedule, np.ones(3), params, constants=constants)
-            assert [id(t) for t in made] == [id(out.eps_hat), id(out.bond_logits), id(out.node_embeddings)]
-            assert out.coords is constants.stream.out
+            assert [id(t) for t in made] == [id(out.eps_hat), id(out.node_embeddings)]
+            assert out.bond_logits is None and out.coords is None

@@ -164,6 +164,26 @@ def test_assign_bond_types_is_argmax_of_bond_head():
     assert [t for _, _, t in typed] == [diffusion.BOND_CLASSES[k] for k in np.argmax(logits, axis=1)]
 
 
+def test_bond_typing_from_non_finite_logits_is_the_argmax_of_the_guarded_bond_head():
+    """Overflowing weights and embeddings holding infinities and NaN type bonds as the `Tensor` pass's guard does.
+
+    That pass bounds its bond logits with nan_to_num (NaN to 0, infinities
+    to ±1e6) and warns of nothing.
+    """
+    params = diffusion.init_params(vocab_size=3, seed=2)
+    params["bond.w"].data *= 1e308
+    h = np.random.default_rng(1).normal(size=(5, diffusion.HIDDEN_DIM))
+    h[0, 0], h[1, 3], h[2, 5] = np.inf, -np.inf, np.nan
+    edges = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+    typed = assign_bond_types(edges, h, [6] * 5, params)
+    with np.errstate(all="ignore"):
+        logits = diffusion.bond_head(numcore.Tensor(h), edges, params).data
+    assert np.isnan(logits).any() and np.isinf(logits).any()
+    guarded = np.nan_to_num(logits, posinf=1e6, neginf=-1e6)
+    assert [t for _, _, t in typed] == [diffusion.BOND_CLASSES[k] for k in np.argmax(guarded, axis=1)]
+    assert (np.argmax(guarded, axis=1) != np.argmax(logits, axis=1)).any()
+
+
 def test_classifier_bond_typing_records_no_tape(monkeypatch):
     """Bond typing runs on plain arrays: it constructs no Tensor, so it records nothing."""
     params = diffusion.init_params(vocab_size=3, seed=2)
