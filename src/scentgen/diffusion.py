@@ -32,17 +32,22 @@ coordinate stream (`egnn.CoordStream`, which reads no node feature) over the
 fixed coordinates and the `egnn.EdgeLayout` of the fragment ids, which the
 stream holds; the parameter arrays a pass reads; and the buffers it runs in.
 Given them, as in every reverse step of `generator.sample`, a pass runs the
-same array kernels in the same order, on plain arrays, with the bits of
-`eps_hat` and the node embeddings, and computes nothing else: the sampler
-types bonds once, after its loop, with `bond_logits_arrays`.  A pass over
-constants while recording raises ValueError: it would give no parameter a
-gradient.
+ufuncs of the same array kernels in the same order, on plain arrays, with
+the bits of `eps_hat` and the node embeddings, and computes nothing else:
+the sampler types bonds once, after its loop, with `bond_logits_arrays`.  A
+pass over constants while recording raises ValueError: it would give no
+parameter a gradient.
 
 The buffers are allocated with the constants and every pass over them reuses
-them: `input_proj` writes layer 0's flat `[features | edge lengths]` source,
-whose edge-length tail is written once, and layer 0's residual sum writes
-layer 1's; the MLPs run through `out=` into scratch, with biases tiled to
-their rows.  The outputs are fresh arrays, never views of a buffer.
+them.  The pass is a flat loop over one `NodeLayer` record per EGNN layer,
+built once: the layer's flat `[features | edge lengths]` source, whose
+edge-length tail is written once, its gather index, its node-MLP input, its
+weights with biases tiled to their rows, its scratch, its scatter index and
+the array its residual sum writes.  `input_proj` writes layer 0's source,
+and each layer's sum the next layer's.  The ufuncs take their output
+positionally, and the layout's indices are in range, so the gather and the
+receiver sum skip their checks.  The outputs are fresh arrays, never views
+of a buffer.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -61,7 +66,7 @@ from .numcore import ParamStore, Tensor
 
 
 class StepOutOfRange(ValueError):
-    """Timestep outside [1, T]."""
+    """Timestep outside [1, T], or not a whole number."""
 
 
 class LengthMismatch(ValueError):
@@ -112,13 +117,16 @@ def beta_at(schedule: NoiseSchedule, t: int) -> float:
 
 
 def betas(schedule: NoiseSchedule, steps: np.ndarray) -> np.ndarray:
-    """`beta_at` of each step of the int64 array `steps`, with its bits, in one array op.
+    """`beta_at` of each step of the integer or float array `steps`, with its bits, in one array op.
 
-    The first step outside [1, T] raises `StepOutOfRange`.
+    The first step outside [1, T], or one that is not a whole number,
+    raises `StepOutOfRange`.
     """
     outside = (steps < 1) | (steps > schedule.steps)
+    if steps.dtype.kind == "f":
+        outside |= steps != np.floor(steps)  # NaN too
     if outside.any():
-        raise StepOutOfRange(f"t={steps[outside][0]} outside [1, {schedule.steps}]")
+        raise StepOutOfRange(f"t={steps[outside][0]} is not a step of [1, {schedule.steps}]")
     return _beta(steps, schedule.steps)
 
 
@@ -172,10 +180,11 @@ def time_embed(t: int | np.ndarray, steps: int, params: ParamStore) -> Tensor:
 
 
 def _context(steps: np.ndarray, schedule: NoiseSchedule, rows: np.ndarray, params: ParamStore) -> Tensor:
-    """Rows [time embedding | conditioning vector], one per entry of the int64 `steps`.
+    """Rows [time embedding | conditioning vector], one per entry of the array `steps`.
 
     `rows` are checked descriptor rows: one per step, or one that every
-    step's row holds.  Raises `StepOutOfRange` for a step outside [1, T].
+    step's row holds.  Raises `StepOutOfRange` for a step outside [1, T] or
+    one that is not a whole number.
     """
     betas(schedule, steps)
     time_rows = time_embed(steps, schedule.steps, params)
@@ -195,6 +204,37 @@ class DenoiserOutput:
     coords: Tensor | None
 
 
+class NodeLayer(NamedTuple):
+    """One EGNN layer's node update in a pass over `DenoiserConstants`: its arrays, in the order the pass uses them.
+
+    `source` is the flat [features | edge lengths] array that the layout's
+    `gather_index(d)`, `gather`, reads into the [E, 2d + 1] node-MLP input
+    `mlp_input`; its head holds the layer's input features, and its
+    edge-length tail is the stream's, written once.  `w1`, `b1`, `w2` and
+    `b2` are the arrays of `{layer}.node_mlp` with each bias tiled to the E
+    rows it is added to, which adds the same numbers as the broadcast,
+    faster.  `pre`, `hidden`, `sig` and `message` are the MLP's
+    pre-activation, SiLU, sigmoid and output.  `scatter` is the layout's
+    `scatter_index(d)`, and `out` the array the residual sum writes: the
+    next layer's input features, the head of its source, or None for the
+    last layer, whose sum is fresh.
+    """
+
+    source: np.ndarray
+    gather: np.ndarray
+    mlp_input: np.ndarray
+    w1: np.ndarray
+    b1: np.ndarray
+    pre: np.ndarray
+    hidden: np.ndarray
+    sig: np.ndarray
+    w2: np.ndarray
+    b2: np.ndarray
+    message: np.ndarray
+    scatter: np.ndarray
+    out: np.ndarray | None
+
+
 @dataclass(frozen=True)
 class DenoiserConstants:
     """What every denoiser pass of one reverse trajectory shares, and the buffers those passes run in.
@@ -204,42 +244,39 @@ class DenoiserConstants:
     `stream` is the coordinate stream of the coordinates every pass must
     take, over the pass's edge layout (`stream.layout`).
 
-    `input_proj`, `node_mlps` (each layer's (w1, b1, w2, b2), none when the
-    layout has no edges) and `head` are parameter arrays with each bias
-    tiled to the rows it is added to, which adds the same numbers as the
-    broadcast, faster.  They are the parameters as they were when the
-    constants were built.  `node_input` is input_proj's [n, 1 + context
-    width] input.  Per layer, `sources` holds the flat [features | edge
-    lengths] array that the layout's `gather_index` reads, whose edge-length
-    tail is the stream's, written here once; `features` its head as [n, d],
-    `mlp_inputs` the [E, 2d + 1] node-MLP input and `scratch` the
-    `numcore.mlp_scratch`.  A pass writes `node_input`, the sources' heads,
-    the MLP inputs and the scratch before it reads them, so they carry
-    nothing from one pass to the next; one pass at a time may use them, and
-    no output is a view of them.
+    `input_proj` is (w, b, destination) and `head` (w, b), the parameter
+    arrays as they were when the constants were built, with each bias tiled
+    to the n rows it is added to.  `node_input` is input_proj's [n, 1 +
+    context width] input, and the destination the array it writes: the
+    first layer's input features, or None, a fresh array, when the layout
+    has no edges.  `layers` holds one `NodeLayer` per layer, none when the
+    layout has no edges.  A pass writes `node_input` and every buffer of a
+    layer but the sources' tails before it reads them, so they carry nothing
+    from one pass to the next; one pass at a time may use them, and no
+    output is a view of them.
     """
 
     context: np.ndarray
     stream: egnn.CoordStream
-    input_proj: tuple[np.ndarray, np.ndarray]
-    node_mlps: tuple[tuple[np.ndarray, ...], ...]
+    input_proj: tuple[np.ndarray, np.ndarray, np.ndarray | None]
     head: tuple[np.ndarray, np.ndarray]
     node_input: np.ndarray
-    sources: tuple[np.ndarray, ...]
-    features: tuple[np.ndarray, ...]
-    mlp_inputs: tuple[np.ndarray, ...]
-    scratch: tuple[tuple[np.ndarray, ...], ...]
+    layers: tuple[NodeLayer, ...]
 
     def row_of(self, t: int | np.ndarray) -> int:
-        """The context row of a pass at `t`: row t - 1.  Raises `StepOutOfRange` outside [1, T]."""
+        """The context row of a pass at `t`: row t - 1.
+
+        Raises `StepOutOfRange` for a step outside [1, T] or one that is not
+        a whole number.
+        """
         if isinstance(t, np.ndarray):
             if t.size != 1:
                 raise numcore.ShapeMismatch(f"{t.size} timesteps vs 1 descriptor row")
             t = t.item()
         steps = self.context.shape[0]
-        if not 1 <= t <= steps:
-            raise StepOutOfRange(f"t={t} outside [1, {steps}]")
-        return t - 1
+        if not 1 <= t <= steps or t != int(t):
+            raise StepOutOfRange(f"t={t} is not a step of [1, {steps}]")
+        return int(t) - 1
 
 
 def _tiled(b: np.ndarray, rows: int) -> np.ndarray:
@@ -254,10 +291,12 @@ def _finite(*arrays: np.ndarray) -> None:
     """Bounded nan_to_num, in place, of each array that holds a non-finite value.
 
     Unchecked infinities would otherwise reach the next sampling step's
-    features through eps_hat.
+    features through eps_hat.  An array's sum of squares is not finite when
+    an entry is not, and a dot product warns of nothing, not even when the
+    sum overflows; nan_to_num leaves such an array, all finite, as it is.
     """
     for a in arrays:
-        if not np.isfinite(a).all():
+        if not math.isfinite(np.vdot(a, a)):
             np.nan_to_num(a, copy=False, posinf=1e6, neginf=-1e6)
 
 
@@ -289,28 +328,39 @@ def denoiser_constants(
         stream = egnn.coord_stream(Tensor(coords), params, layout)
     w_in, b_in = _arrays(numcore.affine_params(params, "input_proj", 1 + context.shape[1]))
     n, edges, width = layout.n_nodes, layout.receivers.size, w_in.shape[1]
-    node_mlps, sources, features, mlp_inputs, scratch = [], [], [], [], []
-    for layer, geometry in zip(DEFAULT_LAYERS, stream.geometry):
+    sources = [np.empty(n * width + edges) for _ in stream.geometry]
+    # a source's head holds its layer's input features: input_proj writes the first, each layer's sum the next
+    features = [source[: n * width].reshape(n, width) for source in sources]
+    layers = []
+    for layer, geometry, source, out in zip(DEFAULT_LAYERS, stream.geometry, sources, features[1:] + [None]):
         w1, b1, w2, b2 = _arrays(numcore.mlp_params(params, f"{layer}.node_mlp", 2 * width + 1))
-        node_mlps.append((w1, _tiled(b1, edges), w2, _tiled(b2, edges)))
-        source = np.empty(n * width + edges)
         source[n * width :] = geometry.data[:, 3]
-        sources.append(source)
-        features.append(source[: n * width].reshape(n, width))
-        mlp_inputs.append(np.empty((edges, 2 * width + 1)))
-        scratch.append(numcore.mlp_scratch(edges, w1, w2))
+        pre, hidden, sig = np.empty((3, edges, w1.shape[1]))
+        layers.append(
+            NodeLayer(
+                source,
+                layout.gather_index(width),
+                np.empty((edges, 2 * width + 1)),
+                w1,
+                _tiled(b1, edges),
+                pre,
+                hidden,
+                sig,
+                w2,
+                _tiled(b2, edges),
+                np.empty((edges, w2.shape[1])),
+                layout.scatter_index(width),
+                out,
+            )
+        )
     w_head, b_head = _arrays(numcore.affine_params(params, "head", width))
     return DenoiserConstants(
         context,
         stream,
-        (w_in, _tiled(b_in, n)),
-        tuple(node_mlps),
+        (w_in, _tiled(b_in, n), features[0] if features else None),
         (w_head, _tiled(b_head, n)),
         np.empty((n, 1 + context.shape[1])),
-        tuple(sources),
-        tuple(features),
-        tuple(mlp_inputs),
-        tuple(scratch),
+        tuple(layers),
     )
 
 
@@ -345,7 +395,8 @@ def denoiser_forward(
     ValueError while recording, since it would give no parameter a
     gradient, for non-empty `bond_edges`, for `fragment_ids` other than
     theirs and for coordinates whose bits differ from those they were built
-    from.  Either way a step outside [1, T] raises `StepOutOfRange`.
+    from.  Either way a step outside [1, T] or one that is not a whole
+    number raises `StepOutOfRange`.
     Outputs that hold a non-finite value are passed through nan_to_num in
     place; the caller's `x_noisy` and `coords` are never written or aliased.
     """
@@ -376,7 +427,7 @@ def denoiser_forward(
     # an [F, L] ndarray gives one row per fragment; any other y is one vector, shared by every fragment
     per_fragment = isinstance(y, np.ndarray) and y.ndim == 2
     rows = np.atleast_2d(_descriptors(y, params, flat=not per_fragment))
-    steps = np.asarray(t, dtype=np.int64).reshape(-1)
+    steps = np.asarray(t).reshape(-1)
     if steps.size != rows.shape[0]:
         raise numcore.ShapeMismatch(f"{steps.size} timesteps vs {rows.shape[0]} descriptor rows")
     context = numcore.gather(
@@ -391,30 +442,34 @@ def denoiser_forward(
 
 
 def _forward_on_arrays(x_noisy: np.ndarray, t: int | np.ndarray, constants: DenoiserConstants) -> DenoiserOutput:
-    """`denoiser_forward`'s pass on plain arrays: the `Tensor` ops' kernels, in their order.
+    """`denoiser_forward`'s pass on plain arrays: the ufuncs of the `Tensor` ops' kernels, in their order.
 
-    The context-row lookup, `input_proj`, a node update per layer over the
-    edge lengths of the constants' stream and `head`, with the constants'
-    parameter arrays.  Everything before the last layer's residual sum runs
-    in the constants' buffers: `input_proj` writes layer 0's features, and
-    each layer's sum the next layer's.  The outputs are fresh arrays.
+    The context-row lookup, `input_proj`, a node update per `NodeLayer`
+    over the edge lengths of the constants' stream and `head`, with the
+    constants' parameter arrays.  Everything before the last layer's
+    residual sum runs in the constants' buffers: `input_proj` writes layer
+    0's features, and each layer's sum the next layer's.  Each affine map is
+    an `np.dot`, which has the bits of `@` on these C-contiguous arrays, and
+    an add of the tiled bias.  The outputs are fresh arrays.
     """
-    layout = constants.stream.layout
     node_input = constants.node_input
     node_input[:, :1] = x_noisy
     node_input[:, 1:] = constants.context[constants.row_of(t)]
-    features = numcore.affine(node_input, *constants.input_proj, constants.features[0] if constants.features else None)
-    if constants.node_mlps:
-        width = features.shape[1]
-        gather, scatter = layout.gather_index(width), layout.scatter_index(width)
-        # each layer's sum writes the next layer's source; the last layer's is fresh
-        destinations = constants.features[1:] + (None,)
-        layers = zip(constants.sources, constants.mlp_inputs, constants.node_mlps, constants.scratch, destinations)
-        for source, x, node_mlp, scratch, out in layers:
-            # the index is the layout's, in range: "clip" skips the check and the copy through a buffer
-            np.take(source, gather, out=x, mode="clip")
-            features = egnn.node_update_arrays(features, x, node_mlp, scatter, scratch, out)[1]
-    eps_hat = numcore.affine(features, *constants.head)
+    w_in, b_in, projected = constants.input_proj
+    features = np.dot(node_input, w_in, projected)
+    np.add(features, b_in, features)
+    for source, gather, x, w1, b1, pre, hidden, sig, w2, b2, message, scatter, out in constants.layers:
+        # the index is the layout's, in range: "clip" skips the check and the copy through a buffer
+        source.take(gather, None, x, "clip")
+        np.add(np.dot(x, w1, pre), b1, pre)
+        numcore._silu(pre, (hidden, sig))
+        np.add(np.dot(hidden, w2, message), b2, message)
+        # the scatter index is the layout's, in range: the sum has exactly n * d entries
+        summed = np.bincount(scatter, message.reshape(-1), features.size)
+        features = np.add(features, summed.reshape(features.shape), out)
+    w_head, b_head = constants.head
+    eps_hat = np.dot(features, w_head)
+    np.add(eps_hat, b_head, eps_hat)
     _finite(eps_hat, features)
     return DenoiserOutput(numcore.wrap(eps_hat), None, numcore.wrap(features), None)
 

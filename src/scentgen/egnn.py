@@ -22,21 +22,21 @@ graph: per training batch, and per reverse trajectory in
 The coordinate MLP reads only pair distances, never node features, so the
 coordinate pathway of a pass (each layer's `pair_geometry` and the
 `coord_update`s) depends on the input coordinates and the parameters alone.
-`coord_stream` builds it as a `CoordStream`: `egnn_forward` builds one per
-call, and `diffusion.denoiser_constants` one per reverse trajectory, whose
-coordinates stay fixed.
+`coord_stream` builds it up to the last layer's `pair_geometry` as a
+`CoordStream`: `egnn_forward` builds one per call and applies the last
+`coord_update` itself, and `diffusion.denoiser_constants` builds one per
+reverse trajectory, whose coordinates stay fixed and whose passes read the
+edge lengths only.
 
-`node_update_arrays` is `node_update`'s forward on plain arrays from the
-MLP input [x_i, x_j, |r_i - r_j|]: `numcore.mlp` and the receiver sum.
-`node_update` gathers the input with two row takes, calls it with fresh
-arrays, which its backward keeps, and adds only the tape node and the
-backward.  A denoiser pass given its trajectory's constants runs on plain
-arrays: it gathers the input with one `take` of the layout's
-`gather_index` from a flat [features | edge lengths] array whose
-edge-length tail is written once per trajectory, and calls it on scratch
-kept for the whole trajectory.  It makes no `Tensor`.  Training builds an
-edge layout per batch, and building the flat index for one pass would cost
-more than the one `take` saves, so the `Tensor` pass keeps the row takes.
+`node_update` gathers its MLP input with two row takes and runs
+`numcore.mlp` and the receiver sum on fresh arrays, which its backward
+keeps.  A denoiser pass given its trajectory's constants runs the same
+ufuncs on plain arrays: it gathers the input with one `take` of the
+layout's `gather_index` from a flat [features | edge lengths] array whose
+edge-length tail is written once per trajectory, into buffers kept for the
+whole trajectory.  Training builds an edge layout per batch, and building
+the flat index for one pass would cost more than the one `take` saves, so
+the `Tensor` pass keeps the row takes.
 """
 
 from __future__ import annotations
@@ -191,40 +191,19 @@ def pair_geometry(coords: Tensor, layout: EdgeLayout) -> Tensor:
     return numcore.primitive(np.concatenate([rel, dist], axis=1), (coords,), bw)
 
 
-def node_update_arrays(
-    f: np.ndarray,
-    x: np.ndarray,
-    node_mlp: tuple[np.ndarray, ...],
-    scatter: np.ndarray,
-    scratch: tuple[np.ndarray, ...] | None = None,
-    out: np.ndarray | None = None,
-) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """`node_update`'s forward on plain arrays: (`numcore.mlp` of `x`, new features).
-
-    `f` is [n, d], `x` the [E, 2d + 1] MLP input [x_i, x_j, |r_i - r_j|]
-    of a layout's edges, `node_mlp` the arrays (w1, b1, w2, b2) of
-    `{layer}.node_mlp` and `scatter` the layout's `scatter_index(d)`.  The
-    MLP's arrays are written into `scratch` (`numcore.mlp_scratch`) and the
-    new features into `out`, each fresh without it.  Shapes are not checked.
-    """
-    forward = numcore.mlp(x, *node_mlp, out=scratch)
-    return forward, np.add(f, numcore.scatter_add(scatter, forward[3], f.shape), out=out)
-
-
 def node_update(features: Tensor, geometry: Tensor, params: ParamStore, layer: str, layout: EdgeLayout) -> Tensor:
     """New features x_i + sum_j phi_e([x_i, x_j, |r_i - r_j|]), shape [n, d]; one tape node.
 
     `geometry` is `pair_geometry` over `layout`, and phi_e is the MLP
-    `{layer}.node_mlp`.  The sum runs over the edges of `layout`.  The
-    forward is `node_update_arrays`.
+    `{layer}.node_mlp`.  The sum runs over the edges of `layout`.
     """
     f = features.data
     width = f.shape[1]
     receivers, senders = layout.receivers, layout.senders
     weights = numcore.mlp_params(params, f"{layer}.node_mlp", 2 * width + 1)
     x = np.concatenate([f.take(receivers, axis=0), f.take(senders, axis=0), geometry.data[:, 3:]], axis=1)
-    forward, out = node_update_arrays(f, x, tuple(w.data for w in weights), layout.scatter_index(width))
-    mlp = numcore.MLPPass(weights, x, forward)
+    mlp = numcore.MLPPass(weights, x, numcore.mlp(x, *(w.data for w in weights)))
+    out = f + numcore.scatter_add(layout.scatter_index(width), mlp.out, f.shape)
 
     def bw(g):
         numcore.accumulate(features, g)
@@ -272,28 +251,31 @@ def coord_update(coords: Tensor, geometry: Tensor, params: ParamStore, layer: st
 
 @dataclass(frozen=True)
 class CoordStream:
-    """The coordinate pathway of one `egnn_forward` over the edges of `layout`.
+    """The coordinate pathway of one `egnn_forward` over the edges of `layout`, up to its last layer's `coord_update`.
 
     `coords` is the input, `geometry` the `pair_geometry` each layer of
-    DEFAULT_LAYERS reads (empty when the layout has no edges), and `out` the
-    coordinates after every layer's `coord_update`.
+    DEFAULT_LAYERS reads (empty when the layout has no edges), and `last`
+    the coordinates the last layer reads: `coords` moved by every earlier
+    layer's `coord_update`.  No node update reads the last layer's output
+    coordinates, so the stream stops before it.
     """
 
     layout: EdgeLayout
     coords: Tensor
     geometry: tuple[Tensor, ...]
-    out: Tensor
+    last: Tensor
 
 
 def coord_stream(coords: Tensor, params: ParamStore, layout: EdgeLayout) -> CoordStream:
-    """Each layer's `pair_geometry` and `coord_update` over `layout`, starting at `coords`."""
+    """Each layer's `pair_geometry` over `layout`, with the `coord_update`s between them, starting at `coords`."""
     geometry: list[Tensor] = []
-    out = coords
+    last = coords
     if layout.receivers.size:
-        for layer in DEFAULT_LAYERS:
-            geometry.append(pair_geometry(out, layout))
-            out = coord_update(out, geometry[-1], params, layer, layout)
-    return CoordStream(layout, coords, tuple(geometry), out)
+        geometry.append(pair_geometry(last, layout))
+        for layer in DEFAULT_LAYERS[:-1]:
+            last = coord_update(last, geometry[-1], params, layer, layout)
+            geometry.append(pair_geometry(last, layout))
+    return CoordStream(layout, coords, tuple(geometry), last)
 
 
 def egnn_forward(state: NodeState, params: ParamStore, layout: EdgeLayout | None = None) -> NodeState:
@@ -302,8 +284,9 @@ def egnn_forward(state: NodeState, params: ParamStore, layout: EdgeLayout | None
     Messages pass along the edges of `layout` (default: one fragment holding
     every node).  Each layer is three tape nodes: `pair_geometry`, and
     `node_update` and `coord_update`, which both read it; the coordinate
-    pathway runs first, as `coord_stream`.  A graph without edges (every
-    fragment a single atom) passes through every layer unchanged.
+    pathway runs first, as `coord_stream` and then the last layer's
+    `coord_update`.  A graph without edges (every fragment a single atom)
+    passes through every layer unchanged.
     """
     n = state.n_nodes
     if layout is None:
@@ -311,10 +294,13 @@ def egnn_forward(state: NodeState, params: ParamStore, layout: EdgeLayout | None
     elif layout.n_nodes != n:
         raise numcore.ShapeMismatch(f"{n} nodes vs an edge layout of {layout.n_nodes}")
     stream = coord_stream(state.coords, params, layout)
+    coords = stream.last
+    if stream.geometry:
+        coords = coord_update(coords, stream.geometry[-1], params, DEFAULT_LAYERS[-1], layout)
     features = state.features
     for layer, geometry in zip(DEFAULT_LAYERS, stream.geometry):
         features = node_update(features, geometry, params, layer, layout)
-    return NodeState(features=features, coords=stream.out)
+    return NodeState(features=features, coords=coords)
 
 
 def init_egnn_layer(

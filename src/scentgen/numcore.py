@@ -11,10 +11,10 @@ and shape check of those maps' parameters.
 
 The forward arithmetic of these primitives lives in array kernels (`affine`,
 `mlp`, `take_rows`, `scatter_add`): a primitive calls its kernel and adds
-only the `Tensor` wrapper and the backward.  Code that records nothing, such
-as a denoiser pass given its trajectory's constants, calls the kernels on
-plain arrays and gets the same bits; `affine` and `mlp` also write into arrays the caller
-keeps (`out=`), so such code can run many passes without allocating them.
+only the `Tensor` wrapper and the backward.  Each kernel returns fresh
+arrays; only the SiLU (`_silu`) also writes into a pair of arrays the caller
+keeps, which a denoiser pass given its trajectory's constants does, as it
+runs the other kernels' ufuncs into its own buffers with the same bits.
 The module also provides the parameter store, the Adam update, and a
 versioned JSON checkpoint format.
 
@@ -430,18 +430,9 @@ def _affine_backward(g: np.ndarray, x: np.ndarray, w: Tensor, b: Tensor, input_g
     return g_x
 
 
-def affine(x: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """x @ w + b on arrays, the arithmetic of `linear`: a fresh array, or written into `out`.
-
-    `out` must be C-contiguous, and so must `x` and `w`: the product then
-    runs as `np.dot`, which has the bits of `@` on such arrays and skips the
-    overhead of `np.matmul`'s `out`.  `b` may be tiled to `out`'s shape,
-    which adds the same numbers faster than a broadcast does.
-    """
-    if out is None:
-        return x @ w + b
-    np.dot(x, w, out=out)
-    return np.add(out, b, out=out)
+def affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x @ w + b on arrays, the arithmetic of `linear`, as a fresh array."""
+    return x @ w + b
 
 
 def linear(params: ParamStore, name: str, x: Tensor) -> Tensor:
@@ -460,30 +451,12 @@ def linear(params: ParamStore, name: str, x: Tensor) -> Tensor:
 
 
 def mlp(
-    x: np.ndarray,
-    w1: np.ndarray,
-    b1: np.ndarray,
-    w2: np.ndarray,
-    b2: np.ndarray,
-    out: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None,
+    x: np.ndarray, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray, b2: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Affine, SiLU, affine of `x` on arrays: (pre-activation, hidden, sigmoid, output).
-
-    `out` holds four arrays of those shapes (`mlp_scratch`), which the ops
-    write in place; without it each is a fresh array, allocated as its op
-    runs.  Allocating all four up front instead, in a training step,
-    multiplied the page faults of its freed and regrown heap.
-    """
-    pre, hidden, sig, output = (None,) * 4 if out is None else out
-    pre = affine(x, w1, b1, pre)
-    hidden, sig = _silu(pre, None if out is None else (hidden, sig))
-    return pre, hidden, sig, affine(hidden, w2, b2, output)
-
-
-def mlp_scratch(rows: int, w1: np.ndarray, w2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Uninitialised (pre-activation, hidden, sigmoid, output) arrays of `mlp` over `rows` input rows."""
-    hidden = (rows, w1.shape[1])
-    return np.empty(hidden), np.empty(hidden), np.empty(hidden), np.empty((rows, w2.shape[1]))
+    """Affine, SiLU, affine of `x` on arrays: (pre-activation, hidden, sigmoid, output), each a fresh array."""
+    pre = affine(x, w1, b1)
+    hidden, sig = _silu(pre)
+    return pre, hidden, sig, affine(hidden, w2, b2)
 
 
 def affine_params(params: ParamStore, name: str, n_in: int) -> tuple[Tensor, Tensor]:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -66,6 +67,10 @@ def test_beta_step_out_of_range():
     for steps, first_outside in (([0], 0), ([5, 1001, 0], 1001), ([-3, 2], -3)):
         with pytest.raises(StepOutOfRange, match=f"t={first_outside} "):
             betas(sched, np.array(steps, dtype=np.int64))
+    for steps, first_outside in (([2.0, 3.5], 3.5), ([np.nan], np.nan), ([4.0, -np.inf], -np.inf)):
+        with pytest.raises(StepOutOfRange, match=f"t={first_outside} "):
+            betas(sched, np.array(steps))
+    assert betas(sched, np.array([2.0, 1000.0])).tobytes() == betas(sched, np.array([2, 1000])).tobytes()
 
 
 def test_beta_monotone():
@@ -748,7 +753,7 @@ def test_a_pass_over_constants_while_recording_is_refused(rng):
     sched = NoiseSchedule(50)
     x, coords = rng.normal(size=(5, 1)), rng.normal(size=(5, 3))
     constants = denoiser_constants(sched, np.ones(4), params, np.zeros(5, dtype=np.int64), coords)
-    assert isinstance(constants.context, np.ndarray) and not constants.stream.out.tracked()
+    assert isinstance(constants.context, np.ndarray) and not constants.stream.geometry[-1].tracked()
     with pytest.raises(ValueError, match="no_grad"):
         denoiser_forward(x, coords, (), 20, sched, np.ones(4), params, constants=constants)
 
@@ -918,10 +923,16 @@ def test_a_weight_of_the_wrong_width_is_a_shape_mismatch_in_either_mode(rng, nam
                 denoiser_forward(x, coords, (), 5, NoiseSchedule(50), np.ones(4), params)
 
 
-@pytest.mark.parametrize("t", [0, 51, np.array([0]), np.array(51)])
+@pytest.mark.parametrize(
+    "t", [0, 51, np.array([0]), np.array(51), 3.5, np.float64(2.5), np.array([7.5]), np.nan, np.inf]
+)
 @pytest.mark.parametrize("recording", [True, False])
 def test_a_step_outside_the_schedule_is_step_out_of_range_in_either_mode(rng, t, recording):
-    """t = 0 and t = T + 1, also as one-element arrays: the taped pass and the pass over constants agree."""
+    """t = 0, t = T + 1 and steps that are not whole numbers, also as one-element arrays.
+
+    The taped pass and the pass over constants agree: neither truncates a
+    fractional step to the step below it.
+    """
     params = init_params(vocab_size=4, seed=0)
     schedule = NoiseSchedule(50)
     x, coords = rng.normal(size=(3, 1)), rng.normal(size=(3, 3))
@@ -932,6 +943,20 @@ def test_a_step_outside_the_schedule_is_step_out_of_range_in_either_mode(rng, t,
             constants = denoiser_constants(schedule, np.ones(4), params, np.zeros(3, dtype=np.int64), coords)
             with numcore.no_grad():
                 denoiser_forward(x, coords, (), t, schedule, np.ones(4), params, constants=constants)
+
+
+@pytest.mark.parametrize("t", [3.0, np.float64(3.0), np.array([3.0]), np.int64(3), np.array(3)])
+def test_a_whole_step_of_another_type_is_the_step_it_names_in_either_mode(rng, t):
+    params = init_params(vocab_size=4, seed=0)
+    schedule = NoiseSchedule(50)
+    x, coords = rng.normal(size=(3, 1)), rng.normal(size=(3, 3))
+    constants = denoiser_constants(schedule, np.ones(4), params, np.zeros(3, dtype=np.int64), coords)
+    want = denoiser_forward(x, coords, (), 3, schedule, np.ones(4), params)
+    assert denoiser_forward(x, coords, (), t, schedule, np.ones(4), params).eps_hat.data.tobytes() == (
+        want.eps_hat.data.tobytes()
+    )
+    with numcore.no_grad():
+        assert _same_bits(denoiser_forward(x, coords, (), t, schedule, np.ones(4), params, constants=constants), want)
 
 
 @pytest.mark.parametrize("bad_id", [-1, -2, 2])
@@ -969,3 +994,82 @@ def test_a_pass_with_recording_off_makes_only_its_output_tensors(rng, monkeypatc
             out = denoiser_forward(x, coords, (), step, schedule, np.ones(3), params, constants=constants)
             assert [id(t) for t in made] == [id(out.eps_hat), id(out.node_embeddings)]
             assert out.bond_logits is None and out.coords is None
+
+
+# ------------------------------------------------ the nan_to_num guard and buffers
+
+
+def _guarded_as_before(a):
+    """The guard as an `isfinite` check of every entry: nan_to_num of an array that holds a non-finite value."""
+    a = a.copy()
+    if not np.isfinite(a).all():
+        np.nan_to_num(a, copy=False, posinf=1e6, neginf=-1e6)
+    return a
+
+
+GUARD_CASES = {
+    "nan": [np.nan, 1.0],
+    "negative nan": [-np.nan, 2.0],
+    "inf": [np.inf, -3.0],
+    "-inf": [0.5, -np.inf],
+    "both infinities": [np.inf, -np.inf],
+    "overflowing sum": [1e308, 1e308],
+    "overflowing squares": [1e200, -1e200],
+    "overflow and nan": [1e308, 1e308, np.nan],
+    "signed zeros and subnormals": [-0.0, 0.0, 5e-324, -5e-324],
+    "finite": [1.5, -2.25, 1e-300],
+    "empty": [],
+}
+
+
+@pytest.mark.parametrize("shape", [(-1,), (1, -1), (-1, 1)], ids=["1-d", "row", "column"])
+@pytest.mark.parametrize("case", sorted(GUARD_CASES))
+def test_the_guard_writes_what_an_isfinite_check_writes_and_warns_of_nothing(case, shape):
+    """nan_to_num for an array that holds NaN or an infinity; a finite one keeps its bytes, even if its sum overflows."""
+    a = np.array(GUARD_CASES[case], dtype=np.float64).reshape(shape)
+    want = _guarded_as_before(a)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        diffusion._finite(a)
+    assert a.tobytes() == want.tobytes()
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True, width=64), max_size=24))
+def test_the_guard_has_the_bits_of_an_isfinite_check(values):
+    a = np.array(values, dtype=np.float64)
+    want = _guarded_as_before(a)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        diffusion._finite(a)
+    assert a.tobytes() == want.tobytes()
+
+
+def _constants_buffers(constants):
+    """Every array the constants hold: context rows, parameters, buffers, the stream and its layout."""
+    stream = constants.stream
+    arrays = [constants.context, constants.node_input, *constants.input_proj, *constants.head]
+    arrays += [a for layer in constants.layers for a in layer]
+    arrays += [stream.coords.data, stream.last.data, *(g.data for g in stream.geometry)]
+    arrays += [stream.layout.fragment_ids, stream.layout.receivers, stream.layout.senders, stream.layout.edge_scale]
+    return [a for a in arrays if a is not None]
+
+
+@pytest.mark.parametrize("n", [1, 2, 11])
+def test_passes_over_constants_return_arrays_that_share_no_memory(n):
+    """Two passes' outputs share no memory with each other or with any buffer of the constants."""
+    rng = np.random.default_rng(n)
+    params = init_params(vocab_size=4, seed=n)
+    schedule = NoiseSchedule(30)
+    x, coords = rng.normal(size=(n, 1)), rng.normal(size=(n, 3))
+    constants = denoiser_constants(schedule, np.ones(4), params, np.zeros(n, dtype=np.int64), coords)
+    assert len(constants.layers) == (0 if n == 1 else len(egnn.DEFAULT_LAYERS))
+    with numcore.no_grad():
+        first = denoiser_forward(x, coords, (), 30, schedule, np.ones(4), params, constants=constants)
+        kept = [first.eps_hat.data.copy(), first.node_embeddings.data.copy()]
+        second = denoiser_forward(x, coords, (), 1, schedule, np.ones(4), params, constants=constants)
+    outputs = [out.data for out in (first.eps_hat, first.node_embeddings, second.eps_hat, second.node_embeddings)]
+    for i, a in enumerate(outputs):
+        for b in outputs[i + 1 :] + _constants_buffers(constants):
+            assert not np.shares_memory(a, b)
+    assert [first.eps_hat.data.tobytes(), first.node_embeddings.data.tobytes()] == [k.tobytes() for k in kept]

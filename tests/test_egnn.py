@@ -506,16 +506,20 @@ def test_coordinates_never_read_features(case):
 
 
 def with_prebuilt_stream(state, params, layout):
-    """The node updates over each layer's geometry of a coordinate stream built before them.
+    """The node updates over each layer's geometry of a coordinate stream built before them, then the last coord_update.
 
     A reverse trajectory's constants hold such a stream, and its passes read
-    the stream's edge lengths and output coordinates.
+    the stream's edge lengths only.  `egnn_forward` applies the last
+    `coord_update` before the node updates; here it comes after them.
     """
     stream = coord_stream(state.coords, params, layout)
     features = state.features
     for layer, geometry in zip(egnn.DEFAULT_LAYERS, stream.geometry):
         features = node_update(features, geometry, params, layer, layout)
-    return NodeState(features, stream.out)
+    coords = stream.last
+    if stream.geometry:
+        coords = coord_update(coords, stream.geometry[-1], params, egnn.DEFAULT_LAYERS[-1], layout)
+    return NodeState(features, coords)
 
 
 @pytest.mark.parametrize("case", sorted(kernel_cases()))
@@ -541,15 +545,39 @@ def test_forward_with_a_prebuilt_stream_keeps_the_bits(case, track):
 
 
 def test_stream_holds_each_layers_geometry_and_the_output_coordinates(rng):
+    """The stream holds the last layer's input coordinates; `egnn_forward` applies the last coord_update to them."""
     params = make_params()
     coords = Tensor(rng.normal(size=(5, 3)))
+    features = Tensor(rng.normal(size=(5, D)))
     layout = edge_layout(np.array([0, 0, 1, 1, 1]))
     stream = coord_stream(coords, params, layout)
     assert stream.coords is coords and stream.layout is layout
     assert len(stream.geometry) == len(egnn.DEFAULT_LAYERS)
     assert stream.geometry[0].data.tobytes() == pair_geometry(coords, layout).data.tobytes()
     moved = coord_update(coords, stream.geometry[0], params, "egnn.0", layout)
+    assert stream.last.data.tobytes() == moved.data.tobytes()
     assert stream.geometry[1].data.tobytes() == pair_geometry(moved, layout).data.tobytes()
-    assert stream.out.data.tobytes() == coord_update(moved, stream.geometry[1], params, "egnn.1", layout).data.tobytes()
-    lone = coord_stream(coords, params, edge_layout(np.arange(5)))
-    assert lone.geometry == () and lone.out is coords
+    out = egnn_forward(NodeState(features, coords), params, layout)
+    assert out.coords.data.tobytes() == coord_update(moved, stream.geometry[1], params, "egnn.1", layout).data.tobytes()
+    lone_layout = edge_layout(np.arange(5))
+    lone = coord_stream(coords, params, lone_layout)
+    assert lone.geometry == () and lone.last is coords
+    assert egnn_forward(NodeState(features, coords), params, lone_layout).coords is coords
+
+
+def test_a_stream_runs_no_last_coord_update(rng, monkeypatch):
+    """Only the layers before the last move the stream's coordinates: nothing reads the last layer's output there."""
+    params = make_params()
+    layers = []
+    real = egnn.coord_update
+
+    def counted(coords, geometry, params, layer, layout):
+        layers.append(layer)
+        return real(coords, geometry, params, layer, layout)
+
+    monkeypatch.setattr(egnn, "coord_update", counted)
+    coords = Tensor(rng.normal(size=(4, 3)))
+    coord_stream(coords, params, edge_layout(np.zeros(4, dtype=np.int64)))
+    assert layers == list(egnn.DEFAULT_LAYERS[:-1])
+    egnn_forward(NodeState(Tensor(rng.normal(size=(4, D))), coords), params)
+    assert layers == list(egnn.DEFAULT_LAYERS[:-1]) * 2 + [egnn.DEFAULT_LAYERS[-1]]
