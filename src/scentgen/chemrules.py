@@ -178,11 +178,10 @@ class ValenceCheckResult:
         return [d for d in self.per_atom if not d.ok]
 
 
-def valence_check(graph: MoleculeGraph) -> ValenceCheckResult:
-    """Verify every atom's heavy bond-order sum fits an allowed valence.
+def _valence_details(graph: MoleculeGraph, failing_only: bool) -> list[AtomValenceDetail]:
+    """The valence detail of each atom, or with `failing_only` of each atom over its limit.
 
-    Implicit hydrogens fill the gap up to the smallest allowed valence.
-    Raises UnknownElement for atoms missing from DEFAULT_VALENCES.
+    Raises UnknownElement at the first atom missing from DEFAULT_VALENCES.
     """
     sums = _order_sums(graph)
     details = []
@@ -194,8 +193,20 @@ def valence_check(graph: MoleculeGraph) -> ValenceCheckResult:
         limit = max(allowed)
         s = sums[idx]
         ok = s <= limit
+        if ok and failing_only:
+            continue
         implicit_h = min(v for v in allowed if v >= s) - s if ok else 0
         details.append(AtomValenceDetail(idx, z, s, limit, implicit_h, ok))
+    return details
+
+
+def valence_check(graph: MoleculeGraph) -> ValenceCheckResult:
+    """Verify every atom's heavy bond-order sum fits an allowed valence.
+
+    Implicit hydrogens fill the gap up to the smallest allowed valence.
+    Raises UnknownElement for atoms missing from DEFAULT_VALENCES.
+    """
+    details = _valence_details(graph, failing_only=False)
     return ValenceCheckResult(all(d.ok for d in details), tuple(details))
 
 
@@ -348,13 +359,13 @@ def sanitize(graph: MoleculeGraph) -> SanitizeResult:
 
     # Stage 3: valence.
     try:
-        vres = valence_check(corrected)
-        if vres.passed:
+        failures = _valence_details(corrected, failing_only=True)
+        if not failures:
             report.stages.append(StageResult("valence", True, "all atoms within allowed valence"))
         else:
             bad = ", ".join(
                 f"atom {d.index} (z={d.atomic_number}) order sum {d.order_sum} > {d.limit}"
-                for d in vres.failures()
+                for d in failures
             )
             report.stages.append(StageResult("valence", False, bad))
     except UnknownElement as exc:

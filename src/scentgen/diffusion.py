@@ -111,8 +111,9 @@ def _beta(t: int | np.ndarray, steps: int) -> float | np.ndarray:
 
 
 def beta_at(schedule: NoiseSchedule, t: int) -> float:
-    if not 1 <= t <= schedule.steps:
-        raise StepOutOfRange(f"t={t} outside [1, {schedule.steps}]")
+    """The variance of step `t`; a step outside [1, T], or one that is not a whole number, raises `StepOutOfRange`."""
+    if not 1 <= t <= schedule.steps or t % 1 != 0:
+        raise StepOutOfRange(f"t={t} is not a step of [1, {schedule.steps}]")
     return _beta(t, schedule.steps)
 
 
@@ -681,17 +682,20 @@ def batch_loss(
     Returns the batch loss, which is the mean over molecules of each one's
     node-noise MSE plus bond cross-entropy, and the per-molecule MSE and
     cross-entropy, each of shape [B].  Raises `numcore.ShapeMismatch` unless
-    there is one timestep per example.
+    there is one timestep per example, and `StepOutOfRange` for a step
+    outside [1, T] or one that is not a whole number.
     """
     fragments = len(examples)
-    steps = np.asarray(timesteps, dtype=np.int64).reshape(-1)
+    steps = np.asarray(timesteps).reshape(-1)
     if steps.size != fragments:
         raise numcore.ShapeMismatch(f"{steps.size} timesteps vs {fragments} examples")
+    scale = np.sqrt(betas(schedule, steps))
+    steps = steps.astype(np.int64, copy=False)
     sizes = [ex.features.shape[0] for ex in examples]
     clean = np.concatenate([ex.features for ex in examples])
     node_fragments = np.repeat(np.arange(fragments), sizes)
     noise = rng.standard_normal(clean.shape)
-    noisy = clean + np.sqrt(betas(schedule, steps))[node_fragments, None] * noise
+    noisy = clean + scale[node_fragments, None] * noise
     bonds = [len(ex.bond_edges) for ex in examples]
     edges = np.array([pair for ex in examples for pair in ex.bond_edges], dtype=np.int64).reshape(-1, 2)
     edges += np.repeat(np.cumsum(sizes) - sizes, bonds)[:, None]  # each molecule's first node

@@ -8,8 +8,13 @@ supported: stereo descriptors, isotopes, charges, and explicit H counts.
 The parser checks and builds its graph in one `molgraph.new_graph` call.
 Canonical strings come from invariant refinement followed by an exact
 tie-break search that prunes branches related by automorphisms of the graph,
-so every graph gets its canonical string, however symmetric.  Each connected
-component (`molgraph.subgraph`) is canonicalized on its own.
+so every graph gets its canonical string, however symmetric.  Refinement is
+one loop, `_refine`, over a partition of cells: the root's cells come from
+the atom invariants (`_partition`) and the loop first reads every atom; each
+search node copies its parent's refined cells, splits the pick off its cell
+(`_individualize`) and first reads only the pick's neighbours.  Each
+connected component (`molgraph.subgraph`, skipped for a connected graph whose
+bonds are stored i < j) is canonicalized on its own.
 """
 
 from __future__ import annotations
@@ -406,21 +411,12 @@ def _dense(keys: list) -> list[int]:
     return [order[k] for k in keys]
 
 
-def _refine(adj: list[list[tuple[int, int]]], ranks: list[int]) -> list[int]:
-    """Iteratively sharpen ranks with neighbor (bond, rank) multisets until stable.
+def _partition(ranks: list[int]) -> tuple[list[list], list[list]]:
+    """The cells of atoms of equal rank, in rank order, and the cell of each atom.
 
-    Each round splits every cell of equal rank at once by its members'
-    sorted (bond, neighbor rank) tuples, the pieces in tuple order, until a
-    round splits nothing; the result is the dense rank of each atom's cell.
-    A cell is [start, members] and is ranked by its start, the count of
-    atoms in cells before it: starts rise with the dense ranks, so every
-    tuple compares as it would with them, and a split moves no other cell's
-    start.  After the first round only
-    "touched" atoms, the neighbors of atoms that moved to a new cell, are
-    read: in a cell that was one class of the last round, all untouched
-    members still have one tuple, read from one of them.  The moved pieces
-    are all but one of each split cell, so a long chain or ring costs about
-    one read per atom, not one per atom and round.
+    A cell is [start, members], ranked by its start, the count of atoms in
+    cells before it: starts rise with the dense ranks, so every tuple that
+    `_refine` compares orders as it would with them.
     """
     n = len(ranks)
     cell_of: list[list] = [None] * n
@@ -431,8 +427,48 @@ def _refine(adj: list[list[tuple[int, int]]], ranks: list[int]) -> list[int]:
             cell = cells[ranks[i]] = [position, set()]
         cell[1].add(i)
         cell_of[i] = cell
-    all_cells = list(cells.values())
-    touched: set[int] | range = range(n)
+    return list(cells.values()), cell_of
+
+
+def _individualize(cells: list[list], cell_of: list[list], pick: int) -> tuple[list[list], list[list]]:
+    """A copy of the partition with `pick` split off the front of its cell.
+
+    `pick` keeps the cell's start and the rest of the cell moves to start + 1:
+    the starts `_partition` gives ranks that put `pick` just before its cell.
+    """
+    child = [[start, members.copy()] for start, members in cells]
+    child_of: list[list] = [None] * len(cell_of)
+    for cell in child:
+        for i in cell[1]:
+            child_of[i] = cell
+    rest = child_of[pick]
+    rest[1].discard(pick)
+    piece = [rest[0], {pick}]
+    rest[0] += 1
+    child.append(piece)
+    child_of[pick] = piece
+    return child, child_of
+
+
+def _refine(
+    adj: list[list[tuple[int, int]]], cells: list[list], cell_of: list[list], touched: set[int] | range
+) -> None:
+    """Sharpen the partition in place with neighbor (bond, start) multisets until stable.
+
+    Each round splits every cell at once by its members' sorted (bond,
+    neighbor start) tuples, the pieces in tuple order, until a round splits
+    nothing.  A split moves no other cell's start, and new pieces are
+    appended to `cells`.  Only "touched" atoms are read: in each cell, all
+    untouched members must share one tuple, read from one of them.  For a
+    partition from `_partition` that takes every atom; for a child from
+    `_individualize` of a partition this has refined, only the neighbors of
+    the pick.  In a refined partition the members of a cell have the same
+    bonds into each cell, so those not bonded to the pick still share one
+    tuple, with start + 1 in place of the pick's old start.  After a
+    round, the touched atoms are the neighbors of atoms that moved to a new
+    cell: the moved pieces are all but one of each split cell, so a long
+    chain or ring costs about one read per atom, not one per atom and round.
+    """
 
     def signature(i: int) -> tuple:
         return tuple(sorted((bond, cell_of[j][0]) for bond, j in adj[i]))
@@ -456,7 +492,7 @@ def _refine(adj: list[list[tuple[int, int]]], ranks: list[int]) -> list[int]:
             if len(groups) > 1:
                 splits.append((cell, groups, kept))
         if not splits:
-            break
+            return
         moved: list[int] = []
         for cell, groups, kept in splits:
             if kept is None:  # every member was touched: the largest piece keeps the cell
@@ -472,14 +508,12 @@ def _refine(adj: list[list[tuple[int, int]]], ranks: list[int]) -> list[int]:
                     size = len(members)
                     piece = [start, set(members)]
                     cell[1].difference_update(members)
-                    all_cells.append(piece)
+                    cells.append(piece)
                     for i in members:
                         cell_of[i] = piece
                     moved.extend(members)
                 start += size
         touched = {j for i in moved for _, j in adj[i]}
-    rank_of_start = {start: r for r, start in enumerate(sorted(cell[0] for cell in all_cells))}
-    return [rank_of_start[cell_of[i][0]] for i in range(n)]
 
 
 def _initial_ranks(adj: list[list[tuple[int, int]]], numbers: list[int]) -> list[int]:
@@ -526,12 +560,15 @@ def _canonical_component(graph: MoleculeGraph) -> str:
     edges = [(i, j, _BOND_RANK[t]) for i, j, t in graph.bonds]
     first: list = []  # path, certificate and atom-per-rank of the first leaf
     written: dict[tuple, str] = {}  # certificate -> its string
-    _search(_refine(adj, _initial_ranks(adj, numbers)), [], graph, adj, edges, first, [], written)
+    cells, cell_of = _partition(_initial_ranks(adj, numbers))
+    _refine(adj, cells, cell_of, range(len(numbers)))
+    _search(cells, cell_of, [], graph, adj, edges, first, [], written)
     return min(written.values())
 
 
 def _search(
-    ranks: list[int],
+    cells: list[list],
+    cell_of: list[list],
     path: list[int],
     graph: MoleculeGraph,
     adj: list[list[tuple[int, int]]],
@@ -542,16 +579,19 @@ def _search(
 ) -> int:
     """Explore the search tree below `path`; return the depth at which the search resumes.
 
+    `cells` and `cell_of` are the node's partition, refined by `_refine`.
+    Each child splits a pick off the tied cell with the smallest start and
+    is refined from there, so the node's own partition is never changed.
     `first` receives the first leaf's path, certificate and atom per rank,
     `automorphisms` each automorphism found, and `written` the string of each
     new certificate.
     """
-    groups: dict[int, list[int]] = {}
-    for idx, r in enumerate(ranks):
-        groups.setdefault(r, []).append(idx)
-    tied = [r for r, members in groups.items() if len(members) > 1]
-    if not tied:
-        at_rank = [groups[r][0] for r in range(len(ranks))]
+    n = len(cell_of)
+    if len(cells) == n:  # every cell a singleton: the starts are the ranks 0..n-1
+        ranks = [cell[0] for cell in cell_of]
+        at_rank = [0] * n
+        for i, r in enumerate(ranks):
+            at_rank[r] = i
         certificate = (
             tuple([graph.atoms[i].atomic_number for i in at_rank]),
             tuple(sorted((min(ranks[i], ranks[j]), max(ranks[i], ranks[j]), b) for i, j, b in edges)),
@@ -565,19 +605,20 @@ def _search(
         if certificate not in written:
             written[certificate] = write(graph, _ranks=ranks)
         return len(path)
-    target = min(tied)
+    target = min((cell for cell in cells if len(cell[1]) > 1), key=lambda cell: cell[0])
     explored: list[int] = []
     orbit: list[int] = []
     covered = 0  # automorphisms that `orbit` was computed from
-    for pick in groups[target]:
+    for pick in sorted(target[1]):
         if explored and automorphisms:
             if covered != len(automorphisms):
                 orbit, covered = _orbits(automorphisms, path), len(automorphisms)
             if any(orbit[pick] == orbit[done] for done in explored):
                 continue
         explored.append(pick)
-        keys = [(r, 0 if (r != target or idx == pick) else 1) for idx, r in enumerate(ranks)]
-        depth = _search(_refine(adj, _dense(keys)), path + [pick], graph, adj, edges, first, automorphisms, written)
+        child, child_of = _individualize(cells, cell_of, pick)
+        _refine(adj, child, child_of, {j for _, j in adj[pick]})
+        depth = _search(child, child_of, path + [pick], graph, adj, edges, first, automorphisms, written)
         if depth < len(path):
             return depth
     return len(path)
@@ -595,5 +636,7 @@ def canonicalize(graph: MoleculeGraph) -> str:
     """
     if graph.n_atoms == 0:
         return ""
-    pieces = [_canonical_component(subgraph(graph, comp)) for comp in graph.connected_components()]
-    return ".".join(sorted(pieces))
+    components = graph.connected_components()
+    if len(components) == 1 and all(i < j for i, j, _ in graph.bonds):  # then `subgraph` returns the graph
+        return _canonical_component(graph)
+    return ".".join(sorted(_canonical_component(subgraph(graph, comp)) for comp in components))

@@ -396,6 +396,19 @@ def _remap_then_dedup(graph):
     return MoleculeGraph(atoms=atoms, bonds=normalized), [range_stage, dedup_stage]
 
 
+def _valence_stage(graph):
+    """Stage 3 as `sanitize` wrote it from `valence_check`'s details of every atom: the oracle."""
+    try:
+        result = valence_check(graph)
+    except UnknownElement as exc:
+        return StageResult("valence", False, str(exc))
+    if result.passed:
+        return StageResult("valence", True, "all atoms within allowed valence")
+    return StageResult("valence", False, ", ".join(
+        f"atom {d.index} (z={d.atomic_number}) order sum {d.order_sum} > {d.limit}" for d in result.failures()
+    ))
+
+
 @st.composite
 def raw_graphs(draw):
     """Graphs built directly, with whatever atoms and bonds the constructor takes.
@@ -425,10 +438,17 @@ def test_sanitize_property_total_idempotent_and_matches_remap_oracle(graph):
     corrected, first_stages = _remap_then_dedup(graph)
     assert result.graph == corrected
     assert result.report.stages[:2] == first_stages
+    assert result.report.stage("valence") == _valence_stage(corrected)
     again = sanitize(result.graph)
     assert again.graph == result.graph
     assert [s.passed for s in again.report.stages] == [s.passed for s in result.report.stages]
     assert again.report.stages[2:] == result.report.stages[2:]
+
+
+@pytest.mark.parametrize("text", ["C(C)(C)(C)(C)C", "O(C)(C)C", "C(C)(C)(C)(C)C(C)(C)(C)(C)C", "CC", "[He]C"])
+def test_sanitize_valence_stage_names_each_failing_atom(text):
+    result = sanitize(smiles.parse(text))
+    assert result.report.stage("valence") == _valence_stage(result.graph)
 
 
 def test_sanitize_report_stage_order_fixed(rng):

@@ -58,12 +58,19 @@ def test_beta_linear_midpoint():
     assert beta_at(sched, 500) == pytest.approx(0.5)
 
 
-def test_beta_step_out_of_range():
+def test_beta_step_out_of_range(rng):
+    """Also: as `betas` does, `beta_at` and `forward_noise` refuse a step that is not a whole number."""
     sched = NoiseSchedule(1000)
     with pytest.raises(StepOutOfRange):
         beta_at(sched, 0)
     with pytest.raises(StepOutOfRange):
         beta_at(sched, 1001)
+    for t in (3.5, np.float64(2.5), 999.999, np.nan):
+        with pytest.raises(StepOutOfRange, match=f"t={t} "):
+            beta_at(sched, t)
+        with pytest.raises(StepOutOfRange):
+            forward_noise(np.zeros((2, 1)), t, sched, rng)
+    assert beta_at(sched, 3.0) == beta_at(sched, np.int64(3)) == beta_at(sched, 3) == betas(sched, np.array([3]))[0]
     for steps, first_outside in (([0], 0), ([5, 1001, 0], 1001), ([-3, 2], -3)):
         with pytest.raises(StepOutOfRange, match=f"t={first_outside} "):
             betas(sched, np.array(steps, dtype=np.int64))
@@ -530,6 +537,17 @@ def test_batch_loss_matches_per_molecule_oracle(case, seed, monkeypatch):
     assert seen["eps"].tobytes() == np.concatenate(noise).tobytes()
     assert seen["t"].tobytes() == np.asarray(timesteps, dtype=np.int64).tobytes()
     assert state == rng.bit_generator.state
+
+
+@pytest.mark.parametrize("timesteps", [[3.5], np.array([2.0, 7.25]), [np.nan, 4]])
+def test_batch_loss_rejects_a_step_that_is_not_a_whole_number(timesteps):
+    """A fractional step raises before any noise is drawn, as it does for `betas`; it is not truncated."""
+    examples = _mixed_batches()["mixed sizes up to 11"][: len(timesteps)]
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(StepOutOfRange):
+        batch_loss(examples, timesteps, NoiseSchedule(500), 0.7, init_params(5, seed=0), rng)
+    assert rng.bit_generator.state == state
 
 
 def test_batch_loss_matches_oracle_on_corpus_batch(fixture_dataset):

@@ -18,6 +18,8 @@ from scentgen.molgraph import (
 )
 from scentgen.smiles import SmilesSyntaxError, UnwritableGraph, canonicalize, parse, write
 
+import test_canonical_oracle as oracle
+
 
 def to_nx(g: MoleculeGraph) -> nx.Graph:
     out = nx.Graph()
@@ -266,6 +268,14 @@ def test_canonical_single_atom_matches_write():
     assert canonicalize(g) == write(g)
 
 
+def test_canonical_connected_graph_with_bonds_stored_j_i():
+    """A connected graph whose bonds are stored (j, i) still goes through `subgraph`, which orients them."""
+    stored = MoleculeGraph(
+        atoms=(Atom(6), Atom(8), Atom(7)), bonds=((1, 0, BondType.SINGLE), (2, 1, BondType.DOUBLE))
+    )
+    assert canonicalize(stored) == canonicalize(parse("CO=N")) == "CO=N"
+
+
 def test_canonical_fragments_sorted():
     assert canonicalize(parse("O.C")) == canonicalize(parse("C.O"))
 
@@ -296,6 +306,100 @@ def test_canonical_crowded_symmetric_molecules(text, rng):
     again = parse(canonical)
     assert isomorphic(g, again)
     assert canonicalize(again) == canonical
+
+
+class _SearchSpy:
+    """Wraps `smiles._search` and `smiles.write` to check every node of the canonical search.
+
+    Each child's partition, refined from its parent's with only the pick's
+    neighbors read first, must give the ranks of a refinement from scratch:
+    `_refine` reading every atom of `_partition`'s cells, and the test
+    oracle's plain refinement.  The root must give the oracle's ranks too,
+    and each pick must come from the parent's tied cell of smallest rank.
+    `certificates` collects the distinct leaf certificates of each component
+    and `writes` counts the strings written.
+    """
+
+    def __init__(self, monkeypatch):
+        self.search, self.write = smiles._search, smiles.write
+        self.nodes: dict[tuple, list[int]] = {}
+        self.certificates: dict[int, set] = {}
+        self.writes = 0
+        monkeypatch.setattr(smiles, "_search", self.checked_search)
+        monkeypatch.setattr(smiles, "write", self.counted_write)
+
+    def counted_write(self, *args, **kwargs):
+        self.writes += 1
+        return self.write(*args, **kwargs)
+
+    def checked_search(self, cells, cell_of, path, graph, adj, *rest):
+        ranks = oracle._dense([cell[0] for cell in cell_of])
+        if path:
+            parent = self.nodes[id(graph), tuple(path[:-1])]
+            pick = path[-1]
+            target = min(r for r in set(parent) if parent.count(r) > 1)
+            assert parent[pick] == target, (path, parent)
+            keys = oracle._dense([(r, 0 if (r != target or i == pick) else 1) for i, r in enumerate(parent)])
+        else:
+            keys = oracle._initial_ranks(graph)
+        scratch_cells, scratch_of = smiles._partition(keys)
+        smiles._refine(adj, scratch_cells, scratch_of, range(len(keys)))
+        assert ranks == oracle._dense([cell[0] for cell in scratch_of]), path
+        assert ranks == oracle._refine(graph, keys), path
+        self.nodes[id(graph), tuple(path)] = ranks
+        if len(cells) == len(cell_of):
+            at_rank = sorted(range(len(ranks)), key=ranks.__getitem__)
+            self.certificates.setdefault(id(graph), set()).add((
+                tuple(graph.atoms[i].atomic_number for i in at_rank),
+                tuple(sorted((min(ranks[i], ranks[j]), max(ranks[i], ranks[j]), t.value) for i, j, t in graph.bonds)),
+            ))
+        return self.search(cells, cell_of, path, graph, adj, *rest)
+
+    def canonicalize(self, graph: MoleculeGraph) -> str:
+        """`canonicalize(graph)`, after which one string was written per distinct leaf certificate."""
+        self.nodes.clear()
+        self.certificates.clear()
+        self.writes = 0
+        text = canonicalize(graph)
+        assert self.writes == sum(len(found) for found in self.certificates.values()) > 0
+        return text
+
+
+def test_every_search_node_of_small_connected_graphs_refines_as_from_scratch(monkeypatch):
+    spy = _SearchSpy(monkeypatch)
+    for n, topologies in oracle.connected_graphs().items():
+        for edges in topologies:
+            for elements, bond_types in itertools.product(oracle.ELEMENT_LABELLINGS, oracle.BOND_LABELLINGS):
+                for reverse in (False, True):
+                    spy.canonicalize(oracle.labelled(n, edges, elements, bond_types, reverse))
+
+
+def test_every_search_node_of_corpus_rows_refines_as_from_scratch(fixture_dataset, monkeypatch):
+    _, molecules = fixture_dataset
+    spy = _SearchSpy(monkeypatch)
+    for molecule in molecules:
+        spy.canonicalize(parse(molecule.smiles))
+
+
+SYMMETRIC_SKELETONS = {
+    **{name: parse(text) for name, text in oracle.SYMMETRIC.items()},
+    **{f"crowded-{k}": parse(text) for k, text in enumerate(CROWDED)},
+    **{
+        name: MoleculeGraph(
+            atoms=tuple(Atom(6) for _ in g),
+            bonds=tuple(sorted((min(a, b), max(a, b), BondType.SINGLE) for a, b in g.edges)),
+        )
+        for name, g in ((name, nx.convert_node_labels_to_integers(g)) for name, g in oracle.REGULAR.items())
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYMMETRIC_SKELETONS))
+def test_every_search_node_of_symmetric_molecules_refines_as_from_scratch(name, rng, monkeypatch):
+    graph = SYMMETRIC_SKELETONS[name]
+    spy = _SearchSpy(monkeypatch)
+    text = spy.canonicalize(graph)
+    assert spy.canonicalize(permuted(graph, list(rng.permutation(graph.n_atoms)))) == text
 
 
 @st.composite
