@@ -23,7 +23,7 @@ from pathlib import Path
 
 
 from . import chemrules, dataio, diffusion, generator, numcore, sensorselect, smiles
-from .molgraph import SYMBOL_TO_NUMBER, UnknownElement
+from .molgraph import MAX_ATOMIC_NUMBER, SYMBOL_TO_NUMBER, UnknownElement
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -113,13 +113,17 @@ def _check_out(*paths: str | None) -> None:
 
 
 def _parse_allowlist(text: str) -> frozenset[int]:
+    """Comma-separated element symbols or atomic numbers in [1, 118]; anything else is bad input."""
     out = set()
     for token in text.split(","):
         token = token.strip()
         if not token:
             continue
-        if token.isdigit():
-            out.add(int(token))
+        if token.isascii() and token.isdigit():  # str.isdigit alone also accepts "²", which int() rejects
+            number = int(token) if len(token) <= 3 else 0  # int() raises on thousands of digits
+            if not 1 <= number <= MAX_ATOMIC_NUMBER:
+                raise _fail(f"allowlist entry {token!r} is not an atomic number in [1, {MAX_ATOMIC_NUMBER}]")
+            out.add(number)
         elif token.capitalize() in SYMBOL_TO_NUMBER:
             out.add(SYMBOL_TO_NUMBER[token.capitalize()])
         else:

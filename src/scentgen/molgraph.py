@@ -71,7 +71,7 @@ _BOND_ORDERS = {
     BondType.AROMATIC: 1.5,
 }
 
-# (i, j, type) with i < j
+# (i, j, type): `new_graph` and `subgraph` store i < j; `smiles` and `chemrules` do not rely on it
 Bond = tuple[int, int, BondType]
 
 
@@ -105,8 +105,10 @@ class Atom:
 class MoleculeGraph:
     """Immutable undirected molecular graph.
 
-    Bonds are stored canonically as (i, j, type) with i < j and at most one
-    bond per unordered pair.  Hydrogens are implicit and never stored.
+    Bonds are (i, j, type), at most one per unordered pair.  `new_graph`,
+    `add_bond` and `subgraph` store them with i < j, but `smiles` and
+    `chemrules` read a bond stored (j, i) as the same bond.  Hydrogens are
+    implicit and never stored.
     """
 
     atoms: tuple[Atom, ...] = ()
@@ -123,9 +125,6 @@ class MoleculeGraph:
 
     def atomic_numbers(self) -> np.ndarray:
         return np.array([a.atomic_number for a in self.atoms], dtype=np.int64)
-
-    def bond_map(self) -> dict[tuple[int, int], BondType]:
-        return {(i, j): t for i, j, t in self.bonds}
 
     def adjacency(self) -> dict[int, list[tuple[int, BondType]]]:
         adj: dict[int, list[tuple[int, BondType]]] = {i: [] for i in range(self.n_atoms)}

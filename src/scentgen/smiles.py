@@ -13,8 +13,8 @@ one loop, `_refine`, over a partition of cells: the root's cells come from
 the atom invariants (`_partition`) and the loop first reads every atom; each
 search node copies its parent's refined cells, splits the pick off its cell
 (`_individualize`) and first reads only the pick's neighbours.  Each
-connected component (`molgraph.subgraph`, skipped for a connected graph whose
-bonds are stored i < j) is canonicalized on its own.
+connected component (`molgraph.subgraph`, skipped for a connected graph) is
+canonicalized on its own.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ class SmilesSyntaxError(ValueError):
 
 
 class UnwritableGraph(ValueError):
-    """The graph contains atoms outside the writable element range."""
+    """The graph has atoms outside the writable element range, or needs ring-closure digits past 99."""
 
 
 @dataclass
@@ -226,19 +226,14 @@ def parse(text: str) -> MoleculeGraph:
 
 def _lowercase_atoms(graph: MoleculeGraph) -> set[int]:
     """Atoms writable in aromatic lowercase: all their aromatic bonds lie on valid rings."""
-    has_aromatic = any(t is BondType.AROMATIC for _, _, t in graph.bonds)
-    if not has_aromatic:
+    aromatic = [(i, j) for i, j, t in graph.bonds if t is BondType.AROMATIC]
+    if not aromatic:
         return set()
     good = chemrules.valid_aromatic_bonds(graph)
-    out: set[int] = set()
-    adj = graph.adjacency()
-    for idx, atom in enumerate(graph.atoms):
-        if atom.atomic_number not in LOWERCASE_WRITABLE:
-            continue
-        arom = [(min(idx, j), max(idx, j)) for j, t in adj[idx] if t is BondType.AROMATIC]
-        if arom and all(pair in good for pair in arom):
-            out.add(idx)
-    return out
+    bad = {k for pair in aromatic if pair not in good for k in pair}
+    return {
+        k for pair in aromatic for k in pair if k not in bad and graph.atoms[k].atomic_number in LOWERCASE_WRITABLE
+    }
 
 
 def _bond_token(t: BondType, lower_i: bool, lower_j: bool) -> str:
@@ -262,8 +257,12 @@ def write(graph: MoleculeGraph, _ranks: list[int] | None = None) -> str:
     """Write a deterministic SMILES string; fragments are dot-separated.
 
     The traversal order is controlled by `_ranks` (lower rank first), which the
-    canonicalizer uses to pin a unique output.  Re-parsing the result yields a
-    graph with the same elements and the same typed bond multiset.
+    canonicalizer uses to pin a unique output: each fragment starts at its
+    atom of lowest rank, and fragments follow in the order of those atoms.
+    Bonds may be stored either way round.  Re-parsing the result yields a
+    graph with the same elements and the same typed bond multiset.  Raises
+    `UnwritableGraph` for atoms outside the writable element range, and for a
+    fragment that would need ring-closure digit 100 at once.
     """
     n = graph.n_atoms
     if n == 0:
@@ -278,100 +277,94 @@ def write(graph: MoleculeGraph, _ranks: list[int] | None = None) -> str:
         adj[u].sort(key=lambda item: ranks[item[0]])
 
     pieces = []
-    components = sorted(graph.connected_components(), key=lambda comp: min(ranks[i] for i in comp))
-    for comp in components:
-        pieces.append(_write_component(graph, comp, ranks, lowercase, adj))
+    emit_index: dict[int, int] = {}  # atom -> its position in the output, over all fragments
+    for start in sorted(range(n), key=ranks.__getitem__):
+        if start not in emit_index:
+            pieces.append(_write_component(graph, start, lowercase, adj, emit_index))
     return ".".join(pieces)
 
 
 def _write_component(
     graph: MoleculeGraph,
-    comp: list[int],
-    ranks: list[int],
+    start: int,
     lowercase: set[int],
     adj: dict[int, list[tuple[int, BondType]]],
+    emit_index: dict[int, int],
 ) -> str:
-    start = min(comp, key=lambda i: ranks[i])
-
-    # Depth-first spanning tree; non-tree edges become ring closures.
-    emit_index = {start: 0}
-    tree_children: dict[int, list[int]] = {u: [] for u in comp}
-    closures: dict[tuple[int, int], tuple[int, int]] = {}
-    _scout(start, adj, emit_index, tree_children, closures)
+    tree_children, closures = _scout(start, adj, emit_index)
 
     # Allocate ring-closure digits by opening position, reusing closed digits.
-    closure_at: dict[int, list[tuple[int, int]]] = {}  # atom -> [(partner, digit)]
+    closure_at: dict[int, list[tuple[int, int, BondType]]] = {}  # atom -> [(partner, digit, bond)]
     in_use: dict[int, int] = {}  # digit -> emit index where it closes
-    events = sorted(
-        closures.values(),
-        key=lambda pair: (
-            min(emit_index[pair[0]], emit_index[pair[1]]),
-            max(emit_index[pair[0]], emit_index[pair[1]]),
-        ),
-    )
-    for a, b in events:
-        first, second = sorted((a, b), key=lambda x: emit_index[x])
+    for first, second, t in sorted(closures, key=lambda c: (emit_index[c[0]], emit_index[c[1]])):
         opened_at = emit_index[first]
         for d in [d for d, closes in in_use.items() if closes < opened_at]:
             del in_use[d]
         digit = 1
         while digit in in_use:
             digit += 1
+        if digit > 99:
+            raise UnwritableGraph(f"atom {first} would open ring closure {digit}; SMILES has digits up to %99")
         in_use[digit] = emit_index[second]
-        closure_at.setdefault(first, []).append((second, digit))
-        closure_at.setdefault(second, []).append((first, digit))
+        closure_at.setdefault(first, []).append((second, digit, t))
+        closure_at.setdefault(second, []).append((first, digit, t))
 
-    return _emit(start, graph, graph.bond_map(), lowercase, emit_index, tree_children, closure_at)
+    return _emit(start, graph, lowercase, emit_index, tree_children, closure_at)
 
 
 def _scout(
     start: int,
     adj: dict[int, list[tuple[int, BondType]]],
     emit_index: dict[int, int],
-    tree_children: dict[int, list[int]],
-    closures: dict[tuple[int, int], tuple[int, int]],
-) -> None:
-    """Visit the atoms reachable from `start` depth first, numbering them in visit order.
+) -> tuple[dict[int, list[tuple[int, BondType]]], list[tuple[int, int, BondType]]]:
+    """The depth-first tree from `start`: each atom's (child, bond)s, and the ring closures.
 
-    Each atom visits its unvisited neighbours in `adj` order, each one's
-    subtree before the next neighbour.  Tree edges go to `tree_children`;
-    every other edge becomes a ring closure, keyed by its (min, max) pair.
-    The stack holds each open atom with its parent and its neighbours still
-    to visit, so the depth is not bounded by the recursion limit.
+    Numbers the atoms reached in `emit_index`, in visit order.  Each atom
+    visits its unvisited neighbours in `adj` order, each one's subtree before
+    the next neighbour.  Every other bond joins an atom to one of its
+    ancestors, and the atom reads it before the ancestor does: it becomes an
+    (ancestor, atom, bond) ring closure there.  The stack holds each open
+    atom with its parent and its neighbours still to visit, so the depth is
+    not bounded by the recursion limit.
     """
+    emit_index[start] = len(emit_index)
+    tree_children: dict[int, list[tuple[int, BondType]]] = {start: []}
+    closures: list[tuple[int, int, BondType]] = []
     stack = [(start, None, iter(adj[start]))]
     while stack:
         u, parent, neighbours = stack[-1]
-        for v, _t in neighbours:
+        for v, t in neighbours:
             if v == parent:
                 continue
-            if v in emit_index:
-                closures.setdefault((min(u, v), max(u, v)), (v, u))
-            else:
+            if v not in emit_index:
                 emit_index[v] = len(emit_index)
-                tree_children[u].append(v)
+                tree_children[u].append((v, t))
+                tree_children[v] = []
                 stack.append((v, u, iter(adj[v])))
                 break
+            if emit_index[v] < emit_index[u]:
+                closures.append((v, u, t))
         else:
             stack.pop()
+    return tree_children, closures
 
 
 def _emit(
     start: int,
     graph: MoleculeGraph,
-    bond_of: dict[tuple[int, int], BondType],
     lowercase: set[int],
     emit_index: dict[int, int],
-    tree_children: dict[int, list[int]],
-    closure_at: dict[int, list[tuple[int, int]]],
+    tree_children: dict[int, list[tuple[int, BondType]]],
+    closure_at: dict[int, list[tuple[int, int, BondType]]],
 ) -> str:
     """The SMILES text of the spanning tree below `start`.
 
-    An atom writes its token and ring-closure digits, then each child's bond
-    and subtree, every child but the last in parentheses.  The stack holds
-    the atoms still to write, last first, with a -1 where a ")" goes, and
-    `prefix` the text that comes before each atom: its bond, after a "("
-    for a child that is not its parent's last.
+    An atom writes its token and ring-closure digits, each with its bond at
+    the opening end, then each child's bond and subtree, every child but the
+    last in parentheses.  The stack holds the atoms still to write, last
+    first, with a -1 where a ")" goes, and `prefix` the text that comes
+    before each atom: its bond, after a "(" for a child that is not its
+    parent's last.
     """
     out: list[str] = []
     prefix = {start: ""}
@@ -384,16 +377,15 @@ def _emit(
         lower = u in lowercase
         out.append(prefix[u])
         out.append(_atom_token(graph.atoms[u].atomic_number, lower))
-        for partner, digit in sorted(closure_at.get(u, []), key=lambda pd: emit_index[pd[0]]):
+        for partner, digit, t in sorted(closure_at.get(u, []), key=lambda c: emit_index[c[0]]):
             if emit_index[u] < emit_index[partner]:
-                key = (min(u, partner), max(u, partner))
-                out.append(_bond_token(bond_of[key], lower, partner in lowercase))
+                out.append(_bond_token(t, lower, partner in lowercase))
             out.append(str(digit) if digit < 10 else f"%{digit:02d}")
         children = tree_children[u]
         last = len(children) - 1
         for pos in range(last, -1, -1):
-            v = children[pos]
-            bond = _bond_token(bond_of[(min(u, v), max(u, v))], lower, v in lowercase)
+            v, t = children[pos]
+            bond = _bond_token(t, lower, v in lowercase)
             if pos == last:
                 prefix[v] = bond
             else:
@@ -632,11 +624,11 @@ def canonicalize(graph: MoleculeGraph) -> str:
     images of searched ones, keeping the smallest string over all orderings.
     Fragments are canonicalized independently and joined in sorted order.
     The search has no budget: the only exception raised is `UnwritableGraph`,
-    for atoms outside the writable element range.
+    from `write`.
     """
     if graph.n_atoms == 0:
         return ""
     components = graph.connected_components()
-    if len(components) == 1 and all(i < j for i, j, _ in graph.bonds):  # then `subgraph` returns the graph
+    if len(components) == 1:
         return _canonical_component(graph)
     return ".".join(sorted(_canonical_component(subgraph(graph, comp)) for comp in components))

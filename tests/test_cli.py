@@ -433,6 +433,9 @@ BAD_INPUTS = {
     "generate --tau 0": (["generate", "--tau", "0"], {}),
     "train --tau 0": (["train", "--tau", "0"], {}),
     "train --tau nan": (["train", "--tau", "nan"], {}),
+    "train --allowlist ²": (["train", "--allowlist", "²"], {}),
+    "train --allowlist 0": (["train", "--allowlist", "0"], {}),
+    "generate --allowlist 999": (["generate", "--allowlist", "999"], {}),
     "count not an integer": (["generate"], {"query.json": {"descriptors": [], "count": "x"}}),
     "count a numeric string": (["generate"], {"query.json": {"descriptors": [], "count": "2"}}),
     "count the string 1": (["generate"], {"query.json": {"descriptors": [], "count": "1"}}),

@@ -1,5 +1,7 @@
 import gc
 import itertools
+import json
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
@@ -174,6 +176,45 @@ def test_write_unwritable():
         write(g)
 
 
+def complete_carbon_graph(n: int) -> MoleculeGraph:
+    return MoleculeGraph(
+        atoms=tuple(Atom(6) for _ in range(n)),
+        bonds=tuple((i, j, BondType.SINGLE) for i, j in itertools.combinations(range(n), 2)),
+    )
+
+
+def test_write_ring_closures_up_to_99_round_trip():
+    g = complete_carbon_graph(15)
+    text = write(g)
+    assert "%61" in text
+    assert parse(text) == g
+
+
+def test_write_raises_for_a_ring_closure_past_99():
+    """K20 would need closure digit 100, which SMILES cannot spell: "%100" reads as %10 then 0."""
+    with pytest.raises(UnwritableGraph, match="ring closure 100"):
+        write(complete_carbon_graph(20))
+
+
+def flipped(g: MoleculeGraph) -> MoleculeGraph:
+    """The same graph with every bond stored (j, i)."""
+    return MoleculeGraph(atoms=g.atoms, bonds=tuple((j, i, t) for i, j, t in g.bonds))
+
+
+def test_write_flipped_benzene():
+    assert write(flipped(parse("c1ccccc1"))) == "c1ccccc1"
+
+
+def test_corpus_rows_with_bonds_stored_j_i_write_and_canonicalize_the_same(fixture_dataset):
+    _, molecules = fixture_dataset
+    for molecule in molecules:
+        g = parse(molecule.smiles)
+        ranks = list(range(g.n_atoms))[::-1]
+        assert write(flipped(g)) == write(g), molecule.smiles
+        assert write(flipped(g), _ranks=ranks) == write(g, _ranks=ranks), molecule.smiles
+        assert canonicalize(flipped(g)) == canonicalize(g), molecule.smiles
+
+
 def test_write_parse_round_trip_ethanol():
     g = new_graph([Atom(6), Atom(6), Atom(8)])
     g = add_bond(g, 0, 1, BondType.SINGLE)
@@ -269,11 +310,14 @@ def test_canonical_single_atom_matches_write():
 
 
 def test_canonical_connected_graph_with_bonds_stored_j_i():
-    """A connected graph whose bonds are stored (j, i) still goes through `subgraph`, which orients them."""
+    """Graphs whose bonds are stored (j, i), one connected and one of two fragments."""
     stored = MoleculeGraph(
         atoms=(Atom(6), Atom(8), Atom(7)), bonds=((1, 0, BondType.SINGLE), (2, 1, BondType.DOUBLE))
     )
     assert canonicalize(stored) == canonicalize(parse("CO=N")) == "CO=N"
+    two = parse("C=CO.c1ccncc1")
+    assert write(flipped(two)) == write(two) == "C=CO.c1ccncc1"
+    assert canonicalize(flipped(two)) == canonicalize(parse("c1ccncc1.OC=C")) == "C=CO.c1ccncc1"
 
 
 def test_canonical_fragments_sorted():
@@ -400,6 +444,23 @@ def test_every_search_node_of_symmetric_molecules_refines_as_from_scratch(name, 
     spy = _SearchSpy(monkeypatch)
     text = spy.canonicalize(graph)
     assert spy.canonicalize(permuted(graph, list(rng.permutation(graph.n_atoms)))) == text
+
+
+# The writer's strings, pinned as data: `test_canonical_oracle` checks
+# `canonicalize` only against `write` itself, so only these notice a change in
+# the bytes `write` produces.  Each entry holds `write` at identity ranks,
+# `write` at the ranks of a seeded permutation, and `canonicalize`.
+WRITER_PINS = Path(__file__).with_name("writer_pins.json")
+
+
+def test_writer_strings_match_pins(fixture_dataset):
+    _, molecules = fixture_dataset
+    graphs = {**{m.smiles: parse(m.smiles) for m in molecules}, **SYMMETRIC_SKELETONS}
+    pinned = json.loads(WRITER_PINS.read_text(encoding="utf-8"))
+    assert sorted(pinned) == sorted(graphs)
+    for name, graph in graphs.items():
+        ranks = np.random.default_rng(0).permutation(graph.n_atoms).tolist()
+        assert [write(graph), write(graph, _ranks=ranks), canonicalize(graph)] == pinned[name], name
 
 
 @st.composite
